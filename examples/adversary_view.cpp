@@ -31,18 +31,19 @@ makeOram(std::uint64_t seed)
     return IndependentOram(p, seed);
 }
 
-/** Histogram of the command stream the bus analyzer captures. */
-std::map<std::string, unsigned>
-commandHistogram(const std::vector<BusEvent> &trace)
+/** Histogram the command stream a bus analyzer on @p oram captures. */
+void
+watchCommands(IndependentOram &oram, std::map<std::string, unsigned> &hist)
 {
-    std::map<std::string, unsigned> hist;
-    for (const BusEvent &e : trace) {
+    oram.attachObserver([&hist](TraceEventKind kind, std::uint64_t a) {
+        if (kind != TraceEventKind::ShortCmd)
+            return;
         char key[64];
         std::snprintf(key, sizeof(key), "%-13s -> SDIMM %u",
-                      commandName(e.type), e.sdimm);
+                      commandName(static_cast<SdimmCommandType>(a >> 8)),
+                      static_cast<unsigned>(a & 0xff));
         ++hist[key];
-    }
-    return hist;
+    });
 }
 
 } // namespace
@@ -57,12 +58,13 @@ main()
         IndependentOram oram = makeOram(11);
         const BlockData v{};
         oram.access(0, oram::OramOp::Write, &v);
-        oram.clearBusTrace();
+        std::map<std::string, unsigned> hist;
+        watchCommands(oram, hist);
         for (int i = 0; i < 200; ++i) {
             const Addr a = hammer ? 0 : static_cast<Addr>(i % 64);
             oram.access(a, oram::OramOp::Read);
         }
-        return commandHistogram(oram.busTrace());
+        return hist;
     };
     const auto hist_a = run(true);
     const auto hist_b = run(false);

@@ -182,12 +182,14 @@ main()
     auto run_pattern = [&](bool hammer) {
         oram::PathOram oram(params, crypto::makeKey(1, 2),
                             crypto::makeKey(3, 4), 99);
+        std::vector<LeafId> leaves;
         const BlockData v{};
         for (int i = 0; i < 1500; ++i) {
             const Addr a = hammer ? 42 : static_cast<Addr>(i) % 100;
+            leaves.push_back(oram.leafOf(a)); // The path it reads.
             oram.access(a, oram::OramOp::Write, &v);
         }
-        return uniformityChi2(oram.leafTrace(), 16);
+        return uniformityChi2(leaves, 16);
     };
     const double chi_hot = run_pattern(true);
     const double chi_scan = run_pattern(false);

@@ -1,13 +1,11 @@
 #include "app/kv_workload.hh"
 
-#include <cctype>
 #include <cmath>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 
-#include "util/metrics.hh" // jsonQuote / jsonNumber
+#include "util/json.hh"
 
 namespace secdimm::app
 {
@@ -36,216 +34,6 @@ fnv1a(const std::string &s)
     return h;
 }
 
-/* ------------------------------------------------------------------ */
-/* Tiny JSON value + recursive-descent parser, the fault_plan_io.cc    */
-/* idiom: self-contained because the repo has no generic JSON          */
-/* dependency.  Only what a KvWorkloadSpec needs.                      */
-/* ------------------------------------------------------------------ */
-
-struct JsonValue {
-    enum class Type { Null, Bool, Number, String, Array, Object };
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : s_(text) {}
-
-    std::optional<JsonValue> parse(std::string *error)
-    {
-        JsonValue v;
-        if (!value(v) || (skipWs(), pos_ != s_.size())) {
-            if (error) {
-                std::ostringstream os;
-                os << "JSON parse error near offset " << pos_;
-                *error = os.str();
-            }
-            return std::nullopt;
-        }
-        return v;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool literal(const char *lit)
-    {
-        std::size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
-        if (s_.compare(pos_, n, lit) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool value(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"')
-            return string(out);
-        if (c == 't' || c == 'f') {
-            out.type = JsonValue::Type::Bool;
-            out.boolean = c == 't';
-            return literal(c == 't' ? "true" : "false");
-        }
-        if (c == 'n') {
-            out.type = JsonValue::Type::Null;
-            return literal("null");
-        }
-        return number(out);
-    }
-
-    bool string(JsonValue &out)
-    {
-        if (s_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.type = JsonValue::Type::String;
-        out.str.clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    return false;
-                const char e = s_[pos_++];
-                switch (e) {
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case 'r': c = '\r'; break;
-                default: return false;
-                }
-            }
-            out.str.push_back(c);
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool number(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool any = false;
-        auto digits = [&] {
-            while (pos_ < s_.size() &&
-                   std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-                ++pos_;
-                any = true;
-            }
-        };
-        digits();
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            digits();
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-                ++pos_;
-            digits();
-        }
-        if (!any)
-            return false;
-        out.type = JsonValue::Type::Number;
-        out.number = std::stod(s_.substr(start, pos_ - start));
-        return true;
-    }
-
-    bool array(JsonValue &out)
-    {
-        ++pos_; // '['
-        out.type = JsonValue::Type::Array;
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue elem;
-            if (!value(elem))
-                return false;
-            out.array.push_back(std::move(elem));
-            skipWs();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool object(JsonValue &out)
-    {
-        ++pos_; // '{'
-        out.type = JsonValue::Type::Object;
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            JsonValue key;
-            if (pos_ >= s_.size() || s_[pos_] != '"' || !string(key))
-                return false;
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != ':')
-                return false;
-            ++pos_;
-            JsonValue val;
-            if (!value(val))
-                return false;
-            out.object.emplace(std::move(key.str), std::move(val));
-            skipWs();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
-
 std::optional<KvWorkloadKind>
 kindFromName(const std::string &name)
 {
@@ -261,21 +49,21 @@ kindFromName(const std::string &name)
 }
 
 bool
-specFromValue(const JsonValue &v, KvWorkloadSpec &out, std::string *err)
+specFromValue(const util::JsonValue &v, KvWorkloadSpec &out,
+              std::string *err)
 {
-    if (v.type != JsonValue::Type::Object) {
-        if (err)
-            *err = "workload spec must be a JSON object";
-        return false;
-    }
+    using Type = util::JsonValue::Type;
     auto fail = [&](const std::string &m) {
         if (err)
             *err = m;
         return false;
     };
+    if (v.type != Type::Object)
+        return fail("workload spec must be a JSON object");
     for (const auto &[key, val] : v.object) {
+        bool ok = true;
         if (key == "kind") {
-            if (val.type != JsonValue::Type::String)
+            if (val.type != Type::String)
                 return fail("kind must be a string");
             auto k = kindFromName(val.str);
             if (!k)
@@ -283,42 +71,49 @@ specFromValue(const JsonValue &v, KvWorkloadSpec &out, std::string *err)
                             "\"");
             out.kind = *k;
         } else if (key == "tenant") {
-            if (val.type != JsonValue::Type::String)
+            if (val.type != Type::String)
                 return fail("tenant must be a string");
             out.tenant = val.str;
         } else if (key == "keys") {
-            out.keys = static_cast<std::uint64_t>(val.number);
+            ok = util::jsonToU64(val, out.keys);
         } else if (key == "zipf_theta") {
-            out.zipfTheta = val.number;
+            ok = util::jsonToDouble(val, out.zipfTheta);
         } else if (key == "hot_op_fraction") {
-            out.hotOpFraction = val.number;
+            ok = util::jsonToDouble(val, out.hotOpFraction);
         } else if (key == "hot_key_fraction") {
-            out.hotKeyFraction = val.number;
+            ok = util::jsonToDouble(val, out.hotKeyFraction);
         } else if (key == "scan_len") {
-            out.scanLen = static_cast<std::uint64_t>(val.number);
+            ok = util::jsonToU64(val, out.scanLen);
         } else if (key == "get_fraction") {
-            out.getFraction = val.number;
+            ok = util::jsonToDouble(val, out.getFraction);
         } else if (key == "miss_fraction") {
-            out.missFraction = val.number;
+            ok = util::jsonToDouble(val, out.missFraction);
         } else if (key == "value_bytes") {
-            out.valueBytes = static_cast<std::size_t>(val.number);
+            std::uint64_t bytes = 0;
+            ok = util::jsonToU64(val, bytes, SIZE_MAX);
+            out.valueBytes = static_cast<std::size_t>(bytes);
         } else if (key == "tenants") {
-            if (val.type != JsonValue::Type::Array)
+            if (val.type != Type::Array)
                 return fail("tenants must be an array");
-            for (const JsonValue &t : val.array) {
+            for (const util::JsonValue &t : val.array) {
                 KvWorkloadSpec sub;
                 if (!specFromValue(t, sub, err))
                     return false;
                 out.tenants.push_back(std::move(sub));
             }
         } else if (key == "weights") {
-            if (val.type != JsonValue::Type::Array)
+            if (val.type != Type::Array)
                 return fail("weights must be an array");
-            for (const JsonValue &w : val.array)
-                out.weights.push_back(w.number);
+            for (const util::JsonValue &w : val.array) {
+                out.weights.emplace_back();
+                ok = ok && util::jsonToDouble(w, out.weights.back());
+            }
         } else {
             return fail("unknown workload spec key \"" + key + "\"");
         }
+        if (!ok)
+            return fail("bad value for workload spec key \"" + key +
+                        "\"");
     }
     return true;
 }
@@ -597,8 +392,7 @@ kvWorkloadSpecToJson(const KvWorkloadSpec &spec, int indent)
 std::optional<KvWorkloadSpec>
 kvWorkloadSpecFromJson(const std::string &text, std::string *err)
 {
-    Parser parser(text);
-    auto v = parser.parse(err);
+    const std::optional<util::JsonValue> v = util::parseJson(text, err);
     if (!v)
         return std::nullopt;
     KvWorkloadSpec spec;

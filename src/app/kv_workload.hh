@@ -153,7 +153,11 @@ class KvWorkloadGenerator
 std::string kvWorkloadSpecToJson(const KvWorkloadSpec &spec,
                                  int indent = 0);
 
-/** Parse; nullopt on malformed input (err gets a diagnostic). */
+/**
+ * Parse; nullopt on malformed input, including an integer field that
+ * is not a plain non-negative integer in range (err gets a
+ * diagnostic).
+ */
 std::optional<KvWorkloadSpec>
 kvWorkloadSpecFromJson(const std::string &text,
                        std::string *err = nullptr);

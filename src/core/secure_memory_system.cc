@@ -3,6 +3,10 @@
 #include <cstring>
 
 #include "fault/fault_injector.hh"
+#include "oram/recursive_oram.hh"
+#include "sdimm/indep_split_oram.hh"
+#include "sdimm/independent_oram.hh"
+#include "sdimm/split_oram.hh"
 #include "util/bit_utils.hh"
 #include "util/logging.hh"
 #include "verify/channel_observer.hh"
@@ -40,10 +44,16 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
     switch (options_.protocol) {
       case Protocol::PathOram: {
         params.levels = levelsForBlocks(want_blocks, params.bucketBlocks);
-        pathOram_ = std::make_unique<oram::PathOram>(
+        auto o = std::make_unique<oram::PathOram>(
             params, crypto::makeKey(0xdeed, options.seed),
             crypto::makeKey(0xfeed, options.seed * 3 + 1),
             options.seed);
+        // Driven via access(): the internal PosMap is authoritative.
+        audit_ = [&o = *o] {
+            return verify::auditPathOram(o, /*check_posmap=*/true);
+        };
+        metricsPrefix_ = "oram.data";
+        engine_ = std::move(o);
         capacityBlocks_ = params.capacityBlocks();
         break;
       }
@@ -52,9 +62,11 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
         rp.data = params;
         rp.data.levels =
             levelsForBlocks(want_blocks, params.bucketBlocks);
-        recursive_ = std::make_unique<oram::RecursiveOram>(
-            rp, options.seed);
-        capacityBlocks_ = recursive_->capacityBlocks();
+        auto o = std::make_unique<oram::RecursiveOram>(rp, options.seed);
+        audit_ = [&o = *o] { return verify::auditRecursiveOram(o); };
+        metricsPrefix_ = "oram";
+        capacityBlocks_ = o->capacityBlocks();
+        engine_ = std::move(o);
         break;
       }
       case Protocol::Independent: {
@@ -66,9 +78,11 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
         sdimm::IndependentOram::Params ip;
         ip.perSdimm = params;
         ip.numSdimms = options_.numSdimms;
-        independent_ =
-            std::make_unique<sdimm::IndependentOram>(ip, options.seed);
-        capacityBlocks_ = independent_->capacityBlocks();
+        auto o = std::make_unique<sdimm::IndependentOram>(ip, options.seed);
+        audit_ = [&o = *o] { return verify::auditIndependentOram(o); };
+        metricsPrefix_ = "sdimm";
+        capacityBlocks_ = o->capacityBlocks();
+        engine_ = std::move(o);
         break;
       }
       case Protocol::Split: {
@@ -77,8 +91,13 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
         sdimm::SplitOram::Params sp;
         sp.tree = params;
         sp.slices = options_.numSdimms;
-        split_ = std::make_unique<sdimm::SplitOram>(sp, options.seed);
-        capacityBlocks_ = split_->capacityBlocks();
+        auto o = std::make_unique<sdimm::SplitOram>(sp, options.seed);
+        audit_ = [&o = *o] {
+            return verify::auditSplitOram(o, /*check_posmap=*/true);
+        };
+        metricsPrefix_ = "sdimm.split";
+        capacityBlocks_ = o->capacityBlocks();
+        engine_ = std::move(o);
         break;
       }
       case Protocol::IndepSplit: {
@@ -92,9 +111,11 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
         cp.perGroupTree = params;
         cp.groups = options_.numSdimms;
         cp.slicesPerGroup = options_.slicesPerGroup;
-        indepSplit_ =
-            std::make_unique<sdimm::IndepSplitOram>(cp, options.seed);
-        capacityBlocks_ = indepSplit_->capacityBlocks();
+        auto o = std::make_unique<sdimm::IndepSplitOram>(cp, options.seed);
+        audit_ = [&o = *o] { return verify::auditIndepSplitOram(o); };
+        metricsPrefix_ = "sdimm.indep_split";
+        capacityBlocks_ = o->capacityBlocks();
+        engine_ = std::move(o);
         break;
       }
     }
@@ -102,25 +123,8 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
     if (options_.faultPlan.enabled()) {
         injector_ =
             std::make_unique<fault::FaultInjector>(options_.faultPlan);
-        switch (options_.protocol) {
-          case Protocol::PathOram:
-            pathOram_->setFaultInjector(injector_.get());
-            break;
-          case Protocol::Freecursive:
-            recursive_->setFaultInjector(injector_.get());
-            break;
-          case Protocol::Independent:
-            independent_->setFaultInjector(injector_.get(),
-                                           options_.degradationPolicy);
-            break;
-          case Protocol::Split:
-            split_->setFaultInjector(injector_.get());
-            break;
-          case Protocol::IndepSplit:
-            indepSplit_->setFaultInjector(injector_.get(),
-                                          options_.degradationPolicy);
-            break;
-        }
+        engine_->setFaultInjector(injector_.get(),
+                                  options_.degradationPolicy);
     }
 }
 
@@ -142,24 +146,7 @@ SecureMemorySystem::accessBlock(Addr block_index, oram::OramOp op,
               static_cast<unsigned long long>(block_index),
               static_cast<unsigned long long>(capacityBlocks_));
     }
-    BlockData result{};
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        result = pathOram_->access(block_index, op, data);
-        break;
-      case Protocol::Freecursive:
-        result = recursive_->access(block_index, op, data);
-        break;
-      case Protocol::Independent:
-        result = independent_->access(block_index, op, data);
-        break;
-      case Protocol::Split:
-        result = split_->access(block_index, op, data);
-        break;
-      case Protocol::IndepSplit:
-        result = indepSplit_->access(block_index, op, data);
-        break;
-    }
+    const BlockData result = engine_->access(block_index, op, data);
     if (audits_.enabled && ++accessesSinceAudit_ >= audits_.interval) {
         accessesSinceAudit_ = 0;
         const verify::AuditReport report = auditNow();
@@ -224,70 +211,19 @@ SecureMemorySystem::write(Addr byte_addr, const void *data,
 std::uint64_t
 SecureMemorySystem::accessCount() const
 {
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        return pathOram_->stats().accesses +
-               pathOram_->stats().dummyAccesses;
-      case Protocol::Freecursive:
-        return recursive_->stats().treeAccesses;
-      case Protocol::Independent: {
-        std::uint64_t total = 0;
-        for (unsigned i = 0; i < independent_->numSdimms(); ++i)
-            total += independent_->buffer(i).stats().accessOps;
-        return total;
-      }
-      case Protocol::Split:
-        return split_->stats().accesses + split_->stats().dummyAccesses;
-      case Protocol::IndepSplit: {
-        std::uint64_t total = 0;
-        for (unsigned g = 0; g < indepSplit_->groups(); ++g) {
-            total += indepSplit_->group(g).stats().accesses +
-                     indepSplit_->group(g).stats().dummyAccesses;
-        }
-        return total;
-      }
-    }
-    return 0;
+    return engine_->accessCount();
 }
 
 verify::AuditReport
 SecureMemorySystem::auditNow() const
 {
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        // Driven via access(): the internal PosMap is authoritative.
-        return verify::auditPathOram(*pathOram_, /*check_posmap=*/true);
-      case Protocol::Freecursive:
-        return verify::auditRecursiveOram(*recursive_);
-      case Protocol::Independent:
-        return verify::auditIndependentOram(*independent_);
-      case Protocol::Split:
-        return verify::auditSplitOram(*split_, /*check_posmap=*/true);
-      case Protocol::IndepSplit:
-        return verify::auditIndepSplitOram(*indepSplit_);
-    }
-    return verify::AuditReport{};
+    return audit_();
 }
 
 unsigned
 SecureMemorySystem::attachObserver(verify::ChannelObserver &observer)
 {
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        observer.attach(pathOram_->store());
-        return 1;
-      case Protocol::Freecursive: {
-        const unsigned trees = recursive_->posmapLevels() + 1;
-        for (unsigned t = 0; t < trees; ++t)
-            observer.attach(recursive_->tree(t).store());
-        return trees;
-      }
-      case Protocol::Independent:
-      case Protocol::Split:
-      case Protocol::IndepSplit:
-        return 0; // Visible trace exposed via busTrace()/leafTrace().
-    }
-    return 0;
+    return observer.attach(*engine_);
 }
 
 util::MetricsRegistry
@@ -298,43 +234,11 @@ SecureMemorySystem::metrics() const
     m.setCounter("core.capacity_blocks", capacityBlocks_);
     m.setCounter("core.audits_run", auditsRun_);
     m.setCounter("core.audit_violations", auditViolations_);
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        pathOram_->exportMetrics(m, "oram.data");
-        break;
-      case Protocol::Freecursive:
-        recursive_->exportMetrics(m, "oram");
-        break;
-      case Protocol::Independent:
-        independent_->exportMetrics(m, "sdimm");
-        break;
-      case Protocol::Split:
-        split_->exportMetrics(m, "sdimm.split");
-        break;
-      case Protocol::IndepSplit:
-        indepSplit_->exportMetrics(m, "sdimm.indep_split");
-        break;
-    }
-    // Aggregate crypto work across whichever backend is active (see
-    // docs/METRICS.md "crypto.*").
+    engine_->exportMetrics(m, metricsPrefix_);
+    // Aggregate crypto work across the engine (see docs/METRICS.md
+    // "crypto.*").
     crypto::CryptoTotals ct;
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        pathOram_->collectCrypto(ct);
-        break;
-      case Protocol::Freecursive:
-        recursive_->collectCrypto(ct);
-        break;
-      case Protocol::Independent:
-        independent_->collectCrypto(ct);
-        break;
-      case Protocol::Split:
-        split_->collectCrypto(ct);
-        break;
-      case Protocol::IndepSplit:
-        indepSplit_->collectCrypto(ct);
-        break;
-    }
+    engine_->collectCrypto(ct);
     m.setGauge("crypto.impl_id",
                static_cast<double>(
                    static_cast<int>(crypto::activeAesImpl())));
@@ -351,19 +255,7 @@ SecureMemorySystem::metrics() const
 bool
 SecureMemorySystem::integrityOk() const
 {
-    switch (options_.protocol) {
-      case Protocol::PathOram:
-        return pathOram_->integrityOk();
-      case Protocol::Freecursive:
-        return recursive_->integrityOk();
-      case Protocol::Independent:
-        return independent_->integrityOk();
-      case Protocol::Split:
-        return split_->integrityOk();
-      case Protocol::IndepSplit:
-        return indepSplit_->integrityOk();
-    }
-    return false;
+    return engine_->integrityOk();
 }
 
 } // namespace secdimm::core

@@ -20,15 +20,13 @@
 #define SECUREDIMM_CORE_SECURE_MEMORY_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "fault/fault_plan.hh"
 #include "fault/fault_types.hh"
-#include "oram/path_oram.hh"
-#include "oram/recursive_oram.hh"
-#include "sdimm/indep_split_oram.hh"
-#include "sdimm/independent_oram.hh"
-#include "sdimm/split_oram.hh"
+#include "oram/oram_engine.hh"
 #include "util/metrics.hh"
 #include "verify/invariant_audit.hh"
 
@@ -131,11 +129,11 @@ class SecureMemorySystem
     /**
      * Attach a passive verify::ChannelObserver to this instance's
      * externally visible channel: the BucketStore sequence for
-     * PathOram, every tree's BucketStore for Freecursive.  The
-     * Independent/Split families expose their visible trace through
-     * busTrace() instead of a callback channel, so they return 0.
-     * Returns the number of attach points.  The observer must outlive
-     * all subsequent accesses.
+     * PathOram (every tree's, for Freecursive), the leaf sequence for
+     * Split, and the command stream for Independent and INDEP-SPLIT
+     * (each design's attachObserver says exactly what).  Returns the
+     * number of attach points.  The observer must outlive all
+     * subsequent accesses.
      */
     unsigned attachObserver(verify::ChannelObserver &observer);
 
@@ -160,11 +158,11 @@ class SecureMemorySystem
     std::uint64_t auditsRun_ = 0;
     std::uint64_t auditViolations_ = 0;
     std::unique_ptr<fault::FaultInjector> injector_;
-    std::unique_ptr<oram::PathOram> pathOram_;
-    std::unique_ptr<oram::RecursiveOram> recursive_;
-    std::unique_ptr<sdimm::IndependentOram> independent_;
-    std::unique_ptr<sdimm::SplitOram> split_;
-    std::unique_ptr<sdimm::IndepSplitOram> indepSplit_;
+    std::unique_ptr<oram::OramEngine> engine_;
+    /** The engine's metric namespace (docs/METRICS.md). */
+    std::string metricsPrefix_;
+    /** The engine's invariant audit, bound to its concrete type. */
+    std::function<verify::AuditReport()> audit_;
 };
 
 } // namespace secdimm::core

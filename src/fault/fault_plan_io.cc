@@ -1,228 +1,17 @@
 #include "fault/fault_plan_io.hh"
 
-#include <cctype>
-#include <cmath>
-#include <map>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "util/json.hh"
 
 namespace secdimm::fault
 {
 
 namespace
 {
-
-/* ------------------------------------------------------------------ */
-/* Tiny JSON value + recursive-descent parser.  Self-contained on      */
-/* purpose: the repo has no generic JSON dependency, and the metrics   */
-/* parser (util/metrics.cc) is specialized to its own schema.  Only    */
-/* what a FaultPlan needs: numbers, strings, arrays, objects, bool.    */
-/* ------------------------------------------------------------------ */
-
-struct JsonValue {
-    enum class Type { Null, Bool, Number, String, Array, Object };
-    Type type = Type::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : s_(text) {}
-
-    std::optional<JsonValue> parse(std::string *error)
-    {
-        JsonValue v;
-        if (!value(v) || (skipWs(), pos_ != s_.size())) {
-            if (error) {
-                std::ostringstream os;
-                os << "JSON parse error near offset " << pos_;
-                *error = os.str();
-            }
-            return std::nullopt;
-        }
-        return v;
-    }
-
-  private:
-    void skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool literal(const char *lit)
-    {
-        std::size_t n = 0;
-        while (lit[n] != '\0')
-            ++n;
-        if (s_.compare(pos_, n, lit) != 0)
-            return false;
-        pos_ += n;
-        return true;
-    }
-
-    bool value(JsonValue &out)
-    {
-        skipWs();
-        if (pos_ >= s_.size())
-            return false;
-        const char c = s_[pos_];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"')
-            return string(out);
-        if (c == 't' || c == 'f') {
-            out.type = JsonValue::Type::Bool;
-            out.boolean = c == 't';
-            return literal(c == 't' ? "true" : "false");
-        }
-        if (c == 'n') {
-            out.type = JsonValue::Type::Null;
-            return literal("null");
-        }
-        return number(out);
-    }
-
-    bool string(JsonValue &out)
-    {
-        if (s_[pos_] != '"')
-            return false;
-        ++pos_;
-        out.type = JsonValue::Type::String;
-        out.str.clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= s_.size())
-                    return false;
-                const char e = s_[pos_++];
-                switch (e) {
-                case '"': c = '"'; break;
-                case '\\': c = '\\'; break;
-                case '/': c = '/'; break;
-                case 'n': c = '\n'; break;
-                case 't': c = '\t'; break;
-                case 'r': c = '\r'; break;
-                default: return false; // \uXXXX etc. not needed here
-                }
-            }
-            out.str.push_back(c);
-        }
-        if (pos_ >= s_.size())
-            return false;
-        ++pos_; // closing quote
-        return true;
-    }
-
-    bool number(JsonValue &out)
-    {
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-            ++pos_;
-        bool any = false;
-        auto digits = [&] {
-            while (pos_ < s_.size() &&
-                   std::isdigit(static_cast<unsigned char>(s_[pos_]))) {
-                ++pos_;
-                any = true;
-            }
-        };
-        digits();
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            digits();
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '-' || s_[pos_] == '+'))
-                ++pos_;
-            digits();
-        }
-        if (!any)
-            return false;
-        out.type = JsonValue::Type::Number;
-        out.number = std::stod(s_.substr(start, pos_ - start));
-        return true;
-    }
-
-    bool array(JsonValue &out)
-    {
-        ++pos_; // '['
-        out.type = JsonValue::Type::Array;
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            JsonValue elem;
-            if (!value(elem))
-                return false;
-            out.array.push_back(std::move(elem));
-            skipWs();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == ']') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    bool object(JsonValue &out)
-    {
-        ++pos_; // '{'
-        out.type = JsonValue::Type::Object;
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        while (true) {
-            skipWs();
-            JsonValue key;
-            if (pos_ >= s_.size() || s_[pos_] != '"' || !string(key))
-                return false;
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != ':')
-                return false;
-            ++pos_;
-            JsonValue val;
-            if (!value(val))
-                return false;
-            out.object.emplace(std::move(key.str), std::move(val));
-            skipWs();
-            if (pos_ >= s_.size())
-                return false;
-            if (s_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (s_[pos_] == '}') {
-                ++pos_;
-                return true;
-            }
-            return false;
-        }
-    }
-
-    const std::string &s_;
-    std::size_t pos_ = 0;
-};
 
 /* ------------------------------------------------------------------ */
 /* Mapping JSON <-> FaultPlan                                          */
@@ -251,22 +40,18 @@ parsePermanentKind(const std::string &name, PermanentFaultKind &out,
     return true;
 }
 
-bool
-asU64(const JsonValue &v, std::uint64_t &out)
-{
-    if (v.type != JsonValue::Type::Number || v.number < 0 ||
-        std::floor(v.number) != v.number)
-        return false;
-    out = static_cast<std::uint64_t>(v.number);
-    return true;
-}
+using util::JsonValue;
+using util::jsonToDouble;
+using util::jsonToU64;
 
+/** An integer that fits the plan's 32-bit unsigned fields. */
 bool
-asDouble(const JsonValue &v, double &out)
+asUnsigned(const JsonValue &v, unsigned &out)
 {
-    if (v.type != JsonValue::Type::Number)
+    std::uint64_t u = 0;
+    if (!jsonToU64(v, u, std::numeric_limits<unsigned>::max()))
         return false;
-    out = v.number;
+    out = static_cast<unsigned>(u);
     return true;
 }
 
@@ -277,20 +62,18 @@ parsePermanentFault(const JsonValue &v, PermanentFault &out,
     if (v.type != JsonValue::Type::Object)
         return fail(error, "permanent fault entry must be an object");
     for (const auto &[key, val] : v.object) {
-        std::uint64_t u = 0;
         if (key == "kind") {
             if (val.type != JsonValue::Type::String ||
                 !parsePermanentKind(val.str, out.kind, error))
                 return false;
         } else if (key == "unit") {
-            if (!asU64(val, u))
+            if (!asUnsigned(val, out.unit))
                 return fail(error, "unit must be a non-negative integer");
-            out.unit = static_cast<unsigned>(u);
         } else if (key == "at_access") {
-            if (!asU64(val, out.atAccess))
+            if (!jsonToU64(val, out.atAccess))
                 return fail(error, "at_access must be an integer");
         } else if (key == "latency_cycles") {
-            if (!asU64(val, out.latencyCycles))
+            if (!jsonToU64(val, out.latencyCycles))
                 return fail(error, "latency_cycles must be an integer");
         } else {
             return fail(error, "unknown permanent fault key: " + key);
@@ -310,24 +93,23 @@ parseCorrelatedFailure(const JsonValue &v, CorrelatedFailure &out,
             if (val.type != JsonValue::Type::Array)
                 return fail(error, "units must be an array");
             for (const JsonValue &e : val.array) {
-                std::uint64_t u = 0;
-                if (!asU64(e, u))
+                out.units.emplace_back();
+                if (!asUnsigned(e, out.units.back()))
                     return fail(error, "units entries must be integers");
-                out.units.push_back(static_cast<unsigned>(u));
             }
         } else if (key == "kind") {
             if (val.type != JsonValue::Type::String ||
                 !parsePermanentKind(val.str, out.kind, error))
                 return false;
         } else if (key == "at_access") {
-            if (!asU64(val, out.atAccess))
+            if (!jsonToU64(val, out.atAccess))
                 return fail(error, "at_access must be an integer");
         } else if (key == "cascade_gap_accesses") {
-            if (!asU64(val, out.cascadeGapAccesses))
+            if (!jsonToU64(val, out.cascadeGapAccesses))
                 return fail(error,
                             "cascade_gap_accesses must be an integer");
         } else if (key == "latency_cycles") {
-            if (!asU64(val, out.latencyCycles))
+            if (!jsonToU64(val, out.latencyCycles))
                 return fail(error, "latency_cycles must be an integer");
         } else {
             return fail(error, "unknown correlated failure key: " + key);
@@ -362,48 +144,25 @@ parseByzantineFault(const JsonValue &v, ByzantineFault &out,
     if (v.type != JsonValue::Type::Object)
         return fail(error, "byzantine fault entry must be an object");
     for (const auto &[key, val] : v.object) {
-        std::uint64_t u = 0;
         if (key == "kind") {
             if (val.type != JsonValue::Type::String ||
                 !parseByzantineKind(val.str, out.kind, error))
                 return false;
         } else if (key == "unit") {
-            if (!asU64(val, u))
+            if (!asUnsigned(val, out.unit))
                 return fail(error, "unit must be a non-negative integer");
-            out.unit = static_cast<unsigned>(u);
         } else if (key == "duty_cycle") {
-            if (!asDouble(val, out.dutyCycle) || out.dutyCycle < 0.0 ||
+            if (!jsonToDouble(val, out.dutyCycle) || out.dutyCycle < 0.0 ||
                 out.dutyCycle > 1.0)
                 return fail(error, "duty_cycle must be in [0, 1]");
         } else if (key == "from_access") {
-            if (!asU64(val, out.fromAccess))
+            if (!jsonToU64(val, out.fromAccess))
                 return fail(error, "from_access must be an integer");
         } else {
             return fail(error, "unknown byzantine fault key: " + key);
         }
     }
     return true;
-}
-
-void
-appendJsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            os << '\\';
-        os << c;
-    }
-    os << '"';
-}
-
-std::string
-formatDouble(double v)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << v;
-    return os.str();
 }
 
 } // namespace
@@ -413,20 +172,20 @@ faultPlanToJson(const FaultPlan &p)
 {
     std::ostringstream os;
     os << "{";
-    os << "\"dram_bit_flip_rate\":" << formatDouble(p.dramBitFlipRate);
-    os << ",\"link_corrupt_rate\":" << formatDouble(p.linkCorruptRate);
-    os << ",\"link_drop_rate\":" << formatDouble(p.linkDropRate);
-    os << ",\"link_delay_rate\":" << formatDouble(p.linkDelayRate);
+    os << "\"dram_bit_flip_rate\":" << util::jsonNumber(p.dramBitFlipRate);
+    os << ",\"link_corrupt_rate\":" << util::jsonNumber(p.linkCorruptRate);
+    os << ",\"link_drop_rate\":" << util::jsonNumber(p.linkDropRate);
+    os << ",\"link_delay_rate\":" << util::jsonNumber(p.linkDelayRate);
     os << ",\"executor_stall_rate\":"
-       << formatDouble(p.executorStallRate);
-    os << ",\"queue_perturb_rate\":" << formatDouble(p.queuePerturbRate);
+       << util::jsonNumber(p.executorStallRate);
+    os << ",\"queue_perturb_rate\":" << util::jsonNumber(p.queuePerturbRate);
     os << ",\"permanent_faults\":[";
     for (std::size_t i = 0; i < p.permanentFaults.size(); ++i) {
         const PermanentFault &f = p.permanentFaults[i];
         if (i)
             os << ",";
         os << "{\"kind\":";
-        appendJsonString(os, permanentKindName(f.kind));
+        os << util::jsonQuote(permanentKindName(f.kind));
         os << ",\"unit\":" << f.unit
            << ",\"at_access\":" << f.atAccess
            << ",\"latency_cycles\":" << f.latencyCycles << "}";
@@ -443,7 +202,7 @@ faultPlanToJson(const FaultPlan &p)
             os << g.units[j];
         }
         os << "],\"kind\":";
-        appendJsonString(os, permanentKindName(g.kind));
+        os << util::jsonQuote(permanentKindName(g.kind));
         os << ",\"at_access\":" << g.atAccess
            << ",\"cascade_gap_accesses\":" << g.cascadeGapAccesses
            << ",\"latency_cycles\":" << g.latencyCycles << "}";
@@ -454,9 +213,9 @@ faultPlanToJson(const FaultPlan &p)
         if (i)
             os << ",";
         os << "{\"kind\":";
-        appendJsonString(os, byzantineKindName(b.kind));
+        os << util::jsonQuote(byzantineKindName(b.kind));
         os << ",\"unit\":" << b.unit
-           << ",\"duty_cycle\":" << formatDouble(b.dutyCycle)
+           << ",\"duty_cycle\":" << util::jsonNumber(b.dutyCycle)
            << ",\"from_access\":" << b.fromAccess << "}";
     }
     os << "],\"max_retries\":" << p.maxRetries;
@@ -467,15 +226,15 @@ faultPlanToJson(const FaultPlan &p)
     os << ",\"watchdog_backoff_cap_cycles\":"
        << p.watchdogBackoffCapCycles;
     os << ",\"watchdog_max_probes\":" << p.watchdogMaxProbes;
-    os << ",\"retire_ewma_alpha\":" << formatDouble(p.retireEwmaAlpha);
+    os << ",\"retire_ewma_alpha\":" << util::jsonNumber(p.retireEwmaAlpha);
     os << ",\"retire_tax_threshold_cycles\":"
        << p.retireTaxThresholdCycles;
     os << ",\"retire_hysteresis_accesses\":"
        << p.retireHysteresisAccesses;
     os << ",\"mistrust_ewma_alpha\":"
-       << formatDouble(p.mistrustEwmaAlpha);
+       << util::jsonNumber(p.mistrustEwmaAlpha);
     os << ",\"mistrust_convict_threshold\":"
-       << formatDouble(p.mistrustConvictThreshold);
+       << util::jsonNumber(p.mistrustConvictThreshold);
     os << ",\"mistrust_hysteresis_accesses\":"
        << p.mistrustHysteresisAccesses;
     os << ",\"mistrust_min_evidence\":" << p.mistrustMinEvidence;
@@ -486,8 +245,7 @@ faultPlanToJson(const FaultPlan &p)
 std::optional<FaultPlan>
 faultPlanFromJson(const std::string &text, std::string *error)
 {
-    Parser parser(text);
-    std::optional<JsonValue> root = parser.parse(error);
+    const std::optional<JsonValue> root = util::parseJson(text, error);
     if (!root)
         return std::nullopt;
     if (root->type != JsonValue::Type::Object) {
@@ -497,54 +255,48 @@ faultPlanFromJson(const std::string &text, std::string *error)
 
     FaultPlan p;
     for (const auto &[key, val] : root->object) {
-        std::uint64_t u = 0;
         bool ok = true;
         if (key == "dram_bit_flip_rate")
-            ok = asDouble(val, p.dramBitFlipRate);
+            ok = jsonToDouble(val, p.dramBitFlipRate);
         else if (key == "link_corrupt_rate")
-            ok = asDouble(val, p.linkCorruptRate);
+            ok = jsonToDouble(val, p.linkCorruptRate);
         else if (key == "link_drop_rate")
-            ok = asDouble(val, p.linkDropRate);
+            ok = jsonToDouble(val, p.linkDropRate);
         else if (key == "link_delay_rate")
-            ok = asDouble(val, p.linkDelayRate);
+            ok = jsonToDouble(val, p.linkDelayRate);
         else if (key == "executor_stall_rate")
-            ok = asDouble(val, p.executorStallRate);
+            ok = jsonToDouble(val, p.executorStallRate);
         else if (key == "queue_perturb_rate")
-            ok = asDouble(val, p.queuePerturbRate);
+            ok = jsonToDouble(val, p.queuePerturbRate);
         else if (key == "retire_ewma_alpha")
-            ok = asDouble(val, p.retireEwmaAlpha);
-        else if (key == "max_retries") {
-            if ((ok = asU64(val, u)))
-                p.maxRetries = static_cast<unsigned>(u);
-        } else if (key == "stall_cycles")
-            ok = asU64(val, p.stallCycles);
+            ok = jsonToDouble(val, p.retireEwmaAlpha);
+        else if (key == "max_retries")
+            ok = asUnsigned(val, p.maxRetries);
+        else if (key == "stall_cycles")
+            ok = jsonToU64(val, p.stallCycles);
         else if (key == "seed")
-            ok = asU64(val, p.seed);
+            ok = jsonToU64(val, p.seed);
         else if (key == "watchdog_deadline_cycles")
-            ok = asU64(val, p.watchdogDeadlineCycles);
+            ok = jsonToU64(val, p.watchdogDeadlineCycles);
         else if (key == "watchdog_backoff_base")
-            ok = asU64(val, p.watchdogBackoffBase);
+            ok = jsonToU64(val, p.watchdogBackoffBase);
         else if (key == "watchdog_backoff_cap_cycles")
-            ok = asU64(val, p.watchdogBackoffCapCycles);
-        else if (key == "watchdog_max_probes") {
-            if ((ok = asU64(val, u)))
-                p.watchdogMaxProbes = static_cast<unsigned>(u);
-        } else if (key == "retire_tax_threshold_cycles")
-            ok = asU64(val, p.retireTaxThresholdCycles);
-        else if (key == "retire_hysteresis_accesses") {
-            if ((ok = asU64(val, u)))
-                p.retireHysteresisAccesses = static_cast<unsigned>(u);
-        } else if (key == "mistrust_ewma_alpha")
-            ok = asDouble(val, p.mistrustEwmaAlpha);
+            ok = jsonToU64(val, p.watchdogBackoffCapCycles);
+        else if (key == "watchdog_max_probes")
+            ok = asUnsigned(val, p.watchdogMaxProbes);
+        else if (key == "retire_tax_threshold_cycles")
+            ok = jsonToU64(val, p.retireTaxThresholdCycles);
+        else if (key == "retire_hysteresis_accesses")
+            ok = asUnsigned(val, p.retireHysteresisAccesses);
+        else if (key == "mistrust_ewma_alpha")
+            ok = jsonToDouble(val, p.mistrustEwmaAlpha);
         else if (key == "mistrust_convict_threshold")
-            ok = asDouble(val, p.mistrustConvictThreshold);
-        else if (key == "mistrust_hysteresis_accesses") {
-            if ((ok = asU64(val, u)))
-                p.mistrustHysteresisAccesses = static_cast<unsigned>(u);
-        } else if (key == "mistrust_min_evidence") {
-            if ((ok = asU64(val, u)))
-                p.mistrustMinEvidence = static_cast<unsigned>(u);
-        } else if (key == "byzantine_faults") {
+            ok = jsonToDouble(val, p.mistrustConvictThreshold);
+        else if (key == "mistrust_hysteresis_accesses")
+            ok = asUnsigned(val, p.mistrustHysteresisAccesses);
+        else if (key == "mistrust_min_evidence")
+            ok = asUnsigned(val, p.mistrustMinEvidence);
+        else if (key == "byzantine_faults") {
             if (val.type != JsonValue::Type::Array) {
                 fail(error, "byzantine_faults must be an array");
                 return std::nullopt;

@@ -26,7 +26,8 @@ std::string faultPlanToJson(const FaultPlan &plan);
 
 /**
  * Parse a plan from JSON text.  Absent keys keep their FaultPlan
- * defaults; malformed JSON, unknown keys, or wrong-typed values
+ * defaults; malformed JSON, unknown keys, wrong-typed values, or an
+ * integer field that is not a plain non-negative integer in range
  * return nullopt with a one-line reason in @p error (when non-null).
  */
 std::optional<FaultPlan> faultPlanFromJson(const std::string &text,

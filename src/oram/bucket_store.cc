@@ -42,7 +42,7 @@ BucketStore::writeBucket(std::uint64_t seq, const Bucket &bucket)
     SD_ASSERT(seq < images_.size());
     SD_ASSERT(bucket.z() == z_);
     if (observer_)
-        observer_(true, seq);
+        observer_(TraceEventKind::StoreWrite, seq);
     std::vector<std::uint8_t> image = bucket.toImage();
     const std::uint64_t ctr = ++counters_[seq];
     cipher_.transformBuffer(image.data(), image.size(), nonce(seq), ctr);
@@ -55,7 +55,7 @@ BucketStore::readBucket(std::uint64_t seq) const
 {
     SD_ASSERT(seq < images_.size());
     if (observer_)
-        observer_(false, seq);
+        observer_(TraceEventKind::StoreRead, seq);
     const std::uint64_t ctr = counters_[seq];
     std::vector<std::uint8_t> image = images_[seq];
     if (injector_ && injector_->rollDramBitFlip())
@@ -82,7 +82,7 @@ BucketStore::readBuckets(const std::uint64_t *seqs, std::size_t n,
         const std::uint64_t seq = seqs[i];
         SD_ASSERT(seq < images_.size());
         if (observer_)
-            observer_(false, seq);
+            observer_(TraceEventKind::StoreRead, seq);
         std::uint8_t *slot = arena_.data() + img * i;
         std::memcpy(slot, images_[seq].data(), img);
         if (injector_ && injector_->rollDramBitFlip())
@@ -117,7 +117,7 @@ BucketStore::writeBuckets(const std::uint64_t *seqs,
         SD_ASSERT(seq < images_.size());
         SD_ASSERT(buckets[i].z() == z_);
         if (observer_)
-            observer_(true, seq);
+            observer_(TraceEventKind::StoreWrite, seq);
         std::uint8_t *slot = arena_.data() + img * i;
         buckets[i].toImageInto(slot);
         const std::uint64_t ctr = ++counters_[seq];

@@ -12,18 +12,13 @@
 #define SECUREDIMM_ORAM_BUCKET_STORE_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
 #include "crypto/ctr_mode.hh"
 #include "crypto/pmmac.hh"
 #include "oram/bucket.hh"
-
-namespace secdimm::fault
-{
-class FaultInjector;
-}
+#include "oram/oram_engine.hh"
 
 namespace secdimm::oram
 {
@@ -94,11 +89,9 @@ class BucketStore
      * Fired on every bucket read/write with the bucket sequence
      * number: the physical access pattern an adversary watching this
      * memory image observes (verify::ChannelObserver).  Single
-     * consumer; empty fn detaches.
+     * consumer; empty fn detaches.  Events are StoreRead/StoreWrite.
      */
-    using AccessObserverFn =
-        std::function<void(bool write, std::uint64_t seq)>;
-    void setAccessObserver(AccessObserverFn fn)
+    void setAccessObserver(TraceEventFn fn)
     {
         observer_ = std::move(fn);
     }
@@ -129,7 +122,7 @@ class BucketStore
     std::vector<std::vector<std::uint8_t>> images_;
     std::vector<std::uint64_t> counters_;
     std::vector<crypto::Tag64> macs_;
-    AccessObserverFn observer_;
+    TraceEventFn observer_;
     fault::FaultInjector *injector_ = nullptr;
     /** Scratch for batch reads/writes; grows to one path, then stays. */
     mutable std::vector<std::uint8_t> arena_;

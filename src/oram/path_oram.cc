@@ -132,52 +132,48 @@ PathOram::writePath(LeafId leaf)
         expectedCounter_[seq] = store_.counter(seq);
 }
 
+template <typename Update>
 BlockData
-PathOram::access(Addr addr, OramOp op, const BlockData *new_data)
+PathOram::accessPath(Addr addr, LeafId old_leaf, LeafId new_leaf,
+                     Update &&update)
 {
-    SD_ASSERT(addr < posMap_.size());
     ++stats_.accesses;
+    readPath(old_leaf);
 
-    // Step 1: look up and remap the leaf.
-    const LeafId leaf = posMap_[addr];
-    const LeafId new_leaf = rng_.nextBelow(params_.numLeaves());
-    posMap_[addr] = new_leaf;
-    leafTrace_.push_back(leaf);
-
-    // Step 2: fetch the whole path into the stash.
-    readPath(leaf);
-
-    // Step 3: serve the block (uninitialized blocks read as zero).
-    StashEntry *entry = stash_.find(addr);
+    // Serve the block (uninitialized blocks read as zero).
     BlockData old_value{};
-    if (entry != nullptr) {
+    if (StashEntry *entry = stash_.find(addr)) {
         old_value = entry->data;
-        entry->leaf = new_leaf;
-        if (op == OramOp::Write) {
-            SD_ASSERT(new_data != nullptr);
-            entry->data = *new_data;
-        }
-    } else {
+        update(entry->data);
+        if (new_leaf == invalidLeaf)
+            stash_.erase(addr);
+        else
+            entry->leaf = new_leaf;
+    } else if (new_leaf != invalidLeaf) {
         BlockData fresh{};
-        if (op == OramOp::Write) {
-            SD_ASSERT(new_data != nullptr);
-            fresh = *new_data;
-        }
+        update(fresh);
         if (!stash_.put(addr, new_leaf, fresh))
             panic("stash overflow inserting accessed block");
     }
 
-    // Step 4: write the path back.
-    writePath(leaf);
-
+    writePath(old_leaf);
     stats_.maxStashSize =
         std::max(stats_.maxStashSize, stash_.maxSizeSeen());
 
     // Background eviction keeps the stash comfortably below capacity.
     while (stash_.size() > params_.stashCapacity / 2)
         backgroundEvict();
-
     return old_value;
+}
+
+BlockData
+PathOram::access(Addr addr, OramOp op, const BlockData *new_data)
+{
+    SD_ASSERT(addr < posMap_.size());
+    const LeafId leaf = posMap_[addr];
+    const LeafId new_leaf = rng_.nextBelow(params_.numLeaves());
+    posMap_[addr] = new_leaf;
+    return accessExplicit(addr, leaf, new_leaf, op, new_data);
 }
 
 BlockData
@@ -185,45 +181,12 @@ PathOram::accessExplicit(Addr addr, LeafId old_leaf, LeafId new_leaf,
                          OramOp op, const BlockData *new_data)
 {
     SD_ASSERT(old_leaf < params_.numLeaves());
-    ++stats_.accesses;
-    leafTrace_.push_back(old_leaf);
-
-    readPath(old_leaf);
-
-    const bool remove = new_leaf == invalidLeaf;
-    StashEntry *entry = stash_.find(addr);
-    BlockData old_value{};
-    if (entry != nullptr) {
-        old_value = entry->data;
+    return accessPath(addr, old_leaf, new_leaf, [&](BlockData &block) {
         if (op == OramOp::Write) {
             SD_ASSERT(new_data != nullptr);
-            entry->data = *new_data;
+            block = *new_data;
         }
-        if (remove) {
-            stash_.erase(addr);
-        } else {
-            entry->leaf = new_leaf;
-        }
-    } else if (!remove) {
-        BlockData fresh{};
-        if (op == OramOp::Write) {
-            SD_ASSERT(new_data != nullptr);
-            fresh = *new_data;
-        }
-        if (!stash_.put(addr, new_leaf, fresh))
-            panic("stash overflow inserting accessed block");
-    } else if (op == OramOp::Write && new_data != nullptr) {
-        // Removing an uninitialized block: its post-write value
-        // travels with the caller (APPEND), nothing to keep here.
-        old_value = BlockData{};
-    }
-
-    writePath(old_leaf);
-    stats_.maxStashSize =
-        std::max(stats_.maxStashSize, stash_.maxSizeSeen());
-    while (stash_.size() > params_.stashCapacity / 2)
-        backgroundEvict();
-    return old_value;
+    });
 }
 
 BlockData
@@ -232,30 +195,7 @@ PathOram::accessMutate(Addr addr, LeafId old_leaf, LeafId new_leaf,
 {
     SD_ASSERT(old_leaf < params_.numLeaves());
     SD_ASSERT(new_leaf < params_.numLeaves());
-    ++stats_.accesses;
-    leafTrace_.push_back(old_leaf);
-
-    readPath(old_leaf);
-
-    StashEntry *entry = stash_.find(addr);
-    BlockData old_value{};
-    if (entry != nullptr) {
-        old_value = entry->data;
-        mutate(entry->data);
-        entry->leaf = new_leaf;
-    } else {
-        BlockData fresh{};
-        mutate(fresh);
-        if (!stash_.put(addr, new_leaf, fresh))
-            panic("stash overflow inserting mutated block");
-    }
-
-    writePath(old_leaf);
-    stats_.maxStashSize =
-        std::max(stats_.maxStashSize, stash_.maxSizeSeen());
-    while (stash_.size() > params_.stashCapacity / 2)
-        backgroundEvict();
-    return old_value;
+    return accessPath(addr, old_leaf, new_leaf, mutate);
 }
 
 bool
@@ -273,7 +213,6 @@ PathOram::backgroundEvict()
 {
     ++stats_.dummyAccesses;
     const LeafId leaf = rng_.nextBelow(params_.numLeaves());
-    leafTrace_.push_back(leaf);
     readPath(leaf);
     writePath(leaf);
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "oram/bucket_store.hh"
+#include "oram/oram_engine.hh"
 #include "oram/oram_params.hh"
 #include "oram/stash.hh"
 #include "oram/tree_layout.hh"
@@ -37,7 +38,7 @@ struct PathOramStats
 };
 
 /** Functional single-tree Path ORAM. */
-class PathOram
+class PathOram final : public OramEngine
 {
   public:
     PathOram(const OramParams &params, const crypto::Aes128Key &enc_key,
@@ -53,7 +54,7 @@ class PathOram
      * @return the block's (pre-write) content
      */
     BlockData access(Addr addr, OramOp op,
-                     const BlockData *new_data = nullptr);
+                     const BlockData *new_data = nullptr) override;
 
     /**
      * accessORAM with an externally supplied leaf, for distributed
@@ -100,10 +101,6 @@ class PathOram
     /** Current leaf of a block (tests; a real controller hides this). */
     LeafId leafOf(Addr addr) const;
 
-    /** Sequence of leaves touched, for obliviousness tests. */
-    const std::vector<LeafId> &leafTrace() const { return leafTrace_; }
-    void clearLeafTrace() { leafTrace_.clear(); }
-
     const OramParams &params() const { return params_; }
     const PathOramStats &stats() const { return stats_; }
     std::size_t stashSize() const { return stash_.size(); }
@@ -118,8 +115,16 @@ class PathOram
     /** Controller stash (verify audits walk its entries). */
     const Stash &stash() const { return stash_; }
 
+    std::uint64_t accessCount() const override
+    {
+        return stats_.accesses + stats_.dummyAccesses;
+    }
+
     /** True while every MAC/counter check has passed. */
-    bool integrityOk() const { return stats_.integrityFailures == 0; }
+    bool integrityOk() const override
+    {
+        return stats_.integrityFailures == 0;
+    }
 
     /**
      * Arm fault injection + bounded detect-and-retry (nullptr
@@ -128,9 +133,12 @@ class PathOram
      * retried up to the plan's budget before it counts as an
      * integrity failure; without one, behavior is exactly the
      * pre-fault-subsystem fail-stop accounting.  Not owned; also
-     * forwarded to the underlying BucketStore.
+     * forwarded to the underlying BucketStore.  No policy applies.
      */
-    void setFaultInjector(fault::FaultInjector *inj)
+    void setFaultInjector(fault::FaultInjector *inj,
+                          fault::DegradationPolicy =
+                              fault::DegradationPolicy::RetryThenStop)
+        override
     {
         injector_ = inj;
         store_.setFaultInjector(inj);
@@ -141,15 +149,34 @@ class PathOram
      * docs/METRICS.md "oram.*").
      */
     void exportMetrics(util::MetricsRegistry &m,
-                       const std::string &prefix) const;
+                       const std::string &prefix) const override;
 
     /** Fold this tree's crypto work into @p t (crypto.* metrics). */
-    void collectCrypto(crypto::CryptoTotals &t) const
+    void collectCrypto(crypto::CryptoTotals &t) const override
     {
         store_.collectCrypto(t);
     }
 
+    /** The visible channel: bucket reads and writes (StoreRead /
+     *  StoreWrite), which also spell out each path's leaf. */
+    unsigned attachObserver(const TraceEventFn &fn) override
+    {
+        store_.setAccessObserver(fn);
+        return 1;
+    }
+
   private:
+    /**
+     * The one accessORAM routine: read the path to @p old_leaf, let
+     * @p update edit the block in place (an absent block starts as
+     * zeros), keep it under @p new_leaf -- or drop it from this tree
+     * when @p new_leaf is invalidLeaf -- write the path back, evict.
+     * @return the block's pre-update content
+     */
+    template <typename Update>
+    BlockData accessPath(Addr addr, LeafId old_leaf, LeafId new_leaf,
+                         Update &&update);
+
     /**
      * Read one path into the stash; verifies integrity.  All buckets
      * of the path go through BucketStore::readBuckets (one batched
@@ -171,7 +198,6 @@ class PathOram
     /** Controller-side mirror of bucket counters (replay detection). */
     std::vector<std::uint64_t> expectedCounter_;
 
-    std::vector<LeafId> leafTrace_;
     PathOramStats stats_;
     fault::FaultInjector *injector_ = nullptr;
 

@@ -42,7 +42,7 @@ struct RecursiveOramStats
 };
 
 /** Path ORAM with recursive PosMaps and a PLB. */
-class RecursiveOram
+class RecursiveOram final : public OramEngine
 {
   public:
     struct Params
@@ -59,7 +59,7 @@ class RecursiveOram
 
     /** accessORAM on the data tree, paying real recursion costs. */
     BlockData access(Addr addr, OramOp op,
-                     const BlockData *new_data = nullptr);
+                     const BlockData *new_data = nullptr) override;
 
     /** Number of PosMap ORAMs in memory (ORAM_1 .. ORAM_n). */
     unsigned posmapLevels() const
@@ -68,16 +68,32 @@ class RecursiveOram
     }
 
     const RecursiveOramStats &stats() const { return stats_; }
-    bool integrityOk() const;
+    std::uint64_t accessCount() const override
+    {
+        return stats_.treeAccesses;
+    }
+    bool integrityOk() const override;
 
     /**
      * Arm DRAM-read fault injection and bounded retry on every tree,
-     * data and PosMap alike (nullptr disarms).  Not owned.
+     * data and PosMap alike (nullptr disarms).  Not owned.  No policy
+     * applies.
      */
-    void setFaultInjector(fault::FaultInjector *inj)
+    void setFaultInjector(fault::FaultInjector *inj,
+                          fault::DegradationPolicy =
+                              fault::DegradationPolicy::RetryThenStop)
+        override
     {
         for (auto &t : trees_)
             t->setFaultInjector(inj);
+    }
+
+    /** Every tree's visible channel (see PathOram::attachObserver). */
+    unsigned attachObserver(const TraceEventFn &fn) override
+    {
+        for (auto &t : trees_)
+            t->attachObserver(fn);
+        return static_cast<unsigned>(trees_.size());
     }
 
     /**
@@ -85,7 +101,7 @@ class RecursiveOram
      * statistics under @p prefix (docs/METRICS.md "oram.*").
      */
     void exportMetrics(util::MetricsRegistry &m,
-                       const std::string &prefix) const;
+                       const std::string &prefix) const override;
 
     /** Tree at @p level (0 = data), for tests and verify audits. */
     PathOram &tree(unsigned level) { return *trees_[level]; }
@@ -93,7 +109,7 @@ class RecursiveOram
 
     /** Fold every tree's crypto work into @p t (crypto.* metrics). */
     void
-    collectCrypto(crypto::CryptoTotals &t) const
+    collectCrypto(crypto::CryptoTotals &t) const override
     {
         for (const auto &tree : trees_)
             tree->collectCrypto(t);

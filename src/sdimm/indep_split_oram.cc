@@ -101,7 +101,7 @@ bool
 IndepSplitOram::transmitGroupCommand(SdimmCommandType type, unsigned g,
                                      const char *site)
 {
-    busTrace_.push_back({type, g});
+    recordBus(type, g);
     if (!injector_)
         return true;
     unsigned attempts = 0;
@@ -149,7 +149,7 @@ IndepSplitOram::transmitGroupCommand(SdimmCommandType type, unsigned g,
         }
         ++attempts;
         injector_->recordRecovered(kind, site, 1);
-        busTrace_.push_back({type, g}); // The retransmission.
+        recordBus(type, g); // The retransmission.
     }
 }
 
@@ -158,7 +158,7 @@ IndepSplitOram::runWatchdog(unsigned g)
 {
     const fault::FaultPlan &plan = injector_->plan();
     for (unsigned p = 0; p < plan.watchdogMaxProbes; ++p) {
-        busTrace_.push_back({SdimmCommandType::Probe, g});
+        recordBus(SdimmCommandType::Probe, g);
         injector_->recordWatchdogProbe(plan.watchdogBackoff(p));
     }
     injector_->markPermanentDetected(g);
@@ -310,7 +310,7 @@ IndepSplitOram::evacuateGroup(unsigned dead)
                                     injector_->plan().watchdogMaxProbes);
                 }
                 if (failedStop_ || isGroupQuarantined(g)) {
-                    busTrace_.push_back({SdimmCommandType::Append, g});
+                    recordBus(SdimmCommandType::Append, g);
                     ++appendsDummy_;
                     continue;
                 }
@@ -376,9 +376,9 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
         // Fail-stop or a quarantined source group: preserve the bus
         // shape, serve zeros (post-evacuation remaps make the
         // quarantined-src case unreachable unless every group died).
-        busTrace_.push_back({SdimmCommandType::Access, src});
+        recordBus(SdimmCommandType::Access, src);
         for (unsigned g = 0; g < params_.groups; ++g)
-            busTrace_.push_back({SdimmCommandType::Append, g});
+            recordBus(SdimmCommandType::Append, g);
         ++degradedAccesses_;
         if (injector_)
             injector_->recordDegraded();
@@ -389,7 +389,7 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
     if (!transmitGroupCommand(SdimmCommandType::Access, src,
                               "indep_split.access")) {
         for (unsigned g = 0; g < params_.groups; ++g)
-            busTrace_.push_back({SdimmCommandType::Append, g});
+            recordBus(SdimmCommandType::Append, g);
         ++degradedAccesses_;
         return BlockData{};
     }
@@ -458,21 +458,20 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
                 }
                 noteGroupSuspicion(src, srcBlame);
                 for (unsigned g = 0; g < params_.groups; ++g)
-                    busTrace_.push_back({SdimmCommandType::Append, g});
+                    recordBus(SdimmCommandType::Append, g);
                 ++degradedAccesses_;
                 return BlockData{};
             }
             ++attempts;
             injector_->recordRecovered(kind, "indep_split.access", 1);
-            busTrace_.push_back(
-                {SdimmCommandType::Access, src}); // The re-issue.
+            recordBus(SdimmCommandType::Access, src); // The re-issue.
         }
         noteGroupSuspicion(src, srcBlame);
         if (failedStop_) {
             // A mid-access zero-survivor conviction: keep the bus
             // shape, the data is gone.
             for (unsigned g = 0; g < params_.groups; ++g)
-                busTrace_.push_back({SdimmCommandType::Append, g});
+                recordBus(SdimmCommandType::Append, g);
             ++degradedAccesses_;
             return BlockData{};
         }
@@ -484,7 +483,7 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
         if (isGroupQuarantined(g)) {
             // Dead group: keep the channel shape, nothing to deliver
             // (drawGlobalLeaf() never routes a real block here).
-            busTrace_.push_back({SdimmCommandType::Append, g});
+            recordBus(SdimmCommandType::Append, g);
             ++appendsDummy_;
             continue;
         }
@@ -501,6 +500,23 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
         }
     }
     return old;
+}
+
+void
+IndepSplitOram::recordBus(SdimmCommandType type, unsigned g)
+{
+    if (observer_)
+        observer_(TraceEventKind::ShortCmd,
+                  (static_cast<std::uint64_t>(type) << 8) | g);
+}
+
+std::uint64_t
+IndepSplitOram::accessCount() const
+{
+    std::uint64_t total = 0;
+    for (const auto &g : groups_)
+        total += g->accessCount();
+    return total;
 }
 
 bool

@@ -22,15 +22,8 @@
 namespace secdimm::sdimm
 {
 
-/** One observable inter-group transaction (obliviousness tests). */
-struct GroupBusEvent
-{
-    SdimmCommandType type;
-    unsigned group;
-};
-
 /** Functional combined Independent-of-Splits ORAM. */
-class IndepSplitOram
+class IndepSplitOram final : public oram::OramEngine
 {
   public:
     struct Params
@@ -45,20 +38,27 @@ class IndepSplitOram
     std::uint64_t capacityBlocks() const;
 
     BlockData access(Addr addr, oram::OramOp op,
-                     const BlockData *new_data = nullptr);
+                     const BlockData *new_data = nullptr) override;
+
+    /** Sum of every group's accessORAM operations. */
+    std::uint64_t accessCount() const override;
 
     unsigned groups() const { return params_.groups; }
     const Params &params() const { return params_; }
     SplitOram &group(unsigned g) { return *groups_[g]; }
     const SplitOram &group(unsigned g) const { return *groups_[g]; }
 
-    const std::vector<GroupBusEvent> &busTrace() const
+    /**
+     * The visible channel: one ShortCmd per inter-group command,
+     * addressed (command type << 8) | group.
+     */
+    unsigned attachObserver(const TraceEventFn &fn) override
     {
-        return busTrace_;
+        observer_ = fn;
+        return 1;
     }
-    void clearBusTrace() { busTrace_.clear(); }
 
-    bool integrityOk() const;
+    bool integrityOk() const override;
 
     LeafId leafOf(Addr addr) const { return posMap_.at(addr); }
 
@@ -72,7 +72,8 @@ class IndepSplitOram
      */
     void setFaultInjector(fault::FaultInjector *inj,
                           fault::DegradationPolicy policy =
-                              fault::DegradationPolicy::RetryThenStop);
+                              fault::DegradationPolicy::RetryThenStop)
+        override;
 
     /** Remove @p g from service (Degraded policy; group fail-over). */
     void quarantineGroup(unsigned g);
@@ -104,11 +105,11 @@ class IndepSplitOram
      * inter-group APPEND split and fail-stop state under @p prefix.
      */
     void exportMetrics(util::MetricsRegistry &m,
-                       const std::string &prefix) const;
+                       const std::string &prefix) const override;
 
     /** Fold every group's crypto work into @p t (crypto.*). */
     void
-    collectCrypto(crypto::CryptoTotals &t) const
+    collectCrypto(crypto::CryptoTotals &t) const override
     {
         for (const auto &g : groups_)
             g->collectCrypto(t);
@@ -116,6 +117,9 @@ class IndepSplitOram
 
   private:
     unsigned groupOf(LeafId global_leaf) const;
+
+    /** Report one inter-group command to the observer. */
+    void recordBus(SdimmCommandType type, unsigned g);
     LeafId localLeaf(LeafId global_leaf) const;
 
     /**
@@ -165,7 +169,7 @@ class IndepSplitOram
     Rng rng_;
     std::vector<std::unique_ptr<SplitOram>> groups_;
     std::vector<LeafId> posMap_;
-    std::vector<GroupBusEvent> busTrace_;
+    TraceEventFn observer_;
     std::uint64_t appendsReal_ = 0;
     std::uint64_t appendsDummy_ = 0;
     std::uint64_t degradedAccesses_ = 0;

@@ -657,6 +657,15 @@ IndependentOram::access(Addr addr, oram::OramOp op,
     return result;
 }
 
+std::uint64_t
+IndependentOram::accessCount() const
+{
+    std::uint64_t total = 0;
+    for (const auto &b : buffers_)
+        total += b->stats().accessOps;
+    return total;
+}
+
 bool
 IndependentOram::integrityOk() const
 {
@@ -673,7 +682,12 @@ void
 IndependentOram::recordBus(SdimmCommandType type, unsigned sdimm,
                            std::size_t bytes)
 {
-    busTrace_.push_back({type, sdimm, bytes});
+    if (observer_) {
+        observer_(TraceEventKind::ShortCmd,
+                  (static_cast<std::uint64_t>(type) << 8) | sdimm);
+        if (bytes > 0)
+            observer_(TraceEventKind::Transfer, bytes);
+    }
     const auto idx = static_cast<std::size_t>(type);
     ++cmdCounts_[idx];
     cmdBytes_[idx] += bytes;

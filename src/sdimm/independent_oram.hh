@@ -26,16 +26,8 @@
 namespace secdimm::sdimm
 {
 
-/** One observable transaction on the (untrusted) memory channel. */
-struct BusEvent
-{
-    SdimmCommandType type;
-    unsigned sdimm;
-    std::size_t bytes; ///< Sealed payload size (0 for short commands).
-};
-
 /** Functional distributed Independent ORAM. */
-class IndependentOram
+class IndependentOram final : public oram::OramEngine
 {
   public:
     struct Params
@@ -53,11 +45,21 @@ class IndependentOram
 
     /** accessORAM against the distributed tree. */
     BlockData access(Addr addr, oram::OramOp op,
-                     const BlockData *new_data = nullptr);
+                     const BlockData *new_data = nullptr) override;
 
-    /** Bus transactions observed so far (obliviousness tests). */
-    const std::vector<BusEvent> &busTrace() const { return busTrace_; }
-    void clearBusTrace() { busTrace_.clear(); }
+    /** Sum of every SDIMM's accessORAM operations. */
+    std::uint64_t accessCount() const override;
+
+    /**
+     * The visible channel: one ShortCmd per bus command, addressed
+     * (command type << 8) | SDIMM, followed by a Transfer of the
+     * sealed payload size when the command carries one.
+     */
+    unsigned attachObserver(const TraceEventFn &fn) override
+    {
+        observer_ = fn;
+        return 1;
+    }
 
     unsigned numSdimms() const { return params_.numSdimms; }
     const Params &params() const { return params_; }
@@ -65,7 +67,7 @@ class IndependentOram
     const SecureBuffer &buffer(unsigned i) const { return *buffers_[i]; }
 
     /** Every tree, link, and queue check passed so far. */
-    bool integrityOk() const;
+    bool integrityOk() const override;
 
     /** Current global leaf of a block (tests only). */
     LeafId leafOf(Addr addr) const { return posMap_.at(addr); }
@@ -80,7 +82,8 @@ class IndependentOram
      */
     void setFaultInjector(fault::FaultInjector *inj,
                           fault::DegradationPolicy policy =
-                              fault::DegradationPolicy::RetryThenStop);
+                              fault::DegradationPolicy::RetryThenStop)
+        override;
 
     /** Remove @p sdimm from service (Degraded policy). */
     void quarantine(unsigned sdimm);
@@ -110,14 +113,13 @@ class IndependentOram
     /**
      * Export per-buffer and per-command-type channel-traffic metrics
      * under @p prefix ("sdimm" in the facade; docs/METRICS.md).
-     * Command totals survive clearBusTrace().
      */
     void exportMetrics(util::MetricsRegistry &m,
-                       const std::string &prefix) const;
+                       const std::string &prefix) const override;
 
     /** Fold every buffer's crypto work into @p t (crypto.*). */
     void
-    collectCrypto(crypto::CryptoTotals &t) const
+    collectCrypto(crypto::CryptoTotals &t) const override
     {
         for (const auto &b : buffers_)
             b->collectCrypto(t);
@@ -127,7 +129,7 @@ class IndependentOram
     unsigned sdimmOf(LeafId global_leaf) const;
     LeafId localLeaf(LeafId global_leaf) const;
 
-    /** Append to the bus trace and the per-command totals. */
+    /** Report one bus command to the observer and the totals. */
     void recordBus(SdimmCommandType type, unsigned sdimm,
                    std::size_t bytes);
 
@@ -220,8 +222,8 @@ class IndependentOram
     Rng rng_;
     std::vector<std::unique_ptr<SecureBuffer>> buffers_;
     std::vector<LeafId> posMap_;
-    std::vector<BusEvent> busTrace_;
-    /** Indexed by SdimmCommandType; survives clearBusTrace(). */
+    TraceEventFn observer_;
+    /** Indexed by SdimmCommandType. */
     std::array<std::uint64_t, 9> cmdCounts_{};
     std::array<std::uint64_t, 9> cmdBytes_{};
     fault::FaultInjector *injector_ = nullptr;

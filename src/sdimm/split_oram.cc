@@ -452,7 +452,8 @@ SplitOram::accessExplicit(Addr addr, LeafId old_leaf, LeafId new_leaf,
 {
     SD_ASSERT(old_leaf < params_.tree.numLeaves());
     ++stats_.accesses;
-    leafTrace_.push_back(old_leaf);
+    if (observer_)
+        observer_(TraceEventKind::Read, old_leaf);
 
     readPath(old_leaf);
 
@@ -515,7 +516,8 @@ SplitOram::backgroundEvict()
 {
     ++stats_.dummyAccesses;
     const LeafId leaf = rng_.nextBelow(params_.tree.numLeaves());
-    leafTrace_.push_back(leaf);
+    if (observer_)
+        observer_(TraceEventKind::Read, leaf);
     readPath(leaf);
     writePath(leaf);
 }

@@ -31,16 +31,12 @@
 
 #include "crypto/ctr_mode.hh"
 #include "crypto/pmmac.hh"
+#include "oram/oram_engine.hh"
 #include "oram/oram_params.hh"
 #include "oram/tree_layout.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
-
-namespace secdimm::fault
-{
-class FaultInjector;
-} // namespace secdimm::fault
 
 namespace secdimm::sdimm
 {
@@ -66,7 +62,7 @@ struct SplitOramStats
 };
 
 /** Functional S-way Split ORAM. */
-class SplitOram
+class SplitOram final : public oram::OramEngine
 {
   public:
     struct Params
@@ -84,7 +80,7 @@ class SplitOram
 
     /** accessORAM via the Split protocol. */
     BlockData access(Addr addr, oram::OramOp op,
-                     const BlockData *new_data = nullptr);
+                     const BlockData *new_data = nullptr) override;
 
     /**
      * accessORAM with an externally supplied leaf, for the combined
@@ -108,10 +104,15 @@ class SplitOram
     void backgroundEvict();
 
     const SplitOramStats &stats() const { return stats_; }
-    const std::vector<LeafId> &leafTrace() const { return leafTrace_; }
-    void clearLeafTrace() { leafTrace_.clear(); }
+    std::uint64_t accessCount() const override
+    {
+        return stats_.accesses + stats_.dummyAccesses;
+    }
     std::size_t shadowStashSize() const { return shadow_.size(); }
-    bool integrityOk() const { return stats_.integrityFailures == 0; }
+    bool integrityOk() const override
+    {
+        return stats_.integrityFailures == 0;
+    }
     unsigned slices() const { return params_.slices; }
 
     /** Tamper with one slice's stored share (integrity tests). */
@@ -125,12 +126,23 @@ class SplitOram
      * re-fetched (the stored share is intact, so a clean retry
      * succeeds).  RECEIVE_LIST / FETCH_STASH channel transfers may be
      * corrupted, dropped, or delayed on the wire -- re-sends are
-     * charged to channelBytes again; leafTrace is never affected.  An
-     * exhausted retry budget counts an integrity failure (fail-stop).
+     * charged to channelBytes again; the observed leaf sequence is
+     * never affected.  An exhausted retry budget counts an integrity
+     * failure (fail-stop); no policy applies.
      */
-    void setFaultInjector(fault::FaultInjector *inj)
+    void setFaultInjector(fault::FaultInjector *inj,
+                          fault::DegradationPolicy =
+                              fault::DegradationPolicy::RetryThenStop)
+        override
     {
         injector_ = inj;
+    }
+
+    /** The visible channel: each path's leaf (Read), dummies too. */
+    unsigned attachObserver(const TraceEventFn &fn) override
+    {
+        observer_ = fn;
+        return 1;
     }
 
     /**
@@ -159,7 +171,7 @@ class SplitOram
     /** Export access/traffic counters under @p prefix. */
     void
     exportMetrics(util::MetricsRegistry &m,
-                  const std::string &prefix) const
+                  const std::string &prefix) const override
     {
         m.setCounter(prefix + ".accesses", stats_.accesses);
         m.setCounter(prefix + ".dummy_accesses", stats_.dummyAccesses);
@@ -175,7 +187,7 @@ class SplitOram
 
     /** Fold this group's crypto work into @p t (crypto.* metrics). */
     void
-    collectCrypto(crypto::CryptoTotals &t) const
+    collectCrypto(crypto::CryptoTotals &t) const override
     {
         cipher_.collectTotals(t);
         mac_.collectTotals(t);
@@ -267,7 +279,7 @@ class SplitOram
     std::size_t stashSlots_ = 0;
     std::vector<std::size_t> freeSlots_; ///< Shared slot allocator.
 
-    std::vector<LeafId> leafTrace_;
+    TraceEventFn observer_;
     SplitOramStats stats_;
     /** Reused share-concatenation buffer for slice MACs (no
      *  per-verification allocation in steady state). */

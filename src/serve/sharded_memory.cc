@@ -104,15 +104,23 @@ ShardedSecureMemory::workerLoop(unsigned shard)
              */
             if (!failed) {
                 try {
-                    if (r.write) {
+                    BlockData d{};
+                    if (r.write)
                         mem.writeBlock(r.local, r.data);
-                        failed = !mem.integrityOk();
-                        if (!failed)
+                    else
+                        d = mem.readBlock(r.local);
+                    failed = !mem.integrityOk();
+                    if (!failed) {
+                        // Record before the client is released: its
+                        // next request may reach another shard, and
+                        // the schedule must keep the order the
+                        // channel saw.  A failed shard performs no
+                        // protocol access, so it records nothing.
+                        if (rec != nullptr)
+                            rec->record(shard, r.write);
+                        if (r.write)
                             r.writeDone.set_value();
-                    } else {
-                        const BlockData d = mem.readBlock(r.local);
-                        failed = !mem.integrityOk();
-                        if (!failed)
+                        else
                             r.readDone.set_value(d);
                     }
                 } catch (...) {
@@ -127,11 +135,6 @@ ShardedSecureMemory::workerLoop(unsigned shard)
                 else
                     r.readDone.set_exception(err);
             }
-            // A failed shard performs no protocol access for the
-            // request, so there is nothing for the schedule
-            // recorder's adversary to see.
-            if (rec != nullptr && !failed)
-                rec->record(shard, r.write);
         }
         publishHealth(shard, failed);
         live_.incCounter(accessesName_[shard], n);

@@ -265,54 +265,6 @@ MetricsRegistry::empty() const
 
 /* ----------------------------- JSON out --------------------------- */
 
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    // Integers (common for sums) print without an exponent.
-    if (v == std::floor(v) && std::fabs(v) < 1e15) {
-        char buf[32];
-        std::snprintf(buf, sizeof buf, "%.0f", v);
-        return buf;
-    }
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
-}
-
-std::string
-jsonQuote(const std::string &s)
-{
-    std::string out = "\"";
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-    return out;
-}
-
 namespace
 {
 
@@ -419,199 +371,60 @@ MetricsRegistry::toJson(int indent) const
     return w.out;
 }
 
-/* ----------------------------- JSON in ----------------------------
- * Minimal recursive-descent parser for the subset toJson() emits
- * (objects, arrays, strings, numbers).  Enough for round-tripping
- * snapshots and for tools that diff BENCH_*.json files.
- */
-
-namespace
-{
-
-struct Parser
-{
-    const char *p;
-    const char *end;
-    bool ok = true;
-
-    void
-    ws()
-    {
-        while (p < end && std::isspace(static_cast<unsigned char>(*p)))
-            ++p;
-    }
-
-    bool
-    consume(char c)
-    {
-        ws();
-        if (p < end && *p == c) {
-            ++p;
-            return true;
-        }
-        ok = false;
-        return false;
-    }
-
-    bool
-    peek(char c)
-    {
-        ws();
-        return p < end && *p == c;
-    }
-
-    std::string
-    string()
-    {
-        std::string out;
-        if (!consume('"'))
-            return out;
-        while (p < end && *p != '"') {
-            if (*p == '\\' && p + 1 < end) {
-                ++p;
-                switch (*p) {
-                  case 'n':
-                    out += '\n';
-                    break;
-                  case 't':
-                    out += '\t';
-                    break;
-                  case 'u':
-                    // toJson only emits \u00xx control escapes.
-                    if (p + 4 < end) {
-                        out += static_cast<char>(
-                            std::strtol(std::string(p + 1, p + 5).c_str(),
-                                        nullptr, 16));
-                        p += 4;
-                    }
-                    break;
-                  default:
-                    out += *p;
-                }
-                ++p;
-            } else {
-                out += *p++;
-            }
-        }
-        if (!consume('"'))
-            ok = false;
-        return out;
-    }
-
-    double
-    number()
-    {
-        ws();
-        char *after = nullptr;
-        const double v = std::strtod(p, &after);
-        if (after == p) {
-            ok = false;
-            return 0.0;
-        }
-        p = after;
-        return v;
-    }
-
-    /** Exact uint64 parse (counters exceed double's 53-bit mantissa). */
-    std::uint64_t
-    uinteger()
-    {
-        ws();
-        char *after = nullptr;
-        const std::uint64_t v = std::strtoull(p, &after, 10);
-        if (after == p) {
-            ok = false;
-            return 0;
-        }
-        p = after;
-        return v;
-    }
-
-    /** Iterate an object's members, invoking fn(key). */
-    template <typename Fn>
-    void
-    object(Fn &&fn)
-    {
-        if (!consume('{'))
-            return;
-        if (peek('}')) {
-            consume('}');
-            return;
-        }
-        do {
-            const std::string key = string();
-            if (!ok || !consume(':'))
-                return;
-            fn(key);
-        } while (ok && consume_comma());
-        consume('}');
-    }
-
-    bool
-    consume_comma()
-    {
-        ws();
-        if (p < end && *p == ',') {
-            ++p;
-            return true;
-        }
-        return false;
-    }
-};
-
-} // namespace
-
 std::optional<MetricsRegistry>
 MetricsRegistry::fromJson(const std::string &text)
 {
+    const std::optional<JsonValue> root = parseJson(text);
+    if (!root || root->type != JsonValue::Type::Object)
+        return std::nullopt;
     MetricsRegistry reg;
-    Parser ps{text.data(), text.data() + text.size()};
-
-    ps.object([&](const std::string &section) {
-        if (section == "counters") {
-            ps.object([&](const std::string &name) {
-                reg.setCounter(name, ps.uinteger());
-            });
-        } else if (section == "gauges") {
-            ps.object([&](const std::string &name) {
-                reg.setGauge(name, ps.number());
-            });
-        } else if (section == "histograms") {
-            ps.object([&](const std::string &name) {
-                LogHistogram &h = reg.histogram(name);
+    for (const auto &[section, body] : root->object) {
+        if (body.type != JsonValue::Type::Object ||
+            (section != "counters" && section != "gauges" &&
+             section != "histograms"))
+            return std::nullopt;
+        for (const auto &[name, v] : body.object) {
+            if (section == "counters") {
+                std::uint64_t c = 0;
+                if (!jsonToU64(v, c))
+                    return std::nullopt;
+                reg.setCounter(name, c);
+            } else if (section == "gauges") {
+                double g = 0.0;
+                if (!jsonToDouble(v, g))
+                    return std::nullopt;
+                reg.setGauge(name, g);
+            } else {
+                if (v.type != JsonValue::Type::Object)
+                    return std::nullopt;
                 std::uint64_t count = 0, max = 0;
                 double sum = 0.0;
                 std::vector<std::uint64_t> buckets;
-                ps.object([&](const std::string &field) {
+                for (const auto &[field, f] : v.object) {
+                    bool ok = true;
                     if (field == "count") {
-                        count = ps.uinteger();
+                        ok = jsonToU64(f, count);
                     } else if (field == "sum") {
-                        sum = ps.number();
+                        ok = jsonToDouble(f, sum);
                     } else if (field == "max") {
-                        max = ps.uinteger();
-                    } else if (field == "buckets") {
-                        if (!ps.consume('['))
-                            return;
-                        if (!ps.peek(']')) {
-                            do {
-                                buckets.push_back(ps.uinteger());
-                            } while (ps.consume_comma());
+                        ok = jsonToU64(f, max);
+                    } else if (field == "buckets" &&
+                               f.type == JsonValue::Type::Array) {
+                        for (const JsonValue &b : f.array) {
+                            buckets.emplace_back();
+                            ok = ok && jsonToU64(b, buckets.back());
                         }
-                        ps.consume(']');
                     } else {
-                        ps.ok = false;
+                        ok = false;
                     }
-                });
-                h.restore(std::move(buckets), count, sum, max);
-            });
-        } else {
-            ps.ok = false;
+                    if (!ok)
+                        return std::nullopt;
+                }
+                reg.histogram(name).restore(std::move(buckets), count,
+                                            sum, max);
+            }
         }
-    });
-
-    ps.ws();
-    if (!ps.ok || ps.p != ps.end)
-        return std::nullopt;
+    }
     return reg;
 }
 

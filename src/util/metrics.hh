@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "util/json.hh"
+
 namespace secdimm::util
 {
 
@@ -154,12 +156,6 @@ class MetricsRegistry
     std::map<std::string, double> gauges_;
     std::map<std::string, LogHistogram> histograms_;
 };
-
-/** Format a double the way toJson() does (shortest round-trippable). */
-std::string jsonNumber(double v);
-
-/** Escape a string for embedding in JSON (quotes included). */
-std::string jsonQuote(const std::string &s);
 
 } // namespace secdimm::util
 

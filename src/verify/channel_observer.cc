@@ -1,7 +1,6 @@
 #include "verify/channel_observer.hh"
 
 #include "dram/channel.hh"
-#include "oram/bucket_store.hh"
 #include "oram/freecursive_backend.hh"
 #include "oram/nonsecure_backend.hh"
 #include "sdimm/independent_backend.hh"
@@ -51,14 +50,13 @@ ChannelObserver::attach(sdimm::LinkBus &bus)
     });
 }
 
-void
-ChannelObserver::attach(oram::BucketStore &store)
+unsigned
+ChannelObserver::attach(oram::OramEngine &engine)
 {
-    store.setAccessObserver([this](bool write, std::uint64_t seq) {
-        record(write ? TraceEventKind::StoreWrite
-                     : TraceEventKind::StoreRead,
-               seq, 0);
-    });
+    return engine.attachObserver(
+        [this](TraceEventKind kind, std::uint64_t addr) {
+            record(kind, addr, 0);
+        });
 }
 
 unsigned

@@ -4,7 +4,8 @@
  * externally visible on a memory channel -- DRAM command/address
  * activity (NonSecure / Freecursive backends), SDIMM link-bus
  * transactions (Independent / Split backends), and, for the
- * functional layer, BucketStore read/write sequences.  The
+ * functional layer, whatever each oram::OramEngine reports (bucket
+ * sequences, leaves, SDIMM command streams).  The
  * trace-indistinguishability checker (trace_checker.hh) compares two
  * such traces; nothing here may peek at plaintext, stash contents, or
  * any other secret state.
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "oram/oram_engine.hh"
 #include "util/types.hh"
 
 namespace secdimm
@@ -29,26 +31,12 @@ namespace sdimm
 {
 class LinkBus;
 }
-namespace oram
-{
-class BucketStore;
-}
 } // namespace secdimm
 
 namespace secdimm::verify
 {
 
-/** What an event on the observed channel was. */
-enum class TraceEventKind : std::uint8_t
-{
-    Read,       ///< DRAM read burst (CAS address visible).
-    Write,      ///< DRAM write burst.
-    ShortCmd,   ///< Link-bus short command (non-probe).
-    Probe,      ///< Link-bus PROBE poll.
-    Transfer,   ///< Link-bus data transfer (payload size visible).
-    StoreRead,  ///< BucketStore bucket read (bucket seq visible).
-    StoreWrite, ///< BucketStore bucket write.
-};
+using secdimm::TraceEventKind;
 
 /** Human-readable kind name. */
 const char *traceEventKindName(TraceEventKind kind);
@@ -56,13 +44,16 @@ const char *traceEventKindName(TraceEventKind kind);
 /**
  * One externally visible event.  @p addr carries whatever address-like
  * quantity the channel exposes: the DRAM block address, the transfer
- * byte count, or the bucket sequence number.
+ * byte count, the bucket sequence number, a path's leaf, or an SDIMM
+ * command's (type << 8) | unit.
  */
 struct TraceEvent
 {
     TraceEventKind kind = TraceEventKind::Read;
     std::uint64_t addr = 0;
     Tick at = 0;
+
+    bool operator==(const TraceEvent &) const = default;
 };
 
 /**
@@ -89,8 +80,12 @@ class ChannelObserver
     /** Observe SDIMM link-bus transactions. */
     void attach(sdimm::LinkBus &bus);
 
-    /** Observe bucket read/write sequences (functional layer). */
-    void attach(oram::BucketStore &store);
+    /**
+     * Observe a functional protocol's visible channel, e.g. a Path
+     * ORAM's bucket read/write sequence (untimed: every event is
+     * stamped 0).  Returns the engine's attach-point count.
+     */
+    unsigned attach(oram::OramEngine &engine);
 
   private:
     std::vector<TraceEvent> events_;

@@ -13,6 +13,7 @@
 #include "sdimm/sdimm_command.hh"
 #include "sdimm/secure_buffer.hh"
 #include "sdimm/split_oram.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 
 namespace secdimm::verify
@@ -393,6 +394,104 @@ fuzzMessageCodecs(std::uint64_t seed, std::uint64_t iters)
         }
         if (unpackAppend(body).has_value() != (len == appendBodyBytes))
             fail(r, "messages: APPEND size check broken");
+    }
+    return r;
+}
+
+namespace
+{
+
+/** Valid documents the JSON campaign mutates. */
+const char *const kJsonCorpus[] = {
+    R"({"counters":{"core.accesses":18446744073709551615},)"
+    R"("gauges":{"g":-1.5e-7},"histograms":{"h":{"count":3,)"
+    R"("sum":6,"max":4,"buckets":[0,1,2]}}})",
+    R"({"kind":"mix","tenants":[{"kind":"zipfian","keys":512,)"
+    R"("zipf_theta":0.99}],"weights":[1.0,2e0],"tenant":"t\u0001)"
+    R"(\"q\"\\\/\b\f\n\r\t\ud83d\ude00"})",
+    R"({"seed":9007199254740993,"permanent_faults":[{"kind":)"
+    R"("hard_death","unit":1,"at_access":0}],"x":[true,false,null,)"
+    R"(-0,0.5,[],{}]})",
+    R"(  [ 1 , [ 2 , [ 3 ] ] , "\u00e9" , -12E+3 ]  )",
+};
+
+/** Bytes JSON text is made of, for insertions and random documents. */
+constexpr char kJsonAlphabet[] = "{}[]:,\"\\/ \t\n-+.0123456789eEtrufalsn"
+                                 "bu\x01\x7f\xc3\xa9";
+
+std::string
+mutateJson(Rng &rng, std::string doc)
+{
+    const unsigned edits = 1 + static_cast<unsigned>(rng.nextBelow(4));
+    for (unsigned e = 0; e < edits; ++e) {
+        const std::size_t pos =
+            doc.empty() ? 0 : rng.nextBelow(doc.size() + 1);
+        switch (rng.nextBelow(5)) {
+          case 0: // Insert one alphabet byte.
+            doc.insert(pos, 1,
+                       kJsonAlphabet[rng.nextBelow(sizeof kJsonAlphabet -
+                                                   1)]);
+            break;
+          case 1: // Overwrite with a random byte.
+            if (pos < doc.size())
+                doc[pos] = static_cast<char>(rng.nextBelow(256));
+            break;
+          case 2: // Delete a short range.
+            doc.erase(pos, 1 + rng.nextBelow(8));
+            break;
+          case 3: // Duplicate a short range in place.
+            doc.insert(pos, doc.substr(pos, 1 + rng.nextBelow(16)));
+            break;
+          default: // Truncate.
+            doc.resize(pos);
+        }
+    }
+    return doc;
+}
+
+} // namespace
+
+FuzzResult
+fuzzJson(std::uint64_t seed, std::uint64_t iters)
+{
+    FuzzResult r;
+    Rng rng(seed ^ 0x15011);
+    const std::size_t corpus = sizeof kJsonCorpus / sizeof *kJsonCorpus;
+
+    for (std::uint64_t i = 0; i < iters; ++i) {
+        ++r.iterations;
+        std::string doc;
+        switch (i % 4) {
+          case 0: // A corpus document, mutated.
+          case 1:
+            doc = mutateJson(rng, kJsonCorpus[rng.nextBelow(corpus)]);
+            break;
+          case 2: // Random alphabet soup.
+            for (std::size_t n = rng.nextBelow(64); n > 0; --n)
+                doc += kJsonAlphabet[rng.nextBelow(sizeof kJsonAlphabet -
+                                                   1)];
+            break;
+          default: { // Nesting near and past the depth limit.
+            const std::size_t depth =
+                util::jsonMaxDepth - 4 + rng.nextBelow(8);
+            doc = std::string(depth, '[') + std::string(depth, ']');
+            if (rng.nextBool(0.5))
+                doc = mutateJson(rng, doc);
+          }
+        }
+
+        const std::optional<util::JsonValue> v = util::parseJson(doc);
+        if (!v)
+            continue;
+        const std::string once = util::dumpJson(*v);
+        const std::optional<util::JsonValue> back = util::parseJson(once);
+        if (!back || util::dumpJson(*back) != once) {
+            std::ostringstream os;
+            os << "json: dump of accepted input is not a fixed point "
+                  "(iter "
+               << i << "): " << once.substr(0, 80);
+            fail(r, os.str());
+        }
     }
     return r;
 }

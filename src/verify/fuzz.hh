@@ -2,10 +2,11 @@
  * @file
  * Deterministic seeded fuzzer (no external dependencies) for the
  * attacker-reachable parsers: the Table I command codec, the byte
- * frame codec, sealed link-session messages, and the fixed-size
- * protocol message bodies.  Every campaign is a pure function of its
- * seed -- a failure reproduces from (seed, iterations) alone, which is
- * what the CI smoke step and docs/VERIFICATION.md rely on.
+ * frame codec, sealed link-session messages, the fixed-size
+ * protocol message bodies, and the JSON reader.  Every campaign is a
+ * pure function of its seed -- a failure reproduces from (seed,
+ * iterations) alone, which is what the CI smoke step and
+ * docs/VERIFICATION.md rely on.
  *
  * The invariant under test is uniform: malformed input is REJECTED
  * (an error code or nullopt), never asserted on, never misparsed into
@@ -59,6 +60,14 @@ FuzzResult fuzzLinkSession(std::uint64_t seed, std::uint64_t iters);
  * APPEND): round-trips are exact and wrong-size bodies yield nullopt.
  */
 FuzzResult fuzzMessageCodecs(std::uint64_t seed, std::uint64_t iters);
+
+/**
+ * Fuzz the JSON reader (util/json.hh) that parses workload specs,
+ * fault plans and metrics snapshots: mutated and random documents
+ * never crash it, and every accepted document dumps to text that
+ * parses back and dumps identically (a fixed point).
+ */
+FuzzResult fuzzJson(std::uint64_t seed, std::uint64_t iters);
 
 /**
  * Fuzz the detect-and-retry recovery layer (docs/FAULTS.md): each

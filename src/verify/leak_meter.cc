@@ -291,6 +291,24 @@ measureLocalityLeakWith(const std::string &design_name,
 }
 
 LeakReport
+measureObservedLocalityLeak(const std::string &design_name,
+                            std::uint64_t capacity_blocks,
+                            const PlbLeakOptions &opts,
+                            const std::function<void(Addr)> &access,
+                            const ChannelObserver &observer)
+{
+    std::size_t scanned = 0;
+    std::uint64_t visible = 0;
+    return measureLocalityLeakWith(
+        design_name, capacity_blocks, opts, access, [&] {
+            const std::vector<TraceEvent> &events = observer.events();
+            for (; scanned < events.size(); ++scanned)
+                visible += events[scanned].kind != TraceEventKind::Transfer;
+            return visible;
+        });
+}
+
+LeakReport
 measurePlbLocalityLeak(LeakDesign design, const PlbLeakOptions &opts)
 {
     oram::OramParams params;
@@ -303,23 +321,20 @@ measurePlbLocalityLeak(LeakDesign design, const PlbLeakOptions &opts)
         oram::PathOram o(params, crypto::makeKey(0x1ea4, opts.seed),
                          crypto::makeKey(0xbeef, opts.seed * 3 + 1),
                          opts.seed);
-        obs.attach(o.store());
-        return measureLocalityLeakWith(
+        obs.attach(o);
+        return measureObservedLocalityLeak(
             leakDesignName(design), o.params().capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return obs.events().size(); });
+            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); }, obs);
       }
       case LeakDesign::Freecursive: {
         oram::RecursiveOram::Params rp;
         rp.data = params;
         rp.plbEntries = opts.plbEntries;
         oram::RecursiveOram o(rp, opts.seed);
-        for (unsigned t = 0; t <= o.posmapLevels(); ++t)
-            obs.attach(o.tree(t).store());
-        return measureLocalityLeakWith(
+        obs.attach(o);
+        return measureObservedLocalityLeak(
             leakDesignName(design), o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return obs.events().size(); });
+            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); }, obs);
       }
     }
     panic("measurePlbLocalityLeak: unknown design");

@@ -177,6 +177,17 @@ LeakReport measureLocalityLeakWith(
     const std::function<void(Addr)> &access,
     const std::function<std::uint64_t()> &visibleCount);
 
+/**
+ * measureLocalityLeakWith over a functional protocol's observed
+ * channel: @p access reads one block, and the visible count is the
+ * number of events @p observer has recorded, one per command or path
+ * (a payload Transfer rides with its command).
+ */
+LeakReport measureObservedLocalityLeak(
+    const std::string &design_name, std::uint64_t capacity_blocks,
+    const PlbLeakOptions &opts, const std::function<void(Addr)> &access,
+    const ChannelObserver &observer);
+
 /* ------------------------------------------------------------------ */
 /* Deliberately-leaky positive controls                                */
 /* ------------------------------------------------------------------ */

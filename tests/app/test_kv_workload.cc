@@ -224,6 +224,16 @@ TEST(KvWorkload, SpecJsonRoundTrips)
     KvWorkloadGenerator a(spec, 3), b(*parsed, 3);
     for (int i = 0; i < 200; ++i)
         EXPECT_EQ(a.next().key, b.next().key);
+
+    // Integers beyond double's 53-bit mantissa come back exact.
+    KvWorkloadSpec big;
+    big.keys = (std::uint64_t{1} << 53) + 1;
+    big.scanLen = ~std::uint64_t{0};
+    const auto big_back =
+        kvWorkloadSpecFromJson(kvWorkloadSpecToJson(big, -1), &err);
+    ASSERT_TRUE(big_back.has_value()) << err;
+    EXPECT_EQ(big_back->keys, big.keys);
+    EXPECT_EQ(big_back->scanLen, big.scanLen);
 }
 
 TEST(KvWorkload, MalformedSpecsAreRejected)
@@ -243,6 +253,14 @@ TEST(KvWorkload, MalformedSpecsAreRejected)
     EXPECT_FALSE(kvWorkloadSpecFromJson(
                      "{\"kind\": \"zipfian\", \"keys\": 0}")
                      .has_value());
+    // Integer fields take exact non-negative integers only: no
+    // wrap-around, no truncation, no overflow, no strings.
+    for (const char *bad :
+         {"{\"keys\": -5}", "{\"keys\": 2.7}", "{\"value_bytes\": -1}",
+          "{\"keys\": 18446744073709551616}", "{\"scan_len\": 1e300}",
+          "{\"keys\": \"7\"}", "{\"zipf_theta\": \"0.5\"}",
+          "{\"zipf_theta\": 1e999}", "{\"keys\": 4, \"keys\": 5}"})
+        EXPECT_FALSE(kvWorkloadSpecFromJson(bad).has_value()) << bad;
     // Mix needs tenants, with weights parallel.
     EXPECT_FALSE(kvWorkloadSpecFromJson("{\"kind\": \"mix\"}")
                      .has_value());

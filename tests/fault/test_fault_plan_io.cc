@@ -100,6 +100,18 @@ TEST(FaultPlanIo, RoundTripPreservesEveryField)
 
     // Serializing the parsed plan again is a fixed point.
     EXPECT_EQ(faultPlanToJson(*back), json);
+
+    // Seeds past double's 53-bit mantissa survive exactly.
+    for (const std::uint64_t seed :
+         {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+        FaultPlan big = p;
+        big.seed = seed;
+        const std::string big_json = faultPlanToJson(big);
+        const auto big_back = faultPlanFromJson(big_json, &err);
+        ASSERT_TRUE(big_back.has_value()) << err;
+        EXPECT_EQ(big_back->seed, seed);
+        EXPECT_EQ(faultPlanToJson(*big_back), big_json);
+    }
 }
 
 TEST(FaultPlanIo, EmptyPlanRoundTrips)
@@ -137,6 +149,16 @@ TEST(FaultPlanIo, RejectsMalformedValues)
                           "\"at_access\": 4}]}")
             .has_value());
     EXPECT_FALSE(faultPlanFromJson("not json at all").has_value());
+    // Out-of-range integers: past uint64, past a 32-bit field, or
+    // fractional in exponent form.
+    for (const char *bad :
+         {"{\"seed\": 18446744073709551616}", "{\"seed\": -0.5}",
+          "{\"max_retries\": 4294967296}", "{\"stall_cycles\": 2.5e0}",
+          "{\"permanent_faults\": [{\"kind\": \"stuck_at\", "
+          "\"unit\": 4294967296}]}",
+          "{\"correlated_failures\": [{\"units\": [1, -2]}]}",
+          "{\"dram_bit_flip_rate\": 1e999}", "{\"seed\": 1, \"seed\": 2}"})
+        EXPECT_FALSE(faultPlanFromJson(bad).has_value()) << bad;
 }
 
 TEST(FaultPlanIo, ParsedCorrelatedPlanIsEnabled)
@@ -191,6 +213,18 @@ TEST(FaultPlanIo, ByzantinePlanRoundTripIsFixedPoint)
 
     // Serializing the parsed plan again is a fixed point.
     EXPECT_EQ(faultPlanToJson(*back), json);
+
+    // Seeds past double's 53-bit mantissa survive exactly.
+    for (const std::uint64_t seed :
+         {(std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}}) {
+        FaultPlan big = p;
+        big.seed = seed;
+        const std::string big_json = faultPlanToJson(big);
+        const auto big_back = faultPlanFromJson(big_json, &err);
+        ASSERT_TRUE(big_back.has_value()) << err;
+        EXPECT_EQ(big_back->seed, seed);
+        EXPECT_EQ(faultPlanToJson(*big_back), big_json);
+    }
 }
 
 TEST(FaultPlanIo, ByzantineSchemaRejectsBadEntries)

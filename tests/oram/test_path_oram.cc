@@ -139,15 +139,16 @@ TEST(PathOram, LeafTraceLooksUniform)
         const std::uint64_t capacity = smallParams().capacityBlocks();
         const BlockData v = blockOf(1);
         Rng rng(13);
+        std::vector<LeafId> trace;
         for (int i = 0; i < 2000; ++i) {
             const Addr a = sequential
                                ? static_cast<Addr>(i) % capacity
                                : rng.nextBelow(capacity);
+            trace.push_back(oram->leafOf(a)); // The path it reads.
             oram->access(a, OramOp::Write, &v);
         }
         // Bin the leaf trace into 16 bins.
         std::vector<int> bins(16, 0);
-        const auto &trace = oram->leafTrace();
         for (LeafId l : trace)
             ++bins[l % 16];
         const double expect =
@@ -169,12 +170,14 @@ TEST(PathOram, SameAddressRepeatedTouchesDifferentLeaves)
     auto oram = makeOram(8, 11);
     const BlockData v = blockOf(1);
     oram->access(3, OramOp::Write, &v);
-    oram->clearLeafTrace();
-    for (int i = 0; i < 200; ++i)
+    std::vector<LeafId> leaves;
+    for (int i = 0; i < 200; ++i) {
+        leaves.push_back(oram->leafOf(3));
         oram->access(3, OramOp::Read);
+    }
     std::vector<bool> seen(1u << 8, false);
     unsigned distinct = 0;
-    for (LeafId l : oram->leafTrace()) {
+    for (LeafId l : leaves) {
         if (!seen[l]) {
             seen[l] = true;
             ++distinct;
@@ -233,11 +236,14 @@ TEST(PathOram, DistinctSeedsDistinctLeafSequences)
     auto a = makeOram(8, 100);
     auto b = makeOram(8, 200);
     const BlockData v = blockOf(1);
+    std::vector<LeafId> leaves_a, leaves_b;
     for (int i = 0; i < 50; ++i) {
+        leaves_a.push_back(a->leafOf(0));
+        leaves_b.push_back(b->leafOf(0));
         a->access(0, OramOp::Write, &v);
         b->access(0, OramOp::Write, &v);
     }
-    EXPECT_NE(a->leafTrace(), b->leafTrace());
+    EXPECT_NE(leaves_a, leaves_b);
 }
 
 } // namespace

@@ -80,17 +80,17 @@ TEST(IndepSplitOram, AppendsCoverEveryGroupEveryAccess)
     IndepSplitOram oram(smallParams(), 9);
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    oram.clearBusTrace();
+    std::vector<int> appends(2, 0), accesses(2, 0);
+    oram.attachObserver([&](TraceEventKind, std::uint64_t a) {
+        const auto type = static_cast<SdimmCommandType>(a >> 8);
+        if (type == SdimmCommandType::Append)
+            ++appends[a & 0xff];
+        else if (type == SdimmCommandType::Access)
+            ++accesses[a & 0xff];
+    });
     const int n = 60;
     for (int i = 0; i < n; ++i)
         oram.access(0, oram::OramOp::Read);
-    std::vector<int> appends(2, 0), accesses(2, 0);
-    for (const GroupBusEvent &e : oram.busTrace()) {
-        if (e.type == SdimmCommandType::Append)
-            ++appends[e.group];
-        else if (e.type == SdimmCommandType::Access)
-            ++accesses[e.group];
-    }
     EXPECT_EQ(appends[0], n);
     EXPECT_EQ(appends[1], n);
     EXPECT_EQ(accesses[0] + accesses[1], n);
@@ -102,12 +102,19 @@ TEST(IndepSplitOram, AppendsCoverEveryGroupEveryAccess)
 TEST(IndepSplitOram, GroupLeafTracesStayUniform)
 {
     IndepSplitOram oram(smallParams(2, 2, 7), 11);
+    std::vector<LeafId> traces[2];
+    for (unsigned g = 0; g < 2; ++g) {
+        oram.group(g).attachObserver(
+            [&trace = traces[g]](TraceEventKind, std::uint64_t leaf) {
+                trace.push_back(leaf);
+            });
+    }
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
     for (int i = 0; i < 300; ++i)
         oram.access(0, oram::OramOp::Read);
     for (unsigned g = 0; g < 2; ++g) {
-        const auto &trace = oram.group(g).leafTrace();
+        const std::vector<LeafId> &trace = traces[g];
         ASSERT_GT(trace.size(), 50u);
         std::vector<int> bins(8, 0);
         for (LeafId l : trace)
@@ -129,6 +136,14 @@ TEST(IndepSplitOram, GroupQuarantineEvacuatesAndServesFromSurvivor)
     IndepSplitOram oram(smallParams(2, 2, 5), 17);
     fault::FaultInjector inj(fault::FaultPlan::stuckAt(0, 41));
     oram.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    // The quarantined group still sees its shaped APPEND slot in every
+    // access (dummy traffic): its share of the trace must not vanish.
+    std::uint64_t appends_to_dead = 0;
+    oram.attachObserver([&](TraceEventKind, std::uint64_t a) {
+        const std::uint64_t append_to_group0 =
+            static_cast<std::uint64_t>(SdimmCommandType::Append) << 8;
+        appends_to_dead += a == append_to_group0;
+    });
 
     std::map<Addr, BlockData> mirror;
     for (std::uint64_t a = 0; a < 24; ++a) {
@@ -145,13 +160,6 @@ TEST(IndepSplitOram, GroupQuarantineEvacuatesAndServesFromSurvivor)
     EXPECT_TRUE(oram.integrityOk());
     EXPECT_EQ(inj.detected(fault::FaultKind::WatchdogTimeout), 1u);
     EXPECT_EQ(inj.unrecoveredTotal(), 0u);
-    // The quarantined group still sees its shaped APPEND slot in every
-    // access (dummy traffic): its share of the trace must not vanish.
-    std::uint64_t appends_to_dead = 0;
-    for (const GroupBusEvent &e : oram.busTrace()) {
-        if (e.type == SdimmCommandType::Append && e.group == 0)
-            ++appends_to_dead;
-    }
     EXPECT_GT(appends_to_dead, 0u);
 }
 

@@ -21,6 +21,27 @@ smallParams(unsigned sdimms = 2, unsigned levels = 7)
     return p;
 }
 
+/** One bus command as the channel shows it. */
+struct Command
+{
+    SdimmCommandType type;
+    unsigned sdimm;
+    std::uint64_t bytes; ///< Payload of the Transfer that follows.
+};
+
+/** Record every bus command @p oram issues from now on. */
+void
+watchCommands(IndependentOram &oram, std::vector<Command> &cmds)
+{
+    oram.attachObserver([&cmds](TraceEventKind kind, std::uint64_t a) {
+        if (kind == TraceEventKind::ShortCmd)
+            cmds.push_back({static_cast<SdimmCommandType>(a >> 8),
+                            static_cast<unsigned>(a & 0xff), 0});
+        else if (kind == TraceEventKind::Transfer)
+            cmds.back().bytes = a;
+    });
+}
+
 BlockData
 blockOf(std::uint64_t v)
 {
@@ -82,13 +103,14 @@ TEST(IndependentOram, EveryAccessAppendsToAllSdimms)
     IndependentOram oram(smallParams(2), 7);
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    oram.clearBusTrace();
+    std::vector<Command> cmds;
+    watchCommands(oram, cmds);
     const int n = 50;
     for (int i = 0; i < n; ++i)
         oram.access(0, oram::OramOp::Read);
 
     int accesses = 0, appends0 = 0, appends1 = 0, fetches = 0;
-    for (const BusEvent &e : oram.busTrace()) {
+    for (const Command &e : cmds) {
         switch (e.type) {
           case SdimmCommandType::Access: ++accesses; break;
           case SdimmCommandType::FetchResult: ++fetches; break;
@@ -110,6 +132,8 @@ TEST(IndependentOram, MessageSizesAreOperationIndependent)
     // APPEND must have the same sealed size or the bus leaks the
     // operation type.
     IndependentOram oram(smallParams(2), 9);
+    std::vector<Command> cmds;
+    watchCommands(oram, cmds);
     const BlockData v = blockOf(9);
     for (int i = 0; i < 30; ++i) {
         if (i % 2)
@@ -119,7 +143,7 @@ TEST(IndependentOram, MessageSizesAreOperationIndependent)
                         &v);
     }
     std::size_t access_size = 0, append_size = 0;
-    for (const BusEvent &e : oram.busTrace()) {
+    for (const Command &e : cmds) {
         if (e.type == SdimmCommandType::Access) {
             if (access_size == 0)
                 access_size = e.bytes;
@@ -141,12 +165,13 @@ TEST(IndependentOram, TargetSdimmSequenceLooksUniform)
     IndependentOram oram(smallParams(4, 6), 11);
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    oram.clearBusTrace();
+    std::vector<Command> cmds;
+    watchCommands(oram, cmds);
     const int n = 400;
     for (int i = 0; i < n; ++i)
         oram.access(0, oram::OramOp::Read);
     std::vector<int> counts(4, 0);
-    for (const BusEvent &e : oram.busTrace()) {
+    for (const Command &e : cmds) {
         if (e.type == SdimmCommandType::Access)
             ++counts[e.sdimm];
     }

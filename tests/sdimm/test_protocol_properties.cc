@@ -86,15 +86,16 @@ TEST_P(IndependentSweep, AppendsAlwaysCoverEverySdimm)
     const unsigned sdimms = std::get<0>(GetParam());
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    oram.clearBusTrace();
+    std::vector<int> appends(sdimms, 0);
+    oram.attachObserver([&](TraceEventKind kind, std::uint64_t a) {
+        if (kind == TraceEventKind::ShortCmd &&
+            static_cast<SdimmCommandType>(a >> 8) ==
+                SdimmCommandType::Append)
+            ++appends[a & 0xff];
+    });
     const int n = 40;
     for (int i = 0; i < n; ++i)
         oram.access(static_cast<Addr>(i % 5), oram::OramOp::Read);
-    std::vector<int> appends(sdimms, 0);
-    for (const BusEvent &e : oram.busTrace()) {
-        if (e.type == SdimmCommandType::Append)
-            ++appends[e.sdimm];
-    }
     for (unsigned s = 0; s < sdimms; ++s)
         EXPECT_EQ(appends[s], n) << "sdimm " << s;
 }

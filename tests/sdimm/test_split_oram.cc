@@ -136,14 +136,15 @@ TEST(SplitOram, LeafTraceUniformUnderHammering)
     SplitOram oram(smallParams(2, 8), 11);
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    oram.clearLeafTrace();
+    std::vector<int> bins(16, 0);
+    std::size_t leaves = 0;
+    oram.attachObserver([&](TraceEventKind, std::uint64_t leaf) {
+        ++bins[leaf % 16];
+        ++leaves;
+    });
     for (int i = 0; i < 400; ++i)
         oram.access(0, oram::OramOp::Read);
-    std::vector<int> bins(16, 0);
-    for (LeafId l : oram.leafTrace())
-        ++bins[l % 16];
-    const double expect =
-        static_cast<double>(oram.leafTrace().size()) / bins.size();
+    const double expect = static_cast<double>(leaves) / bins.size();
     double chi2 = 0;
     for (int b : bins)
         chi2 += (b - expect) * (b - expect) / expect;

@@ -86,15 +86,10 @@ runWorkload(const ShardedSecureMemory::Options &opt,
             const std::vector<std::size_t> &submit_order)
 {
     ShardedSecureMemory mem(opt);
-    // SDIMM protocols expose no bucket-store attach points (their
-    // visible channel is the link bus); for those the per-shard trace
-    // vector stays empty and callers rely on the schedule comparison.
     std::vector<std::unique_ptr<verify::ChannelObserver>> observers;
-    bool observed = true;
     for (unsigned s = 0; s < mem.numShards(); ++s) {
         observers.push_back(std::make_unique<verify::ChannelObserver>());
-        if (mem.attachObserver(s, *observers.back()) == 0)
-            observed = false;
+        EXPECT_GT(mem.attachObserver(s, *observers.back()), 0u);
     }
     verify::ScheduleRecorder recorder;
     mem.setScheduleRecorder(&recorder);
@@ -119,10 +114,8 @@ runWorkload(const ShardedSecureMemory::Options &opt,
     mem.shutdown();
 
     RunResult r;
-    if (observed) {
-        for (auto &obs : observers)
-            r.shardTraces.push_back(obs->events());
-    }
+    for (auto &obs : observers)
+        r.shardTraces.push_back(obs->events());
     r.schedule = recorder.events();
     return r;
 }
@@ -175,12 +168,8 @@ TEST(ConcurrentObliviousness, AllSecureDesignsUnderRandomSchedules)
                 opt, ops, offset,
                 shuffledOrder(ops.size(), 500 + sched));
 
-            ASSERT_EQ(a.shardTraces.size(), b.shardTraces.size());
-            if (proto == Protocol::PathOram ||
-                proto == Protocol::Freecursive) {
-                ASSERT_EQ(a.shardTraces.size(), opt.numShards)
-                    << "tree protocols must expose bucket traces";
-            }
+            ASSERT_EQ(a.shardTraces.size(), opt.numShards);
+            ASSERT_EQ(b.shardTraces.size(), opt.numShards);
             for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
                 const verify::TraceComparison c = verify::compareTraces(
                     a.shardTraces[s], b.shardTraces[s]);

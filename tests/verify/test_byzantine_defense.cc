@@ -25,6 +25,7 @@
 #include "sdimm/independent_oram.hh"
 #include "serve/sharded_memory.hh"
 #include "util/rng.hh"
+#include "verify/channel_observer.hh"
 #include "verify/trace_checker.hh"
 
 namespace secdimm::verify
@@ -339,15 +340,13 @@ TEST(ByzantineDefense, PostConvictionTracesDeepCompare)
             fault::FaultPlan::byzantineCorruptor(1, 300, 17));
         sdimm::IndependentOram o(indepParams(4), 17);
         o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+        ChannelObserver obs;
+        obs.attach(o);
         Rng rng(secret);
         for (std::size_t i = 0; i < 1200; ++i)
             o.access(rng.nextBelow(o.capacityBlocks()),
                      oram::OramOp::Read, nullptr);
-        std::vector<TraceEvent> t;
-        for (const sdimm::BusEvent &e : o.busTrace())
-            t.push_back(TraceEvent{
-                TraceEventKind::ShortCmd,
-                (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm, 0});
+        std::vector<TraceEvent> t = obs.events();
         for (std::size_t i = 0; i < t.size(); ++i)
             t[i].at = 10 * i;
         return t;

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/secure_memory_system.hh"
 #include "core/simulator.hh"
 #include "trace/workload.hh"
 #include "util/rng.hh"
+#include "verify/channel_observer.hh"
 
 namespace secdimm::verify
 {
@@ -66,12 +69,15 @@ TEST(Determinism, DifferentSeedsDiverge)
 
 TEST(Determinism, SecureMemorySystemByteIdentical)
 {
-    const auto run = [] {
+    using Protocol = core::SecureMemorySystem::Protocol;
+    const auto run = [](Protocol protocol) {
         core::SecureMemorySystem::Options opt;
-        opt.protocol = core::SecureMemorySystem::Protocol::Split;
+        opt.protocol = protocol;
         opt.capacityBytes = 1 << 15;
         opt.seed = 21;
         core::SecureMemorySystem mem(opt);
+        ChannelObserver obs;
+        mem.attachObserver(obs);
         const std::uint64_t cap = mem.capacityBytes() / blockBytes;
         Rng rng(4);
         std::string reads;
@@ -86,12 +92,21 @@ TEST(Determinism, SecureMemorySystemByteIdentical)
                     static_cast<char>(mem.readBlock(a)[0]));
             }
         }
-        return std::make_pair(reads, mem.metrics().toJson());
+        return std::make_tuple(reads, mem.metrics().toJson(),
+                               obs.events());
     };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_EQ(a.first, b.first);
-    EXPECT_EQ(a.second, b.second);
+    for (const Protocol p :
+         {Protocol::PathOram, Protocol::Freecursive, Protocol::Independent,
+          Protocol::Split, Protocol::IndepSplit}) {
+        const auto a = run(p);
+        const auto b = run(p);
+        EXPECT_EQ(std::get<0>(a), std::get<0>(b));
+        EXPECT_EQ(std::get<1>(a), std::get<1>(b));
+        EXPECT_FALSE(std::get<2>(a).empty());
+        EXPECT_TRUE(std::get<2>(a) == std::get<2>(b))
+            << "observed streams differ, protocol "
+            << static_cast<int>(p);
+    }
 }
 
 TEST(Determinism, RngStreamsReproducible)

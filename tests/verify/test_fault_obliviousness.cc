@@ -42,10 +42,9 @@ valueBlock(std::uint64_t salt, std::uint64_t idx)
     return d;
 }
 
-/** Drive @p access(addr, write, data) with the shared structure. */
-template <typename AccessFn>
+/** Drive @p o with the shared structure. */
 void
-driveFunctional(AccessFn &&access, std::uint64_t structure_seed,
+driveFunctional(oram::OramEngine &o, std::uint64_t structure_seed,
                 std::uint64_t base_block, std::uint64_t region_blocks,
                 std::uint64_t value_salt, std::size_t count)
 {
@@ -59,8 +58,11 @@ driveFunctional(AccessFn &&access, std::uint64_t structure_seed,
             idx = rng.nextBelow(region_blocks);
             pool.push_back(idx);
         }
-        access(base_block + idx, rng.nextBool(0.5),
-               valueBlock(value_salt, idx));
+        const bool write = rng.nextBool(0.5);
+        const BlockData d = valueBlock(value_salt, idx);
+        o.access(base_block + idx,
+                 write ? oram::OramOp::Write : oram::OramOp::Read,
+                 write ? &d : nullptr);
     }
 }
 
@@ -95,13 +97,8 @@ pathOramStoreTrace(std::uint64_t oram_seed, std::uint64_t base_block,
         o.setFaultInjector(&*inj);
     }
     ChannelObserver obs;
-    obs.attach(o.store());
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, 256, oram_seed, 512);
+    obs.attach(o);
+    driveFunctional(o, 42, base_block, 256, oram_seed, 512);
     if (with_faults) {
         EXPECT_GT(inj->injectedTotal(), 0u);
         EXPECT_EQ(inj->unrecoveredTotal(), 0u);
@@ -128,33 +125,22 @@ independentBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     ip.perSdimm.stashCapacity = 200;
     ip.numSdimms = 2;
     sdimm::IndependentOram o(ip, oram_seed);
+    ChannelObserver obs;
+    obs.attach(o);
     std::optional<fault::FaultInjector> inj;
     if (with_faults) {
         inj.emplace(ladenPlan(oram_seed));
         o.setFaultInjector(&*inj,
                            fault::DegradationPolicy::RetryThenStop);
     }
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, 128, oram_seed, 384);
+    driveFunctional(o, 42, base_block, 128, oram_seed, 384);
     if (with_faults) {
         EXPECT_GT(inj->injectedTotal(), 0u);
         EXPECT_FALSE(o.failedStop());
     }
     // The visible trace is the (command type, target SDIMM) stream --
     // retransmissions included, exactly as a bus analyst would see it.
-    std::vector<TraceEvent> t;
-    t.reserve(o.busTrace().size());
-    for (const sdimm::BusEvent &e : o.busTrace()) {
-        t.push_back(TraceEvent{
-            TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm,
-            t.size()});
-    }
-    return t;
+    return obs.events();
 }
 
 TEST(FaultObliviousness, IndependentRetriesDoNotLeakRegion)
@@ -176,20 +162,13 @@ TEST(FaultObliviousness, IndependentFaultScheduleIsDataIndependent)
         ip.perSdimm.stashCapacity = 200;
         ip.numSdimms = 2;
         sdimm::IndependentOram o(ip, 19);
+        ChannelObserver obs;
+        obs.attach(o);
         fault::FaultInjector inj(ladenPlan(55));
         o.setFaultInjector(&inj,
                            fault::DegradationPolicy::RetryThenStop);
-        driveFunctional(
-            [&](Addr addr, bool write, const BlockData &d) {
-                o.access(addr,
-                         write ? oram::OramOp::Write : oram::OramOp::Read,
-                         write ? &d : nullptr);
-            },
-            42, 0, 128, value_salt, 256);
-        std::vector<std::pair<sdimm::SdimmCommandType, unsigned>> t;
-        for (const sdimm::BusEvent &e : o.busTrace())
-            t.emplace_back(e.type, e.sdimm);
-        return t;
+        driveFunctional(o, 42, 0, 128, value_salt, 256);
+        return obs.events();
     };
     // Not merely statistically close: the schedules are IDENTICAL.
     EXPECT_EQ(run(5), run(1234));
@@ -204,6 +183,8 @@ postQuarantineTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     ip.perSdimm.stashCapacity = 200;
     ip.numSdimms = 2;
     sdimm::IndependentOram o(ip, oram_seed);
+    ChannelObserver obs;
+    obs.attach(o);
     // Either SDIMM 1 dies mid-warm-up or it was dead from boot (the
     // survivor-only baseline); in both cases the measured window
     // starts with the unit quarantined and its subtree evacuated.
@@ -211,30 +192,12 @@ postQuarantineTrace(std::uint64_t oram_seed, std::uint64_t base_block,
         hard_death ? fault::FaultPlan::hardDeath(1, 200, oram_seed)
                    : fault::FaultPlan::stuckAt(1, oram_seed));
     o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, 128, oram_seed, 400);
+    driveFunctional(o, 42, base_block, 128, oram_seed, 400);
     EXPECT_TRUE(o.isQuarantined(1));
     EXPECT_EQ(inj.unrecoveredTotal(), 0u);
-    o.clearBusTrace();
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        43, base_block, 128, oram_seed, 384);
-    std::vector<TraceEvent> t;
-    t.reserve(o.busTrace().size());
-    for (const sdimm::BusEvent &e : o.busTrace()) {
-        t.push_back(TraceEvent{
-            TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm,
-            t.size()});
-    }
-    return t;
+    obs.clear();
+    driveFunctional(o, 43, base_block, 128, oram_seed, 384);
+    return obs.events();
 }
 
 TEST(FaultObliviousness, PostQuarantineTraceMatchesSurvivorOnlyRun)
@@ -258,31 +221,20 @@ indepSplitBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     gp.groups = 2;
     gp.slicesPerGroup = 2;
     sdimm::IndepSplitOram o(gp, oram_seed);
+    ChannelObserver obs;
+    obs.attach(o);
     std::optional<fault::FaultInjector> inj;
     if (with_faults) {
         inj.emplace(ladenPlan(oram_seed));
         o.setFaultInjector(&*inj,
                            fault::DegradationPolicy::RetryThenStop);
     }
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, 128, oram_seed, 384);
+    driveFunctional(o, 42, base_block, 128, oram_seed, 384);
     if (with_faults) {
         EXPECT_GT(inj->injectedTotal(), 0u);
         EXPECT_FALSE(o.failedStop());
     }
-    std::vector<TraceEvent> t;
-    t.reserve(o.busTrace().size());
-    for (const sdimm::GroupBusEvent &e : o.busTrace()) {
-        t.push_back(TraceEvent{
-            TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.group,
-            t.size()});
-    }
-    return t;
+    return obs.events();
 }
 
 TEST(FaultObliviousness, IndepSplitRetriesDoNotLeakRegion)
@@ -302,17 +254,14 @@ splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     sp.tree.stashCapacity = 200;
     sp.slices = 2;
     sdimm::SplitOram o(sp, oram_seed);
+    ChannelObserver obs;
+    obs.attach(o);
     std::optional<fault::FaultInjector> inj;
     if (with_faults) {
         inj.emplace(ladenPlan(oram_seed));
         o.setFaultInjector(&*inj);
     }
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, 64, oram_seed, 4096);
+    driveFunctional(o, 42, base_block, 64, oram_seed, 4096);
     if (with_faults) {
         EXPECT_GT(inj->injectedTotal(), 0u);
         EXPECT_TRUE(o.integrityOk());
@@ -320,11 +269,7 @@ splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     // The leaf (path) choice is what the CPU channel reveals per
     // access; retries re-walk the SAME path, so the sequence is
     // untouched by faults (4096 samples: see test_obliviousness.cc).
-    std::vector<TraceEvent> t;
-    t.reserve(o.leafTrace().size());
-    for (LeafId leaf : o.leafTrace())
-        t.push_back(TraceEvent{TraceEventKind::Read, leaf, t.size()});
-    return t;
+    return obs.events();
 }
 
 TEST(FaultObliviousness, SplitLeafSequenceUnaffectedByFaults)

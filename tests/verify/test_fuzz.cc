@@ -47,6 +47,13 @@ TEST(Fuzz, MessageCodecsCampaignClean)
     EXPECT_TRUE(r.ok()) << r.firstFailure;
 }
 
+TEST(Fuzz, JsonReaderCampaignClean)
+{
+    const FuzzResult r = fuzzJson(1, 20000);
+    EXPECT_EQ(r.iterations, 20000u);
+    EXPECT_TRUE(r.ok()) << r.firstFailure;
+}
+
 TEST(Fuzz, CampaignsAreDeterministic)
 {
     const FuzzResult a = fuzzCommandFrames(9, 2000);

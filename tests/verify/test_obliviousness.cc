@@ -11,12 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/secure_memory_system.hh"
 #include "core/system_config.hh"
-#include "crypto/aes128.hh"
-#include "oram/path_oram.hh"
-#include "sdimm/indep_split_oram.hh"
-#include "sdimm/independent_oram.hh"
-#include "sdimm/split_oram.hh"
 #include "util/rng.hh"
 #include "verify/channel_observer.hh"
 #include "verify/trace_checker.hh"
@@ -145,14 +141,28 @@ valueBlock(std::uint64_t salt, std::uint64_t idx)
     return d;
 }
 
-/** Drive @p access(addr, write, data) with the shared structure. */
-template <typename AccessFn>
-void
-driveFunctional(AccessFn &&access, std::uint64_t structure_seed,
-                std::uint64_t base_block, std::uint64_t region_blocks,
-                std::uint64_t value_salt, std::size_t count = 512)
+using Protocol = core::SecureMemorySystem::Protocol;
+
+/**
+ * The visible trace of one protocol, driven through
+ * core::SecureMemorySystem with the shared access structure and
+ * observed through its attachObserver.  @p capacity_bytes sizes each
+ * design's tree(s).
+ */
+std::vector<TraceEvent>
+functionalTrace(Protocol protocol, std::uint64_t capacity_bytes,
+                std::uint64_t oram_seed, std::uint64_t base_block,
+                std::uint64_t region_blocks, std::uint64_t value_salt,
+                std::size_t count)
 {
-    Rng rng(structure_seed);
+    core::SecureMemorySystem::Options opt;
+    opt.protocol = protocol;
+    opt.capacityBytes = capacity_bytes;
+    opt.seed = oram_seed;
+    core::SecureMemorySystem mem(opt);
+    ChannelObserver obs;
+    EXPECT_GT(mem.attachObserver(obs), 0u);
+    Rng rng(42);
     std::vector<std::uint64_t> pool;
     for (std::size_t i = 0; i < count; ++i) {
         std::uint64_t idx;
@@ -162,39 +172,38 @@ driveFunctional(AccessFn &&access, std::uint64_t structure_seed,
             idx = rng.nextBelow(region_blocks);
             pool.push_back(idx);
         }
-        access(base_block + idx, rng.nextBool(0.5),
-               valueBlock(value_salt, idx));
+        if (rng.nextBool(0.5))
+            mem.writeBlock(base_block + idx, valueBlock(value_salt, idx));
+        else
+            mem.readBlock(base_block + idx);
     }
+    return obs.events();
 }
 
 std::vector<TraceEvent>
 pathOramTrace(std::uint64_t oram_seed, std::uint64_t base_block,
-              std::uint64_t region_blocks, std::uint64_t value_salt)
+              std::uint64_t region_blocks, std::uint64_t value_salt,
+              Protocol protocol = Protocol::PathOram)
 {
-    oram::OramParams p;
-    p.levels = 8;
-    p.stashCapacity = 200;
-    oram::PathOram o(p, crypto::makeKey(0xaa, oram_seed),
-                     crypto::makeKey(0xbb, oram_seed * 3 + 1),
-                     oram_seed);
-    ChannelObserver obs;
-    obs.attach(o.store());
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, region_blocks, value_salt);
-    return obs.events();
+    // A 512-block (8-level) data tree; the channel shows the bucket
+    // reads and writes of every tree.
+    return functionalTrace(protocol, 512 * blockBytes, oram_seed,
+                           base_block, region_blocks, value_salt, 512);
 }
 
 TEST(FunctionalObliviousness, PathOramAddressRegions)
 {
     // Disjoint halves of the address space: the bucket access
-    // sequence must not betray which half is in use.
-    const TraceComparison c = compareTraces(
-        pathOramTrace(11, 0, 256, 5), pathOramTrace(77, 256, 256, 9));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    // sequence must not betray which half is in use, with the PosMap
+    // on chip or in recursive trees (identical reuse structure keeps
+    // Freecursive's PLB from telling the pair apart).
+    for (const Protocol protocol :
+         {Protocol::PathOram, Protocol::Freecursive}) {
+        const TraceComparison c =
+            compareTraces(pathOramTrace(11, 0, 256, 5, protocol),
+                          pathOramTrace(77, 256, 256, 9, protocol));
+        EXPECT_TRUE(c.indistinguishable) << c.summary();
+    }
 }
 
 TEST(FunctionalObliviousness, PathOramValuesOnly)
@@ -209,27 +218,11 @@ std::vector<TraceEvent>
 independentTrace(std::uint64_t oram_seed, std::uint64_t base_block,
                  std::uint64_t region_blocks)
 {
-    sdimm::IndependentOram::Params ip;
-    ip.perSdimm.levels = 6;
-    ip.perSdimm.stashCapacity = 200;
-    ip.numSdimms = 2;
-    sdimm::IndependentOram o(ip, oram_seed);
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, region_blocks, oram_seed, 384);
-    // The visible trace is the (command type, target SDIMM) stream.
-    std::vector<TraceEvent> t;
-    t.reserve(o.busTrace().size());
-    for (const sdimm::BusEvent &e : o.busTrace()) {
-        t.push_back(TraceEvent{
-            TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm,
-            t.size()});
-    }
-    return t;
+    // Two 6-level SDIMM trees; the visible trace is the (command
+    // type, target SDIMM) stream plus payload sizes.
+    return functionalTrace(Protocol::Independent, 256 * blockBytes,
+                           oram_seed, base_block, region_blocks, oram_seed,
+                           384);
 }
 
 TEST(FunctionalObliviousness, IndependentCommandStream)
@@ -243,27 +236,10 @@ std::vector<TraceEvent>
 indepSplitTrace(std::uint64_t oram_seed, std::uint64_t base_block,
                 std::uint64_t region_blocks)
 {
-    sdimm::IndepSplitOram::Params gp;
-    gp.perGroupTree.levels = 6;
-    gp.perGroupTree.stashCapacity = 200;
-    gp.groups = 2;
-    gp.slicesPerGroup = 2;
-    sdimm::IndepSplitOram o(gp, oram_seed);
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, region_blocks, oram_seed, 384);
-    std::vector<TraceEvent> t;
-    t.reserve(o.busTrace().size());
-    for (const sdimm::GroupBusEvent &e : o.busTrace()) {
-        t.push_back(TraceEvent{
-            TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.group,
-            t.size()});
-    }
-    return t;
+    // Two groups of two slices, each group a 6-level tree.
+    return functionalTrace(Protocol::IndepSplit, 256 * blockBytes,
+                           oram_seed, base_block, region_blocks, oram_seed,
+                           384);
 }
 
 TEST(FunctionalObliviousness, IndepSplitCommandStream)
@@ -277,27 +253,13 @@ std::vector<TraceEvent>
 splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block,
                std::uint64_t region_blocks)
 {
-    sdimm::SplitOram::Params sp;
-    sp.tree.levels = 6;
-    sp.tree.stashCapacity = 200;
-    sp.slices = 2;
-    sdimm::SplitOram o(sp, oram_seed);
-    driveFunctional(
-        [&](Addr addr, bool write, const BlockData &d) {
-            o.access(addr, write ? oram::OramOp::Write : oram::OramOp::Read,
-                     write ? &d : nullptr);
-        },
-        42, base_block, region_blocks, oram_seed, 4096);
-    // The path (leaf) choice is what the CPU channel reveals per
-    // access; it must look uniform regardless of the addresses.  4096
-    // samples keep the expected statistical TV distance over the 64
-    // leaf bins (~sqrt(bins/(pi*n)) ~= 0.07) well inside the 0.12
-    // threshold; 512 samples would sit right at it.
-    std::vector<TraceEvent> t;
-    t.reserve(o.leafTrace().size());
-    for (LeafId leaf : o.leafTrace())
-        t.push_back(TraceEvent{TraceEventKind::Read, leaf, t.size()});
-    return t;
+    // The path (leaf) choice of a 6-level tree is what the CPU channel
+    // reveals per access; it must look uniform regardless of the
+    // addresses.  4096 samples keep the expected statistical TV
+    // distance over the 64 leaf bins (~sqrt(bins/(pi*n)) ~= 0.07) well
+    // inside the 0.12 threshold; 512 samples would sit right at it.
+    return functionalTrace(Protocol::Split, 128 * blockBytes, oram_seed,
+                           base_block, region_blocks, oram_seed, 4096);
 }
 
 TEST(FunctionalObliviousness, SplitLeafSequence)

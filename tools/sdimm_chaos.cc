@@ -63,7 +63,6 @@
 #include "fault/fault_plan_io.hh"
 #include "sdimm/indep_split_oram.hh"
 #include "sdimm/independent_oram.hh"
-#include "sdimm/split_oram.hh"
 #include "serve/sharded_memory.hh"
 #include "util/rng.hh"
 #include "verify/leak_meter.hh"
@@ -526,12 +525,65 @@ runByzantine(const DesignSpec &spec, std::uint64_t seed)
 /* Phase B: post-chaos indistinguishability                            */
 /* ------------------------------------------------------------------ */
 
-std::vector<verify::TraceEvent>
-clockedTrace(std::vector<verify::TraceEvent> t)
+/** A single-system twin of one unit-design shard: @p units SDIMMs
+ *  (groups) of 6-level trees under the Degraded policy. */
+core::SecureMemorySystem::Options
+unitTwinOptions(const DesignSpec &spec, unsigned units,
+                const fault::FaultPlan &plan, std::uint64_t seed)
 {
+    core::SecureMemorySystem::Options o;
+    o.protocol = spec.protocol;
+    o.capacityBytes = units * 128 * blockBytes;
+    o.numSdimms = units;
+    o.seed = seed;
+    o.faultPlan = plan;
+    o.degradationPolicy = fault::DegradationPolicy::Degraded;
+    return o;
+}
+
+/** The Split twin: one 6-level tree under transient faults. */
+core::SecureMemorySystem::Options
+splitTwinOptions(std::uint64_t seed)
+{
+    core::SecureMemorySystem::Options o;
+    o.protocol = Protocol::Split;
+    o.capacityBytes = 128 * blockBytes;
+    o.seed = seed;
+    o.faultPlan = transientPlan(seed);
+    return o;
+}
+
+/** Read @p accesses secret-drawn blocks; return the trace the
+ *  system's observed channel shows, on a uniform clock so the timing
+ *  statistics have a rhythm to compare. */
+std::vector<verify::TraceEvent>
+observedRun(const core::SecureMemorySystem::Options &o,
+            std::uint64_t secret_seed, std::size_t accesses)
+{
+    core::SecureMemorySystem mem(o);
+    verify::ChannelObserver obs;
+    mem.attachObserver(obs);
+    Rng rng(secret_seed);
+    const std::uint64_t cap = mem.capacityBytes() / blockBytes;
+    for (std::size_t i = 0; i < accesses; ++i)
+        mem.readBlock(rng.nextBelow(cap));
+    std::vector<verify::TraceEvent> t = obs.events();
     for (std::size_t i = 0; i < t.size(); ++i)
         t[i].at = 10 * i;
     return t;
+}
+
+/** Locality-phased MI of one single-system twin. */
+verify::LeakReport
+observedMi(const DesignSpec &spec, const core::SecureMemorySystem::Options &o,
+           const verify::PlbLeakOptions &opts)
+{
+    core::SecureMemorySystem mem(o);
+    verify::ChannelObserver obs;
+    mem.attachObserver(obs);
+    return verify::measureObservedLocalityLeak(
+        spec.name, mem.capacityBytes() / blockBytes, opts,
+        [&](Addr a) { mem.readBlock(a); }, obs);
 }
 
 /** One single-system run with the (public) chaos plan armed; the
@@ -540,82 +592,22 @@ std::vector<verify::TraceEvent>
 deepRun(const DesignSpec &spec, std::uint64_t secret_seed,
         std::uint64_t plan_seed, std::size_t accesses)
 {
-    if (spec.protocol == Protocol::PathOram ||
-        spec.protocol == Protocol::Freecursive) {
-        core::SecureMemorySystem::Options o;
-        o.protocol = spec.protocol;
-        o.capacityBytes = 1 << 18;
-        o.seed = plan_seed;
-        o.faultPlan = fault::FaultPlan::uniform(0.01, plan_seed);
-        core::SecureMemorySystem mem(o);
-        verify::ChannelObserver obs;
-        mem.attachObserver(obs);
-        Rng rng(secret_seed);
-        const std::uint64_t cap = mem.capacityBytes() / blockBytes;
-        for (std::size_t i = 0; i < accesses; ++i)
-            mem.readBlock(rng.nextBelow(cap));
-        return clockedTrace(obs.events());
-    }
-    if (spec.protocol == Protocol::Independent) {
-        sdimm::IndependentOram::Params p;
-        p.perSdimm.levels = 6;
-        p.perSdimm.stashCapacity = 200;
-        p.numSdimms = kUnitsPerShard;
+    if (spec.unitDesign) {
         fault::FaultPlan plan = burstPlan(plan_seed);
         plan.correlatedFailures[0].atAccess = accesses / 4;
-        fault::FaultInjector inj(plan);
-        sdimm::IndependentOram o(p, plan_seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        Rng rng(secret_seed);
-        for (std::size_t i = 0; i < accesses; ++i)
-            o.access(rng.nextBelow(o.capacityBlocks()),
-                     oram::OramOp::Read, nullptr);
-        std::vector<verify::TraceEvent> t;
-        for (const sdimm::BusEvent &e : o.busTrace())
-            t.push_back(verify::TraceEvent{
-                verify::TraceEventKind::ShortCmd,
-                (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm, 0});
-        return clockedTrace(std::move(t));
+        return observedRun(
+            unitTwinOptions(spec, kUnitsPerShard, plan, plan_seed),
+            secret_seed, accesses);
     }
-    if (spec.protocol == Protocol::IndepSplit) {
-        sdimm::IndepSplitOram::Params p;
-        p.perGroupTree.levels = 6;
-        p.perGroupTree.stashCapacity = 200;
-        p.groups = kUnitsPerShard;
-        p.slicesPerGroup = 2;
-        fault::FaultPlan plan = burstPlan(plan_seed);
-        plan.correlatedFailures[0].atAccess = accesses / 4;
-        fault::FaultInjector inj(plan);
-        sdimm::IndepSplitOram o(p, plan_seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        Rng rng(secret_seed);
-        for (std::size_t i = 0; i < accesses; ++i)
-            o.access(rng.nextBelow(o.capacityBlocks()),
-                     oram::OramOp::Read, nullptr);
-        std::vector<verify::TraceEvent> t;
-        for (const sdimm::GroupBusEvent &e : o.busTrace())
-            t.push_back(verify::TraceEvent{
-                verify::TraceEventKind::ShortCmd,
-                (static_cast<std::uint64_t>(e.type) << 8) | e.group, 0});
-        return clockedTrace(std::move(t));
-    }
-    // Split: the visible channel is the leaf sequence.
-    sdimm::SplitOram::Params p;
-    p.tree.levels = 6;
-    p.tree.stashCapacity = 200;
-    p.slices = 2;
-    fault::FaultInjector inj(transientPlan(plan_seed));
-    sdimm::SplitOram o(p, plan_seed);
-    o.setFaultInjector(&inj);
-    Rng rng(secret_seed);
-    for (std::size_t i = 0; i < accesses; ++i)
-        o.access(rng.nextBelow(o.capacityBlocks()), oram::OramOp::Read,
-                 nullptr);
-    std::vector<verify::TraceEvent> t;
-    for (const LeafId leaf : o.leafTrace())
-        t.push_back(verify::TraceEvent{verify::TraceEventKind::Read,
-                                       leaf, 0});
-    return clockedTrace(std::move(t));
+    if (spec.protocol == Protocol::Split)
+        return observedRun(splitTwinOptions(plan_seed), secret_seed,
+                           accesses);
+    core::SecureMemorySystem::Options o;
+    o.protocol = spec.protocol;
+    o.capacityBytes = 1 << 18;
+    o.seed = plan_seed;
+    o.faultPlan = fault::FaultPlan::uniform(0.01, plan_seed);
+    return observedRun(o, secret_seed, accesses);
 }
 
 /** One sharded run under the chaos plans; returns the interleaved
@@ -657,6 +649,14 @@ schedRun(const DesignSpec &spec, std::uint64_t campaign_seed,
     return rec.events();
 }
 
+/** Units in an MI twin: kUnitsPerShard SDIMMs, but two groups for
+ *  INDEP-SPLIT. */
+unsigned
+miUnits(const DesignSpec &spec)
+{
+    return spec.protocol == Protocol::Independent ? kUnitsPerShard : 2;
+}
+
 /** Locality-phased MI with chaos armed (the flat designs must still
  *  measure zero; Freecursive's PLB channel must still be caught). */
 verify::LeakReport
@@ -668,50 +668,14 @@ measureChaosMi(const DesignSpec &spec, const verify::PlbLeakOptions &opts)
     if (spec.protocol == Protocol::Freecursive)
         return verify::measurePlbLocalityLeak(
             verify::LeakDesign::Freecursive, opts);
-    if (spec.protocol == Protocol::Independent) {
-        sdimm::IndependentOram::Params p;
-        p.perSdimm.levels = 6;
-        p.perSdimm.stashCapacity = 200;
-        p.numSdimms = kUnitsPerShard;
-        fault::FaultPlan plan =
-            fault::FaultPlan::hardDeath(1, opts.requests / 4, opts.seed);
-        plan.linkCorruptRate = 0.002;
-        fault::FaultInjector inj(plan);
-        sdimm::IndependentOram o(p, opts.seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        return verify::measureLocalityLeakWith(
-            spec.name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.busTrace().size(); });
-    }
-    if (spec.protocol == Protocol::IndepSplit) {
-        sdimm::IndepSplitOram::Params p;
-        p.perGroupTree.levels = 6;
-        p.perGroupTree.stashCapacity = 200;
-        p.groups = 2;
-        p.slicesPerGroup = 2;
-        fault::FaultPlan plan =
-            fault::FaultPlan::hardDeath(1, opts.requests / 4, opts.seed);
-        plan.linkCorruptRate = 0.002;
-        fault::FaultInjector inj(plan);
-        sdimm::IndepSplitOram o(p, opts.seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        return verify::measureLocalityLeakWith(
-            spec.name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.busTrace().size(); });
-    }
-    sdimm::SplitOram::Params p;
-    p.tree.levels = 6;
-    p.tree.stashCapacity = 200;
-    p.slices = 2;
-    fault::FaultInjector inj(transientPlan(opts.seed));
-    sdimm::SplitOram o(p, opts.seed);
-    o.setFaultInjector(&inj);
-    return verify::measureLocalityLeakWith(
-        spec.name, o.capacityBlocks(), opts,
-        [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-        [&] { return o.leafTrace().size(); });
+    if (!spec.unitDesign)
+        return observedMi(spec, splitTwinOptions(opts.seed), opts);
+    fault::FaultPlan plan =
+        fault::FaultPlan::hardDeath(1, opts.requests / 4, opts.seed);
+    plan.linkCorruptRate = 0.002;
+    return observedMi(spec, unitTwinOptions(spec, miUnits(spec), plan,
+                                            opts.seed),
+                      opts);
 }
 
 struct PostChaosResult
@@ -765,44 +729,12 @@ std::vector<verify::TraceEvent>
 deepRunByz(const DesignSpec &spec, std::uint64_t secret_seed,
            std::uint64_t plan_seed, std::size_t accesses)
 {
-    const fault::FaultPlan plan =
-        fault::FaultPlan::byzantineCorruptor(1, accesses / 4, plan_seed);
-    fault::FaultInjector inj(plan);
-    if (spec.protocol == Protocol::Independent) {
-        sdimm::IndependentOram::Params p;
-        p.perSdimm.levels = 6;
-        p.perSdimm.stashCapacity = 200;
-        p.numSdimms = kUnitsPerShard;
-        sdimm::IndependentOram o(p, plan_seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        Rng rng(secret_seed);
-        for (std::size_t i = 0; i < accesses; ++i)
-            o.access(rng.nextBelow(o.capacityBlocks()),
-                     oram::OramOp::Read, nullptr);
-        std::vector<verify::TraceEvent> t;
-        for (const sdimm::BusEvent &e : o.busTrace())
-            t.push_back(verify::TraceEvent{
-                verify::TraceEventKind::ShortCmd,
-                (static_cast<std::uint64_t>(e.type) << 8) | e.sdimm, 0});
-        return clockedTrace(std::move(t));
-    }
-    sdimm::IndepSplitOram::Params p;
-    p.perGroupTree.levels = 6;
-    p.perGroupTree.stashCapacity = 200;
-    p.groups = kUnitsPerShard;
-    p.slicesPerGroup = 2;
-    sdimm::IndepSplitOram o(p, plan_seed);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-    Rng rng(secret_seed);
-    for (std::size_t i = 0; i < accesses; ++i)
-        o.access(rng.nextBelow(o.capacityBlocks()),
-                 oram::OramOp::Read, nullptr);
-    std::vector<verify::TraceEvent> t;
-    for (const sdimm::GroupBusEvent &e : o.busTrace())
-        t.push_back(verify::TraceEvent{
-            verify::TraceEventKind::ShortCmd,
-            (static_cast<std::uint64_t>(e.type) << 8) | e.group, 0});
-    return clockedTrace(std::move(t));
+    return observedRun(
+        unitTwinOptions(spec, kUnitsPerShard,
+                        fault::FaultPlan::byzantineCorruptor(
+                            1, accesses / 4, plan_seed),
+                        plan_seed),
+        secret_seed, accesses);
 }
 
 /** Locality-phased MI with a conviction landing mid-measurement: the
@@ -810,32 +742,12 @@ deepRunByz(const DesignSpec &spec, std::uint64_t secret_seed,
 verify::LeakReport
 measureByzMi(const DesignSpec &spec, const verify::PlbLeakOptions &opts)
 {
-    const fault::FaultPlan plan = fault::FaultPlan::byzantineCorruptor(
-        1, opts.requests / 4, opts.seed);
-    fault::FaultInjector inj(plan);
-    if (spec.protocol == Protocol::Independent) {
-        sdimm::IndependentOram::Params p;
-        p.perSdimm.levels = 6;
-        p.perSdimm.stashCapacity = 200;
-        p.numSdimms = kUnitsPerShard;
-        sdimm::IndependentOram o(p, opts.seed);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        return verify::measureLocalityLeakWith(
-            spec.name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.busTrace().size(); });
-    }
-    sdimm::IndepSplitOram::Params p;
-    p.perGroupTree.levels = 6;
-    p.perGroupTree.stashCapacity = 200;
-    p.groups = 2;
-    p.slicesPerGroup = 2;
-    sdimm::IndepSplitOram o(p, opts.seed);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-    return verify::measureLocalityLeakWith(
-        spec.name, o.capacityBlocks(), opts,
-        [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-        [&] { return o.busTrace().size(); });
+    return observedMi(spec,
+                      unitTwinOptions(spec, miUnits(spec),
+                                      fault::FaultPlan::byzantineCorruptor(
+                                          1, opts.requests / 4, opts.seed),
+                                      opts.seed),
+                      opts);
 }
 
 struct PostByzResult
@@ -944,8 +856,8 @@ kvChaosRun(const DesignSpec &spec, std::uint64_t plan_seed,
     opt.serve.shard.capacityBytes = slots * bps * blockBytes;
     app::ObliviousKVStore store(opt);
 
-    // Per-shard bucket traces exist only for the tree protocols; the
-    // SDIMM protocols are gated by the schedule comparison alone.
+    // Per-shard deep traces gate the tree protocols only; the SDIMM
+    // protocols are gated by the schedule comparison alone.
     const bool tree = spec.protocol == Protocol::PathOram ||
                       spec.protocol == Protocol::Freecursive;
     std::vector<std::unique_ptr<verify::ChannelObserver>> observers;

@@ -7,7 +7,8 @@
  *
  * Usage:
  *   sdimm_fuzz [--seed N] [--iters N]
- *              [--target codec|frames|link|messages|faults|permanent|all]
+ *              [--target codec|frames|link|messages|json|faults|
+ *                        permanent|all]
  *              [--faults] [--permanent-faults]
  *
  * `--faults` (or `--target faults`) selects the fault-recovery soak:
@@ -49,6 +50,7 @@ constexpr Campaign kCampaigns[] = {
     {"frames", secdimm::verify::fuzzCommandFrames, 1},
     {"link", secdimm::verify::fuzzLinkSession, 1},
     {"messages", secdimm::verify::fuzzMessageCodecs, 1},
+    {"json", secdimm::verify::fuzzJson, 1},
     {"faults", secdimm::verify::fuzzFaultRecovery, 1000},
     {"permanent", secdimm::verify::fuzzPermanentFaults, 1000},
 };
@@ -60,7 +62,8 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--seed N] [--iters N] [--faults] "
         "[--permanent-faults] "
-        "[--target codec|frames|link|messages|faults|permanent|all]\n",
+        "[--target codec|frames|link|messages|json|faults|permanent|"
+        "all]\n",
         argv0);
 }
 

@@ -34,10 +34,8 @@
 
 #include "app/kv_leak.hh"
 #include "crypto/aes128.hh"
+#include "core/secure_memory_system.hh"
 #include "oram/path_oram.hh"
-#include "sdimm/indep_split_oram.hh"
-#include "sdimm/independent_oram.hh"
-#include "sdimm/split_oram.hh"
 #include "util/rng.hh"
 #include "verify/leak_meter.hh"
 #include "verify/trace_checker.hh"
@@ -47,48 +45,30 @@ namespace
 
 using namespace secdimm;
 
-/** Locality-phased MI measurement for the SDIMM functional designs
- *  (the built-in harness covers PathOram / Freecursive). */
+/**
+ * Locality-phased MI measurement for the SDIMM functional designs
+ * (the built-in harness covers PathOram / Freecursive): two SDIMMs or
+ * groups of 6-level trees, or one 6-level Split tree, observed
+ * through SecureMemorySystem.
+ */
 verify::LeakReport
-measureSdimmDesign(const std::string &name,
+measureSdimmDesign(core::SecureMemorySystem::Protocol protocol,
+                   const std::string &name,
                    const verify::PlbLeakOptions &opts)
 {
-    if (name == "Independent") {
-        sdimm::IndependentOram::Params ip;
-        ip.perSdimm.levels = 6;
-        ip.perSdimm.stashCapacity = 200;
-        ip.numSdimms = 2;
-        sdimm::IndependentOram o(ip, opts.seed);
-        return verify::measureLocalityLeakWith(
-            name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.busTrace().size(); });
-    }
-    if (name == "Split") {
-        sdimm::SplitOram::Params sp;
-        sp.tree.levels = 6;
-        sp.tree.stashCapacity = 200;
-        sp.slices = 2;
-        sdimm::SplitOram o(sp, opts.seed);
-        return verify::measureLocalityLeakWith(
-            name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.leafTrace().size(); });
-    }
-    if (name == "IndepSplit") {
-        sdimm::IndepSplitOram::Params gp;
-        gp.perGroupTree.levels = 6;
-        gp.perGroupTree.stashCapacity = 200;
-        gp.groups = 2;
-        gp.slicesPerGroup = 2;
-        sdimm::IndepSplitOram o(gp, opts.seed);
-        return verify::measureLocalityLeakWith(
-            name, o.capacityBlocks(), opts,
-            [&](Addr a) { o.access(a, oram::OramOp::Read, nullptr); },
-            [&] { return o.busTrace().size(); });
-    }
-    std::fprintf(stderr, "unknown SDIMM design %s\n", name.c_str());
-    std::exit(2);
+    core::SecureMemorySystem::Options o;
+    o.protocol = protocol;
+    o.capacityBytes =
+        (protocol == core::SecureMemorySystem::Protocol::Split ? 128
+                                                                : 256) *
+        blockBytes;
+    o.seed = opts.seed;
+    core::SecureMemorySystem mem(o);
+    verify::ChannelObserver obs;
+    mem.attachObserver(obs);
+    return verify::measureObservedLocalityLeak(
+        name, mem.capacityBytes() / blockBytes, opts,
+        [&](Addr a) { mem.readBlock(a); }, obs);
 }
 
 /** One positive-control result: v1 verdict vs v2 verdict. */
@@ -109,7 +89,7 @@ controlTrace(std::uint64_t seed, std::size_t accesses)
     oram::PathOram o(p, crypto::makeKey(0xc0, seed),
                      crypto::makeKey(0xc1, seed * 3 + 1), seed);
     verify::ChannelObserver obs;
-    obs.attach(o.store());
+    obs.attach(o);
     Rng rng(seed * 7 + 5);
     for (std::size_t i = 0; i < accesses; ++i)
         o.access(rng.nextBelow(o.params().capacityBlocks()),
@@ -273,18 +253,20 @@ main(int argc, char **argv)
     opts.requests = requests;
     opts.seed = seed;
 
+    using Protocol = core::SecureMemorySystem::Protocol;
     struct DesignSpec
     {
         const char *cli;
         const char *name;
+        Protocol protocol;
         bool expectLeak;
     };
     const std::vector<DesignSpec> specs = {
-        {"path", "PathOram", false},
-        {"freecursive", "Freecursive", true},
-        {"independent", "Independent", false},
-        {"split", "Split", false},
-        {"indepsplit", "IndepSplit", false},
+        {"path", "PathOram", Protocol::PathOram, false},
+        {"freecursive", "Freecursive", Protocol::Freecursive, true},
+        {"independent", "Independent", Protocol::Independent, false},
+        {"split", "Split", Protocol::Split, false},
+        {"indepsplit", "IndepSplit", Protocol::IndepSplit, false},
     };
 
     std::vector<verify::LeakReport> reports;
@@ -293,14 +275,14 @@ main(int argc, char **argv)
         if (design != "all" && design != spec.cli)
             continue;
         verify::LeakReport r;
-        if (std::strcmp(spec.name, "PathOram") == 0) {
+        if (spec.protocol == Protocol::PathOram) {
             r = verify::measurePlbLocalityLeak(
                 verify::LeakDesign::PathOram, opts);
-        } else if (std::strcmp(spec.name, "Freecursive") == 0) {
+        } else if (spec.protocol == Protocol::Freecursive) {
             r = verify::measurePlbLocalityLeak(
                 verify::LeakDesign::Freecursive, opts);
         } else {
-            r = measureSdimmDesign(spec.name, opts);
+            r = measureSdimmDesign(spec.protocol, spec.name, opts);
         }
         std::printf("%s\n", r.summary().c_str());
         reports.push_back(r);
