@@ -1,350 +1,78 @@
 #include "sdimm/independent_oram.hh"
 
-#include <algorithm>
 #include <cctype>
 
 #include "fault/fault_injector.hh"
-#include "util/bit_utils.hh"
 #include "util/logging.hh"
 
 namespace secdimm::sdimm
 {
 
 IndependentOram::IndependentOram(const Params &params, std::uint64_t seed)
-    : params_(params),
-      localLevels_(params.perSdimm.levels),
-      rng_(seed)
+    : IndependentFrontend("sdimm", "quarantined", params.numSdimms,
+                          params.perSdimm, seed),
+      params_(params)
 {
-    SD_ASSERT(isPowerOfTwo(params_.numSdimms));
+    // Each link handshake draws from rng_ before the PosMap fill.
     for (unsigned i = 0; i < params_.numSdimms; ++i) {
         buffers_.push_back(std::make_unique<SecureBuffer>(
             params_.perSdimm, i, seed * 1000003 + i,
             params_.transferCapacity, params_.drainProb, rng_));
     }
-    const std::uint64_t global_leaves =
-        static_cast<std::uint64_t>(params_.numSdimms) *
-        params_.perSdimm.numLeaves();
-    posMap_.resize(capacityBlocks());
-    for (auto &leaf : posMap_)
-        leaf = rng_.nextBelow(global_leaves);
-}
-
-std::uint64_t
-IndependentOram::capacityBlocks() const
-{
-    return static_cast<std::uint64_t>(params_.numSdimms) *
-           params_.perSdimm.capacityBlocks();
-}
-
-unsigned
-IndependentOram::sdimmOf(LeafId global_leaf) const
-{
-    return static_cast<unsigned>(global_leaf >> localLevels_);
-}
-
-LeafId
-IndependentOram::localLeaf(LeafId global_leaf) const
-{
-    return global_leaf & ((LeafId{1} << localLevels_) - 1);
+    fillPositionMap();
 }
 
 void
 IndependentOram::setFaultInjector(fault::FaultInjector *inj,
                                   fault::DegradationPolicy policy)
 {
-    injector_ = inj;
-    policy_ = policy;
-    quarantined_.assign(params_.numSdimms, false);
+    armFrontend(inj, policy);
     for (auto &b : buffers_)
         b->setFaultInjector(inj);
 }
 
 void
-IndependentOram::quarantine(unsigned sdimm)
+IndependentOram::sendProbe(unsigned sdimm)
 {
-    if (quarantined_.empty())
-        quarantined_.assign(params_.numSdimms, false);
-    SD_ASSERT(sdimm < quarantined_.size());
-    if (!quarantined_[sdimm] && injector_)
-        injector_->recordQuarantine();
-    quarantined_[sdimm] = true;
+    recordBus(SdimmCommandType::Probe, sdimm, 0);
 }
 
-unsigned
-IndependentOram::quarantinedCount() const
+std::vector<oram::StashEntry>
+IndependentOram::residentBlocks(unsigned sdimm)
 {
-    unsigned n = 0;
-    for (const bool q : quarantined_)
-        n += q ? 1 : 0;
-    return n;
+    // Also covers the chip-internal stash and transfer-queue state the
+    // model keeps alongside the tree.
+    return buffers_[sdimm]->residentBlocks();
 }
 
-LeafId
-IndependentOram::drawGlobalLeaf()
+bool
+IndependentOram::appendSlot(unsigned sdimm, const oram::StashEntry *real)
 {
-    const std::uint64_t global_leaves =
-        static_cast<std::uint64_t>(params_.numSdimms) *
-        params_.perSdimm.numLeaves();
-    // One draw in the common case; redraws only consult the (public)
-    // quarantine set, never data, so the draw count stays
-    // data-independent.  At least one SDIMM is always in service.
-    LeafId leaf;
-    do {
-        leaf = rng_.nextBelow(global_leaves);
-    } while (isQuarantined(sdimmOf(leaf)) &&
-             quarantinedCount() < params_.numSdimms);
-    return leaf;
+    AppendRequest app;
+    if (real) {
+        app.real = true;
+        app.addr = real->addr;
+        app.localLeaf = real->leaf;
+        app.data = real->data;
+    }
+    return sendAppend(sdimm, app);
 }
 
 void
-IndependentOram::onUnrecoverable(fault::FaultKind kind, unsigned sdimm,
-                                 const std::string &site,
-                                 unsigned attempts)
+IndependentOram::padAppend(unsigned sdimm)
 {
-    if (policy_ != fault::DegradationPolicy::Degraded) {
-        injector_->recordUnrecovered(kind, site, attempts);
-        failedStop_ = true;
-        return;
-    }
-    const bool was = isQuarantined(sdimm);
-    if (!was && quarantinedCount() + 1 >= params_.numSdimms) {
-        // Quarantining the last unit in service leaves nowhere to
-        // evacuate to: fall back to FailStop with a distinct ledger
-        // entry instead of dummy-padding an APPEND stream into
-        // nothing.
-        injector_->recordUnrecovered(kind, site + ".zero_survivors",
-                                     attempts);
-        injector_->recordZeroSurvivorFailStop();
-        quarantine(sdimm);
-        failedStop_ = true;
-        return;
-    }
-    injector_->recordUnrecovered(kind, site, attempts);
-    quarantine(sdimm);
-    if (!was)
-        evacuateSdimm(sdimm);
+    recordBus(SdimmCommandType::Append, sdimm, appendBodyBytes);
 }
 
-void
-IndependentOram::runWatchdog(unsigned sdimm)
+bool
+IndependentOram::sendAppend(unsigned sdimm, const AppendRequest &app)
 {
-    const fault::FaultPlan &plan = injector_->plan();
-    for (unsigned p = 0; p < plan.watchdogMaxProbes; ++p) {
-        recordBus(SdimmCommandType::Probe, sdimm, 0);
-        injector_->recordWatchdogProbe(plan.watchdogBackoff(p));
-    }
-    injector_->markPermanentDetected(sdimm);
-}
-
-void
-IndependentOram::handleDeadUnit(unsigned sdimm, const std::string &site,
-                                unsigned attempts)
-{
-    if (policy_ != fault::DegradationPolicy::Degraded) {
-        injector_->recordUnrecovered(fault::FaultKind::WatchdogTimeout,
-                                     site, attempts);
-        failedStop_ = true;
-        return;
-    }
-    if (quarantinedCount() + 1 >= params_.numSdimms) {
-        // Zero survivors after this quarantine: distinct ledger entry
-        // + FailStop (see onUnrecoverable).  Detection already closed
-        // by the watchdog, so the identity detected == recovered +
-        // unrecovered still holds exactly.
-        injector_->recordUnrecovered(fault::FaultKind::WatchdogTimeout,
-                                     site + ".zero_survivors", attempts);
-        injector_->recordZeroSurvivorFailStop();
-        quarantine(sdimm);
-        failedStop_ = true;
-        return;
-    }
-    injector_->recordRecovered(fault::FaultKind::WatchdogTimeout, site,
-                               attempts);
-    quarantine(sdimm);
-    evacuateSdimm(sdimm);
-}
-
-void
-IndependentOram::sweepPermanentFaults()
-{
-    for (unsigned i = 0; i < params_.numSdimms; ++i) {
-        if (failedStop_)
-            return;
-        if (isQuarantined(i) || !injector_->unitDead(i))
-            continue;
-        runWatchdog(i);
-        handleDeadUnit(i, "watchdog.sdimm" + std::to_string(i),
-                       injector_->plan().watchdogMaxProbes);
-    }
-    sweepRetirement();
-}
-
-void
-IndependentOram::sweepRetirement()
-{
-    if (failedStop_ || injector_->plan().retireTaxThresholdCycles == 0)
-        return;
-    for (unsigned i = 0; i < params_.numSdimms; ++i) {
-        if (!isQuarantined(i))
-            injector_->noteUnitTax(i, injector_->unitLatencyPenalty(i));
-    }
-    if (policy_ != fault::DegradationPolicy::Degraded)
-        return;
-    for (unsigned i = 0; i < params_.numSdimms; ++i) {
-        if (isQuarantined(i) || !injector_->retirementDue(i))
-            continue;
-        if (quarantinedCount() + 1 >= params_.numSdimms)
-            continue; // never retire the last unit in service
-        injector_->markRetired(i);
-        ++retiredUnits_;
-        quarantine(i);
-        evacuateSdimm(i);
-    }
-}
-
-void
-IndependentOram::noteUnitSuspicion(unsigned sdimm, double blame)
-{
-    if (!injector_)
-        return;
-    injector_->noteMistrust(sdimm, blame);
-    if (!injector_->mistrustArmed() ||
-        policy_ != fault::DegradationPolicy::Degraded)
-        return;
-    if (failedStop_ || isQuarantined(sdimm))
-        return;
-    if (injector_->convictionDue(sdimm))
-        convictUnit(sdimm);
-}
-
-void
-IndependentOram::convictUnit(unsigned sdimm)
-{
-    const std::string site = "mistrust.sdimm" + std::to_string(sdimm);
-    injector_->markConvicted(sdimm);
-    ++convictedUnits_;
-    if (quarantinedCount() + 1 >= params_.numSdimms) {
-        // Convicting the last unit in service leaves nowhere to
-        // evacuate to: distinct zero-survivor ledger entry + FailStop,
-        // same shape as handleDeadUnit.
-        injector_->recordUnrecovered(fault::FaultKind::ByzantineConvict,
-                                     site + ".zero_survivors", 0);
-        injector_->recordZeroSurvivorFailStop();
-        quarantine(sdimm);
-        failedStop_ = true;
-        return;
-    }
-    injector_->recordRecovered(fault::FaultKind::ByzantineConvict, site,
-                               0);
-    quarantine(sdimm);
-    evacuateSdimm(sdimm);
-}
-
-void
-IndependentOram::evacuateSdimm(unsigned sdimm)
-{
-    /*
-     * Maintenance-path read: the buffer chip's protocol engine is
-     * dead but the raw DRAM behind it is still readable (docs/FAULTS.md
-     * states the assumption); this also covers the chip-internal stash
-     * and transfer-queue state the model keeps alongside the tree.
-     */
-    const std::vector<oram::StashEntry> live =
-        buffers_[sdimm]->residentBlocks();
-
-    // PosMap remaps are CPU-private: every address routed at the dead
-    // SDIMM is silently redrawn among the survivors before any wire
-    // traffic, so the APPEND destinations below look like any other
-    // relocation.
-    for (Addr a = 0; a < posMap_.size(); ++a) {
-        if (sdimmOf(posMap_[a]) == sdimm)
-            posMap_[a] = drawGlobalLeaf();
-    }
-
-    /*
-     * Dummy-padded APPEND streams: the slot count is the per-SDIMM
-     * tree capacity (public geometry), padded up only when more than
-     * that is live -- and the live count is a function of the public
-     * leaf randomness, never of block contents.
-     */
-    const std::uint64_t slots = std::max<std::uint64_t>(
-        params_.perSdimm.capacityBlocks(), live.size());
-    ++evacuationDepth_;
-    SD_ASSERT(evacuationDepth_ <= params_.numSdimms);
-    for (std::uint64_t s = 0; s < slots; ++s) {
-        const bool have = s < live.size();
-        bool placed = false;
-        bool redo = true;
-        while (redo) {
-            redo = false;
-            const unsigned quarantinedBefore = quarantinedCount();
-            for (unsigned i = 0; i < params_.numSdimms; ++i) {
-                /*
-                 * Re-entrant recovery: a correlated cascade can
-                 * surface a SECOND death while this evacuation is
-                 * mid-stream.  The watchdog fires here, the new
-                 * corpse is quarantined, and its evacuation nests
-                 * inside this one (the unit is quarantined before the
-                 * recursion, so the depth is bounded by numSdimms).
-                 * Blocks this loop already re-appended onto the newly
-                 * dead unit are in its buffer and get drained by the
-                 * nested pass; blocks still pending re-read posMap_
-                 * fresh below, so they route around it.
-                 */
-                if (!failedStop_ && !isQuarantined(i) &&
-                    injector_->unitDead(i)) {
-                    ++nestedEvacuations_;
-                    runWatchdog(i);
-                    handleDeadUnit(i,
-                                   "watchdog.sdimm" + std::to_string(i) +
-                                       ".mid_evac",
-                                   injector_->plan().watchdogMaxProbes);
-                }
-                AppendRequest app;
-                if (have && !failedStop_ && !placed) {
-                    const LeafId leaf = posMap_[live[s].addr];
-                    app.real = !isQuarantined(i) && sdimmOf(leaf) == i;
-                    if (app.real) {
-                        app.addr = live[s].addr;
-                        app.localLeaf = localLeaf(leaf);
-                        app.data = live[s].data;
-                    }
-                }
-                if (failedStop_ || isQuarantined(i)) {
-                    recordBus(SdimmCommandType::Append, i,
-                              appendBodyBytes);
-                    continue;
-                }
-                const bool ok = transmitUplink(
-                    i, SdimmCommandType::Append,
-                    [&] {
-                        return buffers_[i]->cpuLink().seal(
-                            0x03, packAppend(app));
-                    },
-                    [&](const SealedMessage &m) {
-                        return buffers_[i]->handleAppend(m);
-                    });
-                if (app.real && ok)
-                    placed = true;
-            }
-            /*
-             * A nested evacuation (or a budget-exhaustion quarantine
-             * inside transmitUplink) can redraw this slot's
-             * destination onto a unit the sweep above had ALREADY
-             * passed, silently dropping the block.  Whenever the
-             * quarantine set changed mid-sweep -- a public,
-             * fault-triggered event -- re-run the slot: the block (if
-             * still unplaced) lands on its redrawn survivor, and an
-             * already-placed block rides the re-run as all-dummy
-             * padding, indistinguishable on the wire.
-             */
-            if (!failedStop_ && quarantinedCount() != quarantinedBefore)
-                redo = true;
-        }
-    }
-    --evacuationDepth_;
-    evacuatedBlocks_ += live.size();
-    injector_->recordEvacuation(live.size(), slots * params_.numSdimms);
+    return transmitUplink(
+        sdimm, SdimmCommandType::Append,
+        [&] { return buffers_[sdimm]->cpuLink().seal(0x03, packAppend(app)); },
+        [&](const SealedMessage &m) {
+            return buffers_[sdimm]->handleAppend(m);
+        });
 }
 
 bool
@@ -399,25 +127,12 @@ BlockData
 IndependentOram::access(Addr addr, oram::OramOp op,
                         const BlockData *new_data)
 {
-    SD_ASSERT(addr < posMap_.size());
     const bool write = op == oram::OramOp::Write;
     SD_ASSERT(!write || new_data != nullptr);
 
-    // Permanent faults surface here: the watchdog notices a silent
-    // SDIMM before the PosMap lookup, so a quarantine's remaps are
-    // already in place when the leaf below is read.
-    if (injector_) {
-        injector_->noteAccess();
-        sweepPermanentFaults();
-    }
-
-    // Frontend: look up and remap the global leaf.
-    const LeafId old_leaf = posMap_[addr];
-    const LeafId new_leaf = drawGlobalLeaf();
-    posMap_[addr] = new_leaf;
-
-    const unsigned src = sdimmOf(old_leaf);
-    const unsigned dst = sdimmOf(new_leaf);
+    const auto [old_leaf, new_leaf] = beginAccess(addr);
+    const unsigned src = unitOf(old_leaf);
+    const unsigned dst = unitOf(new_leaf);
     const bool stays = src == dst;
 
     // A stopped protocol or a quarantined source SDIMM still walks
@@ -432,20 +147,11 @@ IndependentOram::access(Addr addr, oram::OramOp op,
         recordBus(SdimmCommandType::FetchResult, src,
                   responseBodyBytes);
         for (unsigned i = 0; i < params_.numSdimms; ++i) {
-            AppendRequest app; // all-dummy: nothing real survives
-            if (failedStop_ || isQuarantined(i)) {
-                recordBus(SdimmCommandType::Append, i, appendBodyBytes);
-                continue;
-            }
-            transmitUplink(
-                i, SdimmCommandType::Append,
-                [&] {
-                    return buffers_[i]->cpuLink().seal(0x03,
-                                                       packAppend(app));
-                },
-                [&](const SealedMessage &m) {
-                    return buffers_[i]->handleAppend(m);
-                });
+            // All-dummy: nothing real survives.
+            if (failedStop_ || isQuarantined(i))
+                padAppend(i);
+            else
+                appendSlot(i, nullptr);
         }
         return BlockData{};
     }
@@ -541,27 +247,11 @@ IndependentOram::access(Addr addr, oram::OramOp op,
             srcBlame += 1.0;
             recordBus(SdimmCommandType::Probe, src, 0);
             if (attempts >= budget) {
-                if (injector_->mistrustArmed() &&
-                    policy_ == fault::DegradationPolicy::Degraded &&
-                    !isQuarantined(src) &&
-                    quarantinedCount() + 1 < params_.numSdimms) {
-                    /*
-                     * Preemption-conviction: a persistent corruptor
-                     * exhausts the re-FETCH budget on its very first
-                     * access, long before the EWMA hysteresis can run
-                     * out.  Convicting here instead of falling into
-                     * the lossy transient-exhaustion path keeps the
-                     * in-flight block: the final detection is closed
-                     * as recovered (the conviction IS the recovery),
-                     * the unit is evicted, and the true response is
-                     * read over the maintenance path -- the byzantine
-                     * lie garbled the sealed frame, not the chip's
-                     * honest response latch.
-                     */
-                    injector_->recordRecovered(
-                        kind, "downlink.FETCH_RESULT.convict",
-                        attempts);
-                    convictUnit(src);
+                if (preemptConviction(src, kind, "downlink.FETCH_RESULT",
+                                      attempts)) {
+                    // The byzantine lie garbled the sealed frame, not
+                    // the chip's honest response latch: read the true
+                    // response over the maintenance path.
                     const auto truth =
                         buffers_[src]->maintenanceResult();
                     SD_ASSERT(truth.has_value());
@@ -629,7 +319,7 @@ IndependentOram::access(Addr addr, oram::OramOp op,
     // destination) evacuates that unit and remaps the posMap, and the
     // real APPEND must follow the block.
     const LeafId out_leaf = posMap_[addr];
-    const unsigned out_dst = sdimmOf(out_leaf);
+    const unsigned out_dst = unitOf(out_leaf);
     for (unsigned i = 0; i < params_.numSdimms; ++i) {
         AppendRequest app;
         app.real = !stays && i == out_dst;
@@ -641,17 +331,10 @@ IndependentOram::access(Addr addr, oram::OramOp op,
         if (isQuarantined(i)) {
             // Dead SDIMM: keep the channel shape, nothing to deliver
             // (drawGlobalLeaf() never routes a real block here).
-            recordBus(SdimmCommandType::Append, i, appendBodyBytes);
+            padAppend(i);
             continue;
         }
-        transmitUplink(
-            i, SdimmCommandType::Append,
-            [&] {
-                return buffers_[i]->cpuLink().seal(0x03, packAppend(app));
-            },
-            [&](const SealedMessage &m) {
-                return buffers_[i]->handleAppend(m);
-            });
+        sendAppend(i, app);
     }
 
     return result;
@@ -713,15 +396,7 @@ IndependentOram::exportMetrics(util::MetricsRegistry &m,
         buffers_[i]->exportMetrics(
             m, prefix + ".buf" + std::to_string(i));
     }
-    m.setCounter(prefix + ".degraded_accesses", degradedAccesses_);
-    m.setCounter(prefix + ".quarantined", quarantinedCount());
-    m.setCounter(prefix + ".evacuated_blocks", evacuatedBlocks_);
-    if (nestedEvacuations_)
-        m.setCounter(prefix + ".nested_evacuations", nestedEvacuations_);
-    if (retiredUnits_)
-        m.setCounter(prefix + ".retired_units", retiredUnits_);
-    if (convictedUnits_)
-        m.setCounter(prefix + ".convicted_units", convictedUnits_);
+    exportFleetMetrics(m, prefix);
 }
 
 } // namespace secdimm::sdimm

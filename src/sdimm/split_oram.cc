@@ -716,10 +716,10 @@ SplitOram::tamperSlice(unsigned slice, std::uint64_t bucket_seq,
         0x01;
 }
 
-std::vector<std::pair<Addr, BlockData>>
+std::vector<oram::StashEntry>
 SplitOram::residentBlocks() const
 {
-    std::vector<std::pair<Addr, BlockData>> out;
+    std::vector<oram::StashEntry> out;
     const unsigned z = params_.tree.bucketBlocks;
     const unsigned L = params_.tree.levels;
     for (unsigned level = 0; level <= L; ++level) {
@@ -737,7 +737,9 @@ SplitOram::residentBlocks() const
                                     metaNonce(seq), ctr);
             for (unsigned slot = 0; slot < z; ++slot) {
                 Addr a;
+                LeafId l;
                 std::memcpy(&a, meta.data() + 16 * slot, 8);
+                std::memcpy(&l, meta.data() + 16 * slot + 8, 8);
                 if (a == invalidAddr)
                     continue;
                 std::vector<std::uint8_t> merged(blockBytes, 0);
@@ -748,14 +750,14 @@ SplitOram::residentBlocks() const
                                         dataNonce(seq, slot), ctr);
                 BlockData d{};
                 std::memcpy(d.data(), merged.data(), blockBytes);
-                out.emplace_back(a, d);
+                out.push_back({a, l, d});
             }
         }
     }
     for (const auto &kv : shadow_) {
         const ShadowEntry &e = kv.second;
         if (e.cpuResident) {
-            out.emplace_back(kv.first, e.data);
+            out.push_back({kv.first, e.leaf, e.data});
             continue;
         }
         std::vector<std::uint8_t> merged(blockBytes, 0);
@@ -769,7 +771,7 @@ SplitOram::residentBlocks() const
                                 e.srcCounter);
         BlockData d{};
         std::memcpy(d.data(), merged.data(), blockBytes);
-        out.emplace_back(kv.first, d);
+        out.push_back({kv.first, e.leaf, d});
     }
     return out;
 }

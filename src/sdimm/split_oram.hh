@@ -33,6 +33,7 @@
 #include "crypto/pmmac.hh"
 #include "oram/oram_engine.hh"
 #include "oram/oram_params.hh"
+#include "oram/stash.hh"
 #include "oram/tree_layout.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
@@ -160,13 +161,14 @@ class SplitOram final : public oram::OramEngine
                     std::uint64_t *checks_run = nullptr) const;
 
     /**
-     * Every live block in this group -- decrypted tree slots plus the
-     * shadow stash (CPU- or piece-resident).  Maintenance-path read
-     * used by INDEP-SPLIT group evacuation after a quarantine; the
-     * raw slice shares are still readable even when the group's
-     * protocol engines are dead (docs/FAULTS.md).
+     * Every live block in this group with its leaf -- decrypted tree
+     * slots plus the shadow stash (CPU- or piece-resident).
+     * Maintenance-path read used by INDEP-SPLIT group evacuation after
+     * a quarantine (the raw slice shares are still readable even when
+     * the group's protocol engines are dead, docs/FAULTS.md) and by
+     * its placement audit.
      */
-    std::vector<std::pair<Addr, BlockData>> residentBlocks() const;
+    std::vector<oram::StashEntry> residentBlocks() const;
 
     /** Export access/traffic counters under @p prefix. */
     void

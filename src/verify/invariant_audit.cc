@@ -176,23 +176,29 @@ auditRecursiveOram(const oram::RecursiveOram &o)
     return r;
 }
 
+namespace
+{
+
+/** Run the frontend's global placement audit, labelled @p design. */
+void
+checkPlacement(const sdimm::IndependentFrontend &o,
+               const std::vector<std::vector<oram::StashEntry>> &resident,
+               const char *design, AuditReport &r)
+{
+    for (const std::string &v : o.auditPlacement(resident, &r.checksRun))
+        r.violations.push_back(std::string(design) + ": " + v);
+}
+
+} // namespace
+
 AuditReport
 auditIndependentOram(const sdimm::IndependentOram &o)
 {
     AuditReport r;
-    const unsigned local_levels = o.params().perSdimm.levels;
     const LeafId local_leaves = o.params().perSdimm.numLeaves();
 
-    // addr -> (sdimm, local leaf) across trees, stashes, and queues.
-    std::unordered_map<Addr, std::pair<unsigned, LeafId>> where;
-    const auto place = [&](Addr addr, unsigned i, LeafId leaf) {
-        std::ostringstream os;
-        os << "independent: block " << addr
-           << " resident in two SDIMMs";
-        r.check(where.emplace(addr, std::make_pair(i, leaf)).second,
-                os.str());
-    };
-
+    // (addr, local leaf) per SDIMM across trees, stashes, and queues.
+    std::vector<std::vector<oram::StashEntry>> resident(o.numSdimms());
     for (unsigned i = 0; i < o.numSdimms(); ++i) {
         // A quarantined SDIMM legitimately holds stale copies of
         // blocks that were evacuated to survivors; its frozen state
@@ -202,10 +208,10 @@ auditIndependentOram(const sdimm::IndependentOram &o)
         const sdimm::SecureBuffer &buf = o.buffer(i);
         std::ostringstream label;
         label << "independent.sdimm" << i;
-        std::unordered_map<Addr, LeafId> resident;
-        walkPathOram(buf.oram(), false, label.str(), r, &resident);
-        for (const auto &kv : resident)
-            place(kv.first, i, kv.second);
+        std::unordered_map<Addr, LeafId> in_tree;
+        walkPathOram(buf.oram(), false, label.str(), r, &in_tree);
+        for (const auto &kv : in_tree)
+            resident[i].push_back({kv.first, kv.second, {}});
 
         r.merge(auditTransferQueue(buf.transferQueue()));
         for (const oram::StashEntry &e : buf.transferQueue().entries()) {
@@ -215,28 +221,10 @@ auditIndependentOram(const sdimm::IndependentOram &o)
                    << " leaf " << e.leaf << " out of range";
                 r.check(e.leaf < local_leaves, os.str());
             }
-            place(e.addr, i, e.leaf);
+            resident[i].push_back({e.addr, e.leaf, {}});
         }
     }
-
-    // Global placement: the PosMap's top leaf bits select the SDIMM a
-    // resident block must live in, the low bits its local leaf.
-    for (const auto &kv : where) {
-        const Addr addr = kv.first;
-        const LeafId global = o.leafOf(addr);
-        const auto expect_sdimm =
-            static_cast<unsigned>(global >> local_levels);
-        const LeafId expect_local =
-            global & ((LeafId{1} << local_levels) - 1);
-        std::ostringstream os;
-        os << "independent: block " << addr << " at sdimm "
-           << kv.second.first << " leaf " << kv.second.second
-           << ", PosMap says sdimm " << expect_sdimm << " leaf "
-           << expect_local;
-        r.check(kv.second.first == expect_sdimm &&
-                    kv.second.second == expect_local,
-                os.str());
-    }
+    checkPlacement(o, resident, "independent", r);
     return r;
 }
 
@@ -252,12 +240,18 @@ AuditReport
 auditIndepSplitOram(const sdimm::IndepSplitOram &o)
 {
     AuditReport r;
+    std::vector<std::vector<oram::StashEntry>> resident(o.groups());
     for (unsigned g = 0; g < o.groups(); ++g) {
         // Evacuated (quarantined) groups keep stale block copies.
-        if (o.isGroupQuarantined(g))
+        if (o.isQuarantined(g))
             continue;
+        // Each group's tree is driven with leaves from the global
+        // PosMap, so its own PosMap is stale: placement is checked
+        // globally below instead.
         r.merge(auditSplitOram(o.group(g), false));
+        resident[g] = o.group(g).residentBlocks();
     }
+    checkPlacement(o, resident, "indep_split", r);
     return r;
 }
 

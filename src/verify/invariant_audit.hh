@@ -86,7 +86,12 @@ AuditReport auditIndependentOram(const sdimm::IndependentOram &o);
 /** Audit a Split ORAM (slice MACs, counters, shares, shadow stash). */
 AuditReport auditSplitOram(const sdimm::SplitOram &o, bool check_posmap);
 
-/** Audit every Split group of an INDEP-SPLIT ORAM (structural). */
+/**
+ * Audit an INDEP-SPLIT ORAM: every in-service Split group
+ * (structural) and the same global placement invariant as Independent
+ * -- each resident block lives in exactly one group, the one its
+ * global PosMap leaf selects, under the matching local leaf.
+ */
 AuditReport auditIndepSplitOram(const sdimm::IndepSplitOram &o);
 
 /**

@@ -151,9 +151,9 @@ TEST(IndepSplitOram, GroupQuarantineEvacuatesAndServesFromSurvivor)
         oram.access(a, oram::OramOp::Write, &d);
         mirror[a] = d;
     }
-    EXPECT_TRUE(oram.isGroupQuarantined(0));
-    EXPECT_FALSE(oram.isGroupQuarantined(1));
-    EXPECT_EQ(oram.quarantinedGroupCount(), 1u);
+    EXPECT_TRUE(oram.isQuarantined(0));
+    EXPECT_FALSE(oram.isQuarantined(1));
+    EXPECT_EQ(oram.quarantinedCount(), 1u);
     EXPECT_FALSE(oram.failedStop());
     for (const auto &kv : mirror)
         EXPECT_EQ(oram.access(kv.first, oram::OramOp::Read), kv.second);

@@ -202,7 +202,7 @@ TEST(ByzantineDefense, EquivocatingGroupConvicted)
 
     EXPECT_EQ(inj.convictedUnits(), 1u);
     EXPECT_EQ(o.convictedUnits(), 1u);
-    EXPECT_TRUE(o.isGroupQuarantined(1));
+    EXPECT_TRUE(o.isQuarantined(1));
     EXPECT_FALSE(o.failedStop());
     EXPECT_EQ(countCorrupt(o, n), 0u);
     EXPECT_EQ(inj.unrecoveredTotal(), 0u);

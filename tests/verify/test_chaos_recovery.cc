@@ -2,8 +2,10 @@
  * @file
  * Chaos-layer acceptance: correlated multi-unit failure groups,
  * re-entrant (nested) recovery, the zero-survivor fail-stop, and
- * proactive latency-tax retirement.  Everything is seeded and
- * deterministic; the data-survival assertions are bit-exact.
+ * proactive latency-tax retirement, each run against both engines
+ * that share the Independent frontend (SDIMM Independent and
+ * INDEP-SPLIT).  Everything is seeded and deterministic; the
+ * data-survival assertions are bit-exact.
  *
  * The MidSweepRedraw regression pins the nastiest interaction found
  * while building the layer: a nested evacuation triggered inside a
@@ -17,6 +19,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_injector.hh"
@@ -40,31 +45,40 @@ valueBlock(std::uint64_t b)
     return d;
 }
 
-sdimm::IndependentOram::Params
-indepParams(unsigned units)
-{
-    sdimm::IndependentOram::Params p;
-    p.perSdimm.levels = 6;
-    p.perSdimm.stashCapacity = 200;
-    p.numSdimms = units;
-    return p;
-}
+using Engine = std::unique_ptr<sdimm::IndependentFrontend>;
 
-sdimm::IndepSplitOram::Params
-groupParams(unsigned groups)
-{
-    sdimm::IndepSplitOram::Params p;
-    p.perGroupTree.levels = 6;
-    p.perGroupTree.stashCapacity = 200;
-    p.groups = groups;
-    p.slicesPerGroup = 2;
-    return p;
-}
+/**
+ * Both engines that run the Independent frontend, over @p units units
+ * whose trees have 6 levels: SDIMMs for Independent, 2-slice Split
+ * groups for INDEP-SPLIT.  Every test below runs against each (the
+ * burst and zero-survivor checks as one named test per engine), so
+ * the one fault-policy code path is exercised through both designs'
+ * wire steps.
+ */
+const std::pair<const char *, Engine (*)(unsigned, std::uint64_t)>
+    kEngines[] = {
+        {"Independent",
+         [](unsigned units, std::uint64_t seed) -> Engine {
+             sdimm::IndependentOram::Params p;
+             p.perSdimm.levels = 6;
+             p.perSdimm.stashCapacity = 200;
+             p.numSdimms = units;
+             return std::make_unique<sdimm::IndependentOram>(p, seed);
+         }},
+        {"INDEP-SPLIT",
+         [](unsigned units, std::uint64_t seed) -> Engine {
+             sdimm::IndepSplitOram::Params p;
+             p.perGroupTree.levels = 6;
+             p.perGroupTree.stashCapacity = 200;
+             p.groups = units;
+             p.slicesPerGroup = 2;
+             return std::make_unique<sdimm::IndepSplitOram>(p, seed);
+         }},
+};
 
 /** Write blocks 0..n-1 in a seeded shuffled order. */
-template <typename Oram>
 void
-writeShuffled(Oram &o, std::uint64_t n, std::uint64_t order_seed)
+writeShuffled(oram::OramEngine &o, std::uint64_t n, std::uint64_t order_seed)
 {
     std::vector<std::uint64_t> order(n);
     for (std::uint64_t i = 0; i < n; ++i)
@@ -78,9 +92,8 @@ writeShuffled(Oram &o, std::uint64_t n, std::uint64_t order_seed)
     }
 }
 
-template <typename Oram>
 std::uint64_t
-countCorrupt(Oram &o, std::uint64_t n)
+countCorrupt(oram::OramEngine &o, std::uint64_t n)
 {
     std::uint64_t bad = 0;
     for (std::uint64_t b = 0; b < n; ++b) {
@@ -100,26 +113,31 @@ expectLedgerIdentity(const fault::FaultInjector &inj)
         << " unrecovered=" << inj.unrecoveredTotal();
 }
 
-TEST(ChaosRecovery, CorrelatedBurstNestsInsideEvacuation)
+/**
+ * Units 1 and 2 die in one simultaneous burst: the watchdog finds
+ * unit 1 first, and unit 2's death is discovered INSIDE unit 1's
+ * evacuation stream -- the recovery must nest, keep the ledger
+ * identity, and lose no data.
+ */
+void
+expectBurstNestsInsideEvacuation(const char *name,
+                                 Engine (*make)(unsigned, std::uint64_t))
 {
-    // Units 1 and 2 die in one simultaneous burst: the watchdog finds
-    // unit 1 first, and unit 2's death is discovered INSIDE unit 1's
-    // evacuation stream -- the recovery must nest, keep the ledger
-    // identity, and lose no data.
+    SCOPED_TRACE(name);
     fault::FaultInjector inj(
         fault::FaultPlan::correlatedDeath({1, 2}, 16, 0, 7));
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    const Engine o = make(4, 11);
+    o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
 
     const std::uint64_t n = 256;
-    writeShuffled(o, n, 3);
+    writeShuffled(*o, n, 3);
 
-    EXPECT_GT(o.nestedEvacuations(), 0u)
+    EXPECT_GT(o->nestedEvacuations(), 0u)
         << "the burst should be discovered mid-evacuation";
-    EXPECT_EQ(o.quarantinedCount(), 2u);
-    EXPECT_FALSE(o.failedStop());
-    EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(countCorrupt(o, n), 0u);
+    EXPECT_EQ(o->quarantinedCount(), 2u);
+    EXPECT_FALSE(o->failedStop());
+    EXPECT_TRUE(o->integrityOk());
+    EXPECT_EQ(countCorrupt(*o, n), 0u);
     expectLedgerIdentity(inj);
     EXPECT_EQ(inj.unrecoveredTotal(), 0u)
         << "a survivable burst must be fully recovered";
@@ -128,22 +146,35 @@ TEST(ChaosRecovery, CorrelatedBurstNestsInsideEvacuation)
     EXPECT_EQ(inj.correlatedActivations(), 2u);
 }
 
+TEST(ChaosRecovery, CorrelatedBurstNestsInsideEvacuation)
+{
+    expectBurstNestsInsideEvacuation(kEngines[0].first, kEngines[0].second);
+}
+
+TEST(ChaosRecovery, IndepSplitBurstNestsAtGroupLevel)
+{
+    expectBurstNestsInsideEvacuation(kEngines[1].first, kEngines[1].second);
+}
+
 TEST(ChaosRecovery, CascadeWithGapAlsoSurvives)
 {
     // A cascade (gap > 0): unit 1 at access 16, unit 2 at access 24.
     // Both deaths are detected by the normal sweep; recovery must
     // leave the same end state as the burst.
-    fault::FaultInjector inj(
-        fault::FaultPlan::correlatedDeath({1, 2}, 16, 8, 7));
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        fault::FaultInjector inj(
+            fault::FaultPlan::correlatedDeath({1, 2}, 16, 8, 7));
+        const Engine o = make(4, 11);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
 
-    const std::uint64_t n = 256;
-    writeShuffled(o, n, 5);
-    EXPECT_EQ(o.quarantinedCount(), 2u);
-    EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(countCorrupt(o, n), 0u);
-    expectLedgerIdentity(inj);
+        const std::uint64_t n = 256;
+        writeShuffled(*o, n, 5);
+        EXPECT_EQ(o->quarantinedCount(), 2u);
+        EXPECT_TRUE(o->integrityOk());
+        EXPECT_EQ(countCorrupt(*o, n), 0u);
+        expectLedgerIdentity(inj);
+    }
 }
 
 TEST(ChaosRecovery, MidSweepRedrawRegression)
@@ -151,68 +182,61 @@ TEST(ChaosRecovery, MidSweepRedrawRegression)
     // Regression for the mid-sweep destination redraw: across many
     // write orders, a nested evacuation must never drop the slot
     // whose APPEND sweep it interrupted.
-    for (std::uint64_t order_seed = 0; order_seed < 24; ++order_seed) {
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        for (std::uint64_t order_seed = 0; order_seed < 24; ++order_seed) {
+            fault::FaultInjector inj(
+                fault::FaultPlan::correlatedDeath({1, 2}, 16, 0, 12345));
+            const Engine o = make(4, 99);
+            o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+            const std::uint64_t n = 192;
+            writeShuffled(*o, n, order_seed * 7919 + 11);
+            EXPECT_EQ(countCorrupt(*o, n), 0u)
+                << "data lost with write order seed " << order_seed;
+            expectLedgerIdentity(inj);
+        }
+    }
+}
+
+/**
+ * Every unit dies at once: nothing is left to evacuate onto, so the
+ * handler must fail-stop with the distinct zero-survivor ledger entry
+ * instead of recursing into a corner.  Run at 2 and 4 units.
+ */
+void
+expectZeroSurvivorFailStop(const char *name,
+                           Engine (*make)(unsigned, std::uint64_t))
+{
+    for (const unsigned units : {2u, 4u}) {
+        SCOPED_TRACE(std::string(name) + " x" + std::to_string(units));
+        std::vector<unsigned> all(units);
+        for (unsigned u = 0; u < units; ++u)
+            all[u] = u;
         fault::FaultInjector inj(
-            fault::FaultPlan::correlatedDeath({1, 2}, 16, 0, 12345));
-        sdimm::IndependentOram o(indepParams(4), 99);
-        o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-        const std::uint64_t n = 192;
-        writeShuffled(o, n, order_seed * 7919 + 11);
-        EXPECT_EQ(countCorrupt(o, n), 0u)
-            << "data lost with write order seed " << order_seed;
+            fault::FaultPlan::correlatedDeath(all, 8, 0, 7));
+        const Engine o = make(units, 11);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+
+        const std::uint64_t n = 64;
+        writeShuffled(*o, n, 3);
+
+        EXPECT_TRUE(o->failedStop());
+        EXPECT_FALSE(o->integrityOk());
+        EXPECT_EQ(inj.zeroSurvivorFailStops(), 1u);
+        EXPECT_GE(inj.unrecoveredTotal(), 1u)
+            << "the zero-survivor death must be ledgered as unrecovered";
         expectLedgerIdentity(inj);
     }
 }
 
-TEST(ChaosRecovery, IndepSplitBurstNestsAtGroupLevel)
-{
-    fault::FaultInjector inj(
-        fault::FaultPlan::correlatedDeath({1, 2}, 16, 0, 7));
-    sdimm::IndepSplitOram o(groupParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-
-    const std::uint64_t n = 256;
-    writeShuffled(o, n, 3);
-    EXPECT_GT(o.nestedEvacuations(), 0u);
-    EXPECT_EQ(o.quarantinedGroupCount(), 2u);
-    EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(countCorrupt(o, n), 0u);
-    expectLedgerIdentity(inj);
-}
-
 TEST(ChaosRecovery, ZeroSurvivorBurstFailsStopWithDistinctLedgerEntry)
 {
-    // Every unit dies at once: nothing is left to evacuate onto, so
-    // the handler must fail-stop with the distinct zero-survivor
-    // ledger entry instead of recursing into a corner.
-    fault::FaultInjector inj(
-        fault::FaultPlan::correlatedDeath({0, 1, 2, 3}, 8, 0, 7));
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-
-    const std::uint64_t n = 64;
-    writeShuffled(o, n, 3);
-
-    EXPECT_TRUE(o.failedStop());
-    EXPECT_FALSE(o.integrityOk());
-    EXPECT_EQ(inj.zeroSurvivorFailStops(), 1u);
-    EXPECT_GE(inj.unrecoveredTotal(), 1u)
-        << "the zero-survivor death must be ledgered as unrecovered";
-    expectLedgerIdentity(inj);
+    expectZeroSurvivorFailStop(kEngines[0].first, kEngines[0].second);
 }
 
 TEST(ChaosRecovery, ZeroSurvivorGroupBurstFailsStop)
 {
-    fault::FaultInjector inj(
-        fault::FaultPlan::correlatedDeath({0, 1}, 8, 0, 7));
-    sdimm::IndepSplitOram o(groupParams(2), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
-
-    const std::uint64_t n = 64;
-    writeShuffled(o, n, 3);
-    EXPECT_TRUE(o.failedStop());
-    EXPECT_EQ(inj.zeroSurvivorFailStops(), 1u);
-    expectLedgerIdentity(inj);
+    expectZeroSurvivorFailStop(kEngines[1].first, kEngines[1].second);
 }
 
 TEST(ProactiveRetirement, DegradedUnitIsEvacuatedBeforeItDies)
@@ -221,26 +245,29 @@ TEST(ProactiveRetirement, DegradedUnitIsEvacuatedBeforeItDies)
     // and the default hysteresis streak the EWMA crosses within ~11
     // accesses, and the unit is obliviously retired while still
     // functionally alive.
-    fault::FaultInjector inj(
-        fault::FaultPlan::proactiveRetire(1, 1000, 500, 7));
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        fault::FaultInjector inj(
+            fault::FaultPlan::proactiveRetire(1, 1000, 500, 7));
+        const Engine o = make(4, 11);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
 
-    const std::uint64_t n = 256;
-    writeShuffled(o, n, 3);
+        const std::uint64_t n = 256;
+        writeShuffled(*o, n, 3);
 
-    EXPECT_EQ(o.retiredUnits(), 1u);
-    EXPECT_EQ(inj.retiredUnits(), 1u);
-    EXPECT_TRUE(inj.unitRetired(1));
-    EXPECT_EQ(o.quarantinedCount(), 1u);
-    EXPECT_FALSE(o.failedStop());
-    EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(countCorrupt(o, n), 0u);
+        EXPECT_EQ(o->retiredUnits(), 1u);
+        EXPECT_EQ(inj.retiredUnits(), 1u);
+        EXPECT_TRUE(inj.unitRetired(1));
+        EXPECT_EQ(o->quarantinedCount(), 1u);
+        EXPECT_FALSE(o->failedStop());
+        EXPECT_TRUE(o->integrityOk());
+        EXPECT_EQ(countCorrupt(*o, n), 0u);
 
-    // Retirement is ledger-neutral: latency tax is not a fault.
-    EXPECT_EQ(inj.unrecoveredTotal(), 0u);
-    expectLedgerIdentity(inj);
-    EXPECT_GT(inj.unitTaxEwma(1), 500.0);
+        // Retirement is ledger-neutral: latency tax is not a fault.
+        EXPECT_EQ(inj.unrecoveredTotal(), 0u);
+        expectLedgerIdentity(inj);
+        EXPECT_GT(inj.unitTaxEwma(1), 500.0);
+    }
 }
 
 TEST(ProactiveRetirement, NeverRetiresTheLastUnit)
@@ -257,19 +284,22 @@ TEST(ProactiveRetirement, NeverRetiresTheLastUnit)
     }
     p.retireTaxThresholdCycles = 500;
     p.seed = 7;
-    fault::FaultInjector inj(p);
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        fault::FaultInjector inj(p);
+        const Engine o = make(4, 11);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
 
-    const std::uint64_t n = 256;
-    writeShuffled(o, n, 3);
+        const std::uint64_t n = 256;
+        writeShuffled(*o, n, 3);
 
-    EXPECT_LE(o.retiredUnits(), 3u);
-    EXPECT_LT(o.quarantinedCount(), 4u);
-    EXPECT_FALSE(o.failedStop());
-    EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(countCorrupt(o, n), 0u);
-    expectLedgerIdentity(inj);
+        EXPECT_LE(o->retiredUnits(), 3u);
+        EXPECT_LT(o->quarantinedCount(), 4u);
+        EXPECT_FALSE(o->failedStop());
+        EXPECT_TRUE(o->integrityOk());
+        EXPECT_EQ(countCorrupt(*o, n), 0u);
+        expectLedgerIdentity(inj);
+    }
 }
 
 TEST(ProactiveRetirement, HealthyUnitsAreNeverRetired)
@@ -277,16 +307,19 @@ TEST(ProactiveRetirement, HealthyUnitsAreNeverRetired)
     // Transients alone must not trip the latency-tax policy.
     fault::FaultPlan p = fault::FaultPlan::uniform(0.01, 7);
     p.retireTaxThresholdCycles = 500;
-    fault::FaultInjector inj(p);
-    sdimm::IndependentOram o(indepParams(4), 11);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        fault::FaultInjector inj(p);
+        const Engine o = make(4, 11);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
 
-    const std::uint64_t n = 128;
-    writeShuffled(o, n, 3);
-    EXPECT_EQ(o.retiredUnits(), 0u);
-    EXPECT_EQ(inj.retireCandidates(), 0u);
-    EXPECT_EQ(o.quarantinedCount(), 0u);
-    EXPECT_EQ(countCorrupt(o, n), 0u);
+        const std::uint64_t n = 128;
+        writeShuffled(*o, n, 3);
+        EXPECT_EQ(o->retiredUnits(), 0u);
+        EXPECT_EQ(inj.retireCandidates(), 0u);
+        EXPECT_EQ(o->quarantinedCount(), 0u);
+        EXPECT_EQ(countCorrupt(*o, n), 0u);
+    }
 }
 
 } // namespace

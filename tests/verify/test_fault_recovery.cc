@@ -390,8 +390,8 @@ TEST(PermanentFaults, IndepSplitSurvivesHardDeathMidCampaign)
     EXPECT_GT(checked, 1000u);
     EXPECT_FALSE(o.failedStop());
     EXPECT_TRUE(o.integrityOk());
-    EXPECT_EQ(o.quarantinedGroupCount(), 1u);
-    EXPECT_TRUE(o.isGroupQuarantined(0));
+    EXPECT_EQ(o.quarantinedCount(), 1u);
+    EXPECT_TRUE(o.isQuarantined(0));
 
     EXPECT_EQ(inj.injected(fault::FaultKind::WatchdogTimeout), 1u);
     EXPECT_EQ(inj.detectedTotal(), inj.injectedTotal());

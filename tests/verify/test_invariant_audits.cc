@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <sstream>
 
 #include "core/secure_memory_system.hh"
 #include "crypto/aes128.hh"
@@ -189,6 +191,35 @@ TEST(InvariantAudit, IndepSplitCleanAfterChurn)
     EXPECT_TRUE(r.ok()) << r.summary();
 }
 
+TEST(InvariantAudit, IndepSplitDetectsBlockInWrongGroup)
+{
+    sdimm::IndepSplitOram::Params gp;
+    gp.perGroupTree.levels = 6;
+    gp.perGroupTree.stashCapacity = 200;
+    gp.groups = 2;
+    gp.slicesPerGroup = 2;
+    sdimm::IndepSplitOram o(gp, 21);
+    const Addr a = 5;
+    const BlockData d = patternBlock(a);
+    o.access(a, oram::OramOp::Write, &d);
+    ASSERT_TRUE(auditIndepSplitOram(o).ok());
+
+    // Plant a copy in the group the global PosMap does NOT name.
+    const unsigned home =
+        static_cast<unsigned>(o.leafOf(a) >> gp.perGroupTree.levels);
+    o.group(1 - home).adoptBlock(a, 0, d);
+    const AuditReport r = auditIndepSplitOram(o);
+    EXPECT_FALSE(r.ok());
+    std::ostringstream expect;
+    expect << "indep_split: block " << a << " at group " << 1 - home
+           << " leaf 0, PosMap says group " << home;
+    EXPECT_TRUE(std::any_of(r.violations.begin(), r.violations.end(),
+                            [&](const std::string &v) {
+                                return v.find(expect.str()) == 0;
+                            }))
+        << r.summary();
+}
+
 TEST(InvariantAudit, TransferQueueCleanUnderModel)
 {
     sdimm::TransferQueue q(16, 0.25, 3);
@@ -254,7 +285,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(core::SecureMemorySystem::Protocol::PathOram,
                       core::SecureMemorySystem::Protocol::Freecursive,
                       core::SecureMemorySystem::Protocol::Independent,
-                      core::SecureMemorySystem::Protocol::Split),
+                      core::SecureMemorySystem::Protocol::Split,
+                      core::SecureMemorySystem::Protocol::IndepSplit),
     [](const ::testing::TestParamInfo<
         core::SecureMemorySystem::Protocol> &info) {
         switch (info.param) {
@@ -266,6 +298,8 @@ INSTANTIATE_TEST_SUITE_P(
             return "Independent";
           case core::SecureMemorySystem::Protocol::Split:
             return "Split";
+          case core::SecureMemorySystem::Protocol::IndepSplit:
+            return "IndepSplit";
         }
         return "Unknown";
     });
