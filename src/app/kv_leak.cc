@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "util/bit_utils.hh"
 #include "util/rng.hh"
 
 namespace secdimm::app
@@ -21,15 +22,17 @@ measureKvHitMissLeak(const KvLeakOptions &opts)
     kvopt.index = opts.index;
     kvopt.seed = opts.seed;
 
-    // Size the service for capacityKeys + 25% slack slots.
+    // Size the service for a quarter more slots than keys; the store
+    // lays slots out with a stride of roundUp(B, shards) blocks.
     const std::size_t record =
         6 + kvopt.maxKeyBytes + kvopt.maxValueBytes;
     const std::uint64_t blocks_per_slot =
         (record + blockBytes - 1) / blockBytes;
+    const std::uint64_t stride =
+        divCeil(blocks_per_slot, opts.shards) * opts.shards;
     const std::uint64_t slots =
         kvopt.capacityKeys + kvopt.capacityKeys / 4 + 4;
-    kvopt.serve.shard.capacityBytes =
-        slots * blocks_per_slot * blockBytes;
+    kvopt.serve.shard.capacityBytes = slots * stride * blockBytes;
 
     ObliviousKVStore store(kvopt);
     verify::ScheduleRecorder recorder;

@@ -1,7 +1,9 @@
 #include "app/kv_store.hh"
 
-#include <algorithm>
 #include <cstring>
+#include <exception>
+
+#include "util/bit_utils.hh"
 
 namespace secdimm::app
 {
@@ -39,6 +41,14 @@ getU32(const std::uint8_t *p)
     return v;
 }
 
+/** roundUp(B, N): the smallest slot stride that starts every slot on
+ *  shard 0, so block b of any slot lands on shard b mod N. */
+std::uint64_t
+slotStrideFor(unsigned blocks_per_slot, unsigned shards)
+{
+    return divCeil(blocks_per_slot, shards) * shards;
+}
+
 } // namespace
 
 const char *
@@ -64,7 +74,8 @@ ObliviousKVStore::slotsFor(
 {
     serve::ShardedSecureMemory probe(serve_opts);
     return probe.capacityBlocks() /
-           slotBlocksFor(max_key_bytes, max_value_bytes);
+           slotStrideFor(slotBlocksFor(max_key_bytes, max_value_bytes),
+                         probe.numShards());
 }
 
 ObliviousKVStore::ObliviousKVStore(const Options &options)
@@ -74,7 +85,8 @@ ObliviousKVStore::ObliviousKVStore(const Options &options)
       maxValueBytes_(options.maxValueBytes),
       blocksPerSlot_(slotBlocksFor(options.maxKeyBytes,
                                    options.maxValueBytes)),
-      slotCount_(mem_->capacityBlocks() / blocksPerSlot_),
+      slotStride_(slotStrideFor(blocksPerSlot_, mem_->numShards())),
+      slotCount_(mem_->capacityBlocks() / slotStride_),
       opDeadline_(options.opDeadline),
       rng_(options.seed * 1000003 + 17)
 {
@@ -82,25 +94,20 @@ ObliviousKVStore::ObliviousKVStore(const Options &options)
         throw std::invalid_argument("kv: capacityKeys must be > 0");
     if (maxKeyBytes_ == 0 || maxKeyBytes_ > 0xffff)
         throw std::invalid_argument("kv: maxKeyBytes outside [1, 65535]");
-    if (slotCount_ < capacityKeys_ + 2)
+    if (slotCount_ < capacityKeys_)
         throw std::invalid_argument(
             "kv: service capacity provides " +
             std::to_string(slotCount_) + " slots of " +
-            std::to_string(blocksPerSlot_) + " blocks; need >= " +
-            std::to_string(capacityKeys_ + 2) +
-            " (capacityKeys + 2 slack)");
-    slackSlots_ = slotCount_ - capacityKeys_;
-    maxOpsInFlight_ = static_cast<std::size_t>(
-        std::max<std::uint64_t>(1, slackSlots_ - 1));
+            std::to_string(slotStride_) + " blocks; need >= " +
+            std::to_string(capacityKeys_) + " (capacityKeys)");
 
-    freeSlots_.reserve(slotCount_);
-    for (std::uint64_t s = 0; s < slotCount_; ++s)
+    freeSlots_.reserve(capacityKeys_);
+    for (std::uint64_t s = 0; s < capacityKeys_; ++s)
         freeSlots_.push_back(s);
 
     kv_.setCounter("kv.capacity_keys", capacityKeys_);
     kv_.setCounter("kv.slots", slotCount_);
     kv_.setCounter("kv.blocks_per_slot", blocksPerSlot_);
-    kv_.setCounter("kv.slack_slots", slackSlots_);
     kv_.setGauge("kv.live_keys", 0.0);
 }
 
@@ -191,22 +198,6 @@ ObliviousKVStore::awaitFuture(std::future<T> &f, Addr block)
     return f.get();
 }
 
-std::uint64_t
-ObliviousKVStore::drawFreeSlotLocked()
-{
-    // The admission cap (maxOpsInFlight_ < slackSlots_) guarantees
-    // the pool cannot run dry: every in-flight op holds exactly one
-    // pool slot and live + reserved inserts never exceed capacityKeys.
-    if (freeSlots_.empty())
-        throw std::logic_error("kv: free-slot pool exhausted");
-    const std::size_t i =
-        static_cast<std::size_t>(rng_.nextBelow(freeSlots_.size()));
-    const std::uint64_t slot = freeSlots_[i];
-    freeSlots_[i] = freeSlots_.back();
-    freeSlots_.pop_back();
-    return slot;
-}
-
 /* ---- public API ---------------------------------------------------- */
 
 void
@@ -288,9 +279,7 @@ ObliviousKVStore::runOps(std::vector<PlannedOp> &ops)
     kv_.sampleHistogram("kv.batch_size", ops.size());
 
     // Ordered rounds: a key repeated inside one batch runs in a later
-    // round, so same-key ops apply in submission order; rounds are
-    // further chunked to the admission cap so the free-slot pool can
-    // never be exhausted by one oversized batch.
+    // round, so same-key ops apply in submission order.
     std::vector<bool> done(ops.size(), false);
     std::size_t remaining = ops.size();
     while (remaining > 0) {
@@ -303,8 +292,6 @@ ObliviousKVStore::runOps(std::vector<PlannedOp> &ops)
             chunk.push_back(&ops[i]);
             done[i] = true;
             --remaining;
-            if (chunk.size() == maxOpsInFlight_)
-                break;
         }
         runChunk(chunk);
     }
@@ -314,38 +301,33 @@ void
 ObliviousKVStore::planChunk(std::vector<PlannedOp *> &chunk,
                             std::unique_lock<std::mutex> &lk)
 {
-    // Admit: wait until our keys are not in flight and the chunk fits
-    // under the in-flight-op cap.  We hold no pool slots while
-    // waiting, and in-flight ops complete without needing anything we
-    // hold, so this cannot deadlock.
+    // Admit: wait until none of our keys is in flight, so ops on one
+    // key serialize.  Nothing else is held while waiting.
     cv_.wait(lk, [&] {
-        if (inflightOps_ != 0 &&
-            inflightOps_ + chunk.size() > maxOpsInFlight_)
-            return false;
         for (const PlannedOp *op : chunk)
             if (inflightKeys_.count(op->key))
                 return false;
         return true;
     });
 
-    for (PlannedOp *op : chunk)
-        inflightKeys_.insert(op->key);
-    inflightOps_ += chunk.size();
-
     for (PlannedOp *op : chunk) {
+        inflightKeys_.insert(op->key);
         auto it = index_.find(op->key);
         op->hit = it != index_.end();
-        if (op->kind == OpKind::Put && !op->hit) {
-            if (index_.size() + reservedInserts_ >= capacityKeys_)
-                op->full = true;
-            else {
-                op->insert = true;
-                ++reservedInserts_;
-            }
+        if (op->hit) {
+            op->slot = it->second;
+        } else if (op->kind == OpKind::Put && !freeSlots_.empty()) {
+            // Insert: take a uniform free slot for the key's lifetime.
+            op->insert = true;
+            const std::size_t i = static_cast<std::size_t>(
+                rng_.nextBelow(freeSlots_.size()));
+            op->slot = freeSlots_[i];
+            freeSlots_[i] = freeSlots_.back();
+            freeSlots_.pop_back();
+        } else {
+            op->full = op->kind == OpKind::Put;
+            op->slot = rng_.nextBelow(slotCount_);
         }
-        op->readSlot =
-            op->hit ? it->second : rng_.nextBelow(slotCount_);
-        op->writeSlot = drawFreeSlotLocked();
     }
 }
 
@@ -358,47 +340,32 @@ ObliviousKVStore::commitChunk(std::vector<PlannedOp *> &chunk)
         switch (op->kind) {
           case OpKind::Get:
             kv_.incCounter("kv.gets");
-            if (op->hit) {
-                index_[op->key] = op->writeSlot;
-                freeSlots_.push_back(op->readSlot);
-            } else {
-                freeSlots_.push_back(op->writeSlot);
-                kv_.incCounter("kv.dummy_ops");
-            }
             break;
           case OpKind::Put:
             kv_.incCounter("kv.puts");
-            if (op->hit) {
-                index_[op->key] = op->writeSlot;
-                freeSlots_.push_back(op->readSlot);
-                kv_.incCounter("kv.updates");
-            } else if (op->insert) {
-                index_[op->key] = op->writeSlot;
-                --reservedInserts_;
+            if (op->insert) {
+                index_[op->key] = op->slot;
                 kv_.incCounter("kv.inserts");
-            } else { // Full: dummy sequence done, slot returns.
-                freeSlots_.push_back(op->writeSlot);
+            } else if (op->hit) {
+                kv_.incCounter("kv.updates");
+            } else {
                 kv_.incCounter("kv.store_full_errors");
-                kv_.incCounter("kv.dummy_ops");
             }
             break;
           case OpKind::Erase:
             kv_.incCounter("kv.erases");
             if (op->hit) {
                 index_.erase(op->key);
-                freeSlots_.push_back(op->readSlot);
-                freeSlots_.push_back(op->writeSlot);
-            } else {
-                freeSlots_.push_back(op->writeSlot);
-                kv_.incCounter("kv.dummy_ops");
+                freeSlots_.push_back(op->slot);
             }
             break;
         }
+        if (!op->hit && !op->insert)
+            kv_.incCounter("kv.dummy_ops");
         kv_.incCounter(op->hit ? "kv.hits" : "kv.misses");
         kv_.incCounter("kv.blocks_read", blocksPerSlot_);
         kv_.incCounter("kv.blocks_written", blocksPerSlot_);
     }
-    inflightOps_ -= chunk.size();
     cv_.notify_all();
 }
 
@@ -408,50 +375,40 @@ ObliviousKVStore::rollbackChunk(std::vector<PlannedOp *> &chunk)
     std::lock_guard<std::mutex> lk(mu_);
     for (PlannedOp *op : chunk) {
         inflightKeys_.erase(op->key);
-        freeSlots_.push_back(op->writeSlot);
         if (op->insert)
-            --reservedInserts_;
-        // No index mutation happened yet, so the pre-op mapping (and
-        // the data at the key's old slot) is untouched.
+            freeSlots_.push_back(op->slot);
     }
-    inflightOps_ -= chunk.size();
     cv_.notify_all();
 }
 
 void
 ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
 {
-    if (chunk.empty())
-        return;
     {
         std::unique_lock<std::mutex> lk(mu_);
         planChunk(chunk, lk);
     }
 
-    const PlannedOp *full_op = nullptr;
+    // Phase R: fan every op's slot reads out, then await.  An error
+    // here has written nothing, so the chunk commits nothing.
+    // Phase W payloads: a record, an empty record, or nullopt for a
+    // cover write that the shard rewrites in place.
+    std::vector<std::optional<std::vector<BlockData>>> payloads(
+        chunk.size());
     try {
-        // Phase R: fan every op's slot reads out, then await.  Every
-        // op reads exactly blocksPerSlot_ consecutive blocks.
         std::vector<std::future<BlockData>> reads;
         reads.reserve(chunk.size() * blocksPerSlot_);
         for (PlannedOp *op : chunk)
             for (unsigned b = 0; b < blocksPerSlot_; ++b)
-                reads.push_back(mem_->submitRead(
-                    op->readSlot * blocksPerSlot_ + b));
+                reads.push_back(mem_->submitRead(blockOf(op->slot, b)));
         std::size_t r = 0;
-        for (PlannedOp *op : chunk) {
-            op->readBlocks.resize(blocksPerSlot_);
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++r)
-                op->readBlocks[b] = awaitFuture(
-                    reads[r], op->readSlot * blocksPerSlot_ + b);
-        }
-
-        // Interpret the reads and build phase-W payloads.
-        std::vector<std::vector<BlockData>> payloads(chunk.size());
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             PlannedOp *op = chunk[i];
+            std::vector<BlockData> blocks(blocksPerSlot_);
+            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++r)
+                blocks[b] = awaitFuture(reads[r], blockOf(op->slot, b));
             if (op->hit) {
-                auto rec = decodeRecord(op->readBlocks);
+                auto rec = decodeRecord(blocks);
                 if (!rec || rec->first != op->key) {
                     // Corrupt record (e.g. byzantine damage): count
                     // it, serve a miss, but keep the access sequence.
@@ -464,36 +421,43 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
             }
             if (op->kind == OpKind::Put && !op->full)
                 payloads[i] = encodeRecord(op->key, op->value);
-            else if (op->hit && op->kind != OpKind::Erase)
-                payloads[i] = op->readBlocks; // Move record verbatim.
-            else
-                payloads[i].assign(blocksPerSlot_, BlockData{});
-            if (op->full)
-                full_op = op;
+            else if (op->kind == OpKind::Erase && op->hit)
+                payloads[i].emplace(blocksPerSlot_, BlockData{});
         }
-
-        // Phase W: every op writes exactly blocksPerSlot_ consecutive
-        // blocks of its (uniform, exclusively held) write slot.
-        std::vector<std::future<void>> writes;
-        writes.reserve(chunk.size() * blocksPerSlot_);
-        for (std::size_t i = 0; i < chunk.size(); ++i)
-            for (unsigned b = 0; b < blocksPerSlot_; ++b)
-                writes.push_back(mem_->submitWrite(
-                    chunk[i]->writeSlot * blocksPerSlot_ + b,
-                    payloads[i][b]));
-        std::size_t w = 0;
-        for (PlannedOp *op : chunk)
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++w)
-                awaitFuture(writes[w],
-                            op->writeSlot * blocksPerSlot_ + b);
     } catch (...) {
         rollbackChunk(chunk);
         throw;
     }
 
+    // Phase W: every op writes exactly blocksPerSlot_ blocks of the
+    // slot it read.  Once they are submitted the op has taken effect:
+    // commit, then report any error.
+    std::exception_ptr error;
+    try {
+        std::vector<std::future<void>> writes;
+        writes.reserve(chunk.size() * blocksPerSlot_);
+        for (std::size_t i = 0; i < chunk.size(); ++i)
+            for (unsigned b = 0; b < blocksPerSlot_; ++b) {
+                std::optional<BlockData> data;
+                if (payloads[i])
+                    data = (*payloads[i])[b];
+                writes.push_back(
+                    mem_->submitWrite(blockOf(chunk[i]->slot, b), data));
+            }
+        std::size_t w = 0;
+        for (PlannedOp *op : chunk)
+            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++w)
+                awaitFuture(writes[w], blockOf(op->slot, b));
+    } catch (...) {
+        error = std::current_exception();
+    }
+
     commitChunk(chunk);
-    if (full_op != nullptr)
-        throw KvStoreFullError(full_op->key);
+    if (error)
+        std::rethrow_exception(error);
+    for (const PlannedOp *op : chunk)
+        if (op->full)
+            throw KvStoreFullError(op->key);
 }
 
 /* ---- leaky positive control ---------------------------------------- */
@@ -520,10 +484,8 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
                 break; // Miss: zero accesses -- the leak.
             std::vector<BlockData> blocks(it->second.blocks);
             for (unsigned b = 0; b < it->second.blocks; ++b) {
-                auto f = mem_->submitRead(
-                    it->second.slot * blocksPerSlot_ + b);
-                blocks[b] = awaitFuture(
-                    f, it->second.slot * blocksPerSlot_ + b);
+                auto f = mem_->submitRead(blockOf(it->second.slot, b));
+                blocks[b] = awaitFuture(f, blockOf(it->second.slot, b));
             }
             kv_.incCounter("kv.blocks_read", it->second.blocks);
             std::vector<BlockData> padded = blocks;
@@ -541,8 +503,7 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
             if (op.hit)
                 slot = it->second.slot;
             else {
-                if (leakyIndex_.size() >= capacityKeys_ ||
-                    freeSlots_.empty())
+                if (freeSlots_.empty())
                     throw KvStoreFullError(op.key);
                 slot = freeSlots_.back();
                 freeSlots_.pop_back();
@@ -553,9 +514,8 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
                 blockBytes);
             const auto payload = encodeRecord(op.key, op.value);
             for (unsigned b = 0; b < used; ++b) {
-                auto f = mem_->submitWrite(
-                    slot * blocksPerSlot_ + b, payload[b]);
-                awaitFuture(f, slot * blocksPerSlot_ + b);
+                auto f = mem_->submitWrite(blockOf(slot, b), payload[b]);
+                awaitFuture(f, blockOf(slot, b));
             }
             kv_.incCounter("kv.blocks_written", used);
             kv_.incCounter(op.hit ? "kv.updates" : "kv.inserts");

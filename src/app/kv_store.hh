@@ -2,30 +2,29 @@
  * @file
  * Oblivious key-value store over the sharded oblivious memory
  * service: variable-length keys map to fixed-geometry slots (a run of
- * consecutive blocks) through a position-map-style client index that
- * is remapped on EVERY access, the slot-granularity analogue of Path
- * ORAM's leaf remap (Stefanov et al.) and of the app-over-ORAM
- * layering in The Pyramid Scheme.
+ * blocksPerSlot() blocks) through a trusted-side client index, the
+ * app-over-ORAM layering of The Pyramid Scheme.  A key keeps its slot
+ * for its whole lifetime: hiding which block is touched is the job of
+ * the ORAM leaf remap inside every shard (Path ORAM, Stefanov et al.).
  *
  * Obliviousness invariant (docs/KVSTORE.md has the full argument):
  * every operation -- get or put, hit or miss, insert or update or
  * erase, even a capacity-exhausted insert -- performs EXACTLY
  * blocksPerSlot() block reads of one slot followed by blocksPerSlot()
- * block writes of another, where
+ * block writes of the same slot, where
  *
- *  - the read slot is the key's current slot (a uniform draw made at
- *    the key's previous access and never revealed since) on a hit,
- *    or a fresh uniform draw over ALL slots on a miss;
- *  - the written slot is always a fresh uniform draw from the free
- *    pool (on a hit the record MOVES there and the old slot is
- *    freed; misses write an indistinguishable dummy and return the
- *    slot to the pool).
+ *  - the slot is the key's own slot on a hit or an insert, or a
+ *    uniform draw over ALL slots on a miss or a full insert;
+ *  - a put writes its record, an erase hit writes an empty record,
+ *    and every other op issues payload-less cover writes, which the
+ *    shard rewrites in place (a cover op never writes back blocks of
+ *    a slot it does not own).
  *
- * The service hides local addresses inside each shard (each shard is
- * a complete ORAM), so the externally visible channel reduces to the
- * per-shard schedules plus the interleaved (shard, kind) sequence --
- * and every slot above is a uniform draw, so the visible shard
- * residues are independent of keys, values, and hit/miss outcomes.
+ * Slots are laid out with a stride of roundUp(B, N) blocks for N
+ * shards, so block b of EVERY slot lands on shard b mod N: the
+ * visible (shard, kind) sequence of an op is the same fixed sequence
+ * for every key, value, and hit/miss outcome, and each shard is a
+ * complete ORAM that hides the local address and the access kind.
  * The deliberately leaky baseline (KvIndexMode::LeakyBaseline) pins
  * keys to static slots and skips dummy work; it exists as the
  * positive control that makes deepCompareTraces / compareSchedules
@@ -105,7 +104,7 @@ class ValueTooLargeError : public KvError
 /** Which client index implementation the store runs. */
 enum class KvIndexMode
 {
-    /** Per-access remap; the invariant documented above holds. */
+    /** Fixed slots with cover traffic; the invariant above holds. */
     Oblivious,
     /**
      * Positive control: static key->slot assignment, hit-length
@@ -131,9 +130,10 @@ class ObliviousKVStore
         serve::ShardedSecureMemory::Options serve;
 
         /** Live-key capacity; inserts beyond it throw KvStoreFullError.
-         *  The service capacity must provide at least capacityKeys + 2
-         *  slots (constructor throws std::invalid_argument if not);
-         *  the surplus is the free-slot slack remaps draw from. */
+         *  The service capacity must provide at least capacityKeys
+         *  slots of roundUp(B, N) blocks (constructor throws
+         *  std::invalid_argument if not); slots beyond capacityKeys
+         *  are only ever read and rewritten in place by cover ops. */
         std::uint64_t capacityKeys = 256;
 
         /** Geometry bounds; together they fix blocksPerSlot(). */
@@ -142,13 +142,16 @@ class ObliviousKVStore
 
         KvIndexMode index = KvIndexMode::Oblivious;
 
-        /** Seed of the slot-remap draws (decorrelated from the
-         *  service seed by the usual per-component derivation). */
+        /** Seed of the slot draws (decorrelated from the service seed
+         *  by the usual per-component derivation). */
         std::uint64_t seed = 1;
 
         /** Per-block-request wait bound; 0 = unbounded.  On expiry
-         *  the op throws serve::RequestTimeoutError and rolls back
-         *  (the key keeps its pre-op value). */
+         *  the op throws serve::RequestTimeoutError.  Expiry in the
+         *  read phase leaves the op without effect (nothing written,
+         *  nothing committed); expiry in the write phase comes after
+         *  every write was submitted, so the op commits first and the
+         *  queued writes still land before any later op on the slot. */
         std::chrono::milliseconds opDeadline{0};
     };
 
@@ -228,16 +231,20 @@ class ObliviousKVStore
         bool hit = false;
         bool insert = false; ///< Put creating a new live key.
         bool full = false;   ///< Insert rejected: dummy + throw.
-        std::uint64_t readSlot = 0;
-        std::uint64_t writeSlot = 0;
+        std::uint64_t slot = 0; ///< Read, then written, by this op.
 
-        std::vector<BlockData> readBlocks;
         std::optional<std::string> result;
         bool found = false;
     };
 
     static unsigned slotBlocksFor(std::size_t max_key_bytes,
                                   std::size_t max_value_bytes);
+
+    /** Service block holding block @p b of slot @p slot. */
+    Addr blockOf(std::uint64_t slot, unsigned b) const
+    {
+        return slot * slotStride_ + b;
+    }
 
     /** Run @p ops as ordered rounds of distinct-key chunks. */
     void runOps(std::vector<PlannedOp> &ops);
@@ -249,12 +256,12 @@ class ObliviousKVStore
     void planChunk(std::vector<PlannedOp *> &chunk,
                    std::unique_lock<std::mutex> &lk);
     void commitChunk(std::vector<PlannedOp *> &chunk);
+    /** Undo planChunk after a read-phase error (nothing written). */
     void rollbackChunk(std::vector<PlannedOp *> &chunk);
 
     /** Leaky positive control: no dummies, static slots. */
     void runOpsLeaky(std::vector<PlannedOp> &ops);
 
-    std::uint64_t drawFreeSlotLocked();
     void validateKey(const std::string &key) const;
 
     /** Encode key+value into blocksPerSlot_ blocks. */
@@ -276,18 +283,19 @@ class ObliviousKVStore
     std::size_t maxKeyBytes_;
     std::size_t maxValueBytes_;
     unsigned blocksPerSlot_;
+    /** roundUp(blocksPerSlot_, shards): block b of every slot lands
+     *  on shard b mod N. */
+    std::uint64_t slotStride_;
     std::uint64_t slotCount_;
-    std::uint64_t slackSlots_;
-    std::size_t maxOpsInFlight_;
     std::chrono::milliseconds opDeadline_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::unordered_map<std::string, std::uint64_t> index_;
+    /** Slots no key owns; starts as capacityKeys slots, so the store
+     *  is full exactly when it is empty. */
     std::vector<std::uint64_t> freeSlots_;
     std::unordered_set<std::string> inflightKeys_;
-    std::uint64_t reservedInserts_ = 0;
-    std::size_t inflightOps_ = 0;
     Rng rng_;
 
     /** Leaky-baseline index: static slot + used-block count. */

@@ -104,9 +104,12 @@ ShardedSecureMemory::workerLoop(unsigned shard)
              */
             if (!failed) {
                 try {
+                    // A cover write (no payload) is served as a read
+                    // access: the ORAM rewrites the block in place, and
+                    // every protocol makes a read look like a write.
                     BlockData d{};
-                    if (r.write)
-                        mem.writeBlock(r.local, r.data);
+                    if (r.data)
+                        mem.writeBlock(r.local, *r.data);
                     else
                         d = mem.readBlock(r.local);
                     failed = !mem.integrityOk();
@@ -205,7 +208,8 @@ ShardedSecureMemory::submitRead(Addr block_index)
 }
 
 std::future<void>
-ShardedSecureMemory::submitWrite(Addr block_index, const BlockData &data)
+ShardedSecureMemory::submitWrite(Addr block_index,
+                                 const std::optional<BlockData> &data)
 {
     if (block_index >= capacityBlocks_) {
         fatal("ShardedSecureMemory: block %llu out of range "

@@ -36,6 +36,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -182,9 +183,11 @@ class ShardedSecureMemory
     std::future<BlockData> submitRead(Addr block_index);
 
     /** Enqueue a block write; the future resolves once durable in the
-     *  shard's ORAM. */
+     *  shard's ORAM.  Without @p data it is a cover write: one ORAM
+     *  access that rewrites the block in place, which the channel and
+     *  the schedule cannot tell from a write with data. */
     std::future<void> submitWrite(Addr block_index,
-                                  const BlockData &data);
+                                  const std::optional<BlockData> &data);
 
     /* ---- synchronous facade -------------------------------------- */
     BlockData readBlock(Addr block_index);
@@ -285,7 +288,7 @@ class ShardedSecureMemory
     {
         Addr local = 0;
         bool write = false;
-        BlockData data{};
+        std::optional<BlockData> data; ///< nullopt: cover write.
         std::promise<BlockData> readDone;
         std::promise<void> writeDone;
     };

@@ -153,6 +153,73 @@ TEST(KvConcurrent, ContendedKeysSerializeWithoutCorruption)
     EXPECT_EQ(store.get("post").value(), "mortem");
 }
 
+TEST(KvConcurrent, CoverOpsNeverUndoConcurrentUpdates)
+{
+    // Every slot is live, so each get or erase of an absent key reads
+    // and cover-writes a slot that some key owns, while updaters keep
+    // rewriting those keys.  A cover op that wrote back the blocks it
+    // read would undo any update landing between its two phases.
+    ObliviousKVStore::Options opt = kvOptions(2, 16, /*seed=*/37);
+    opt.capacityKeys = ObliviousKVStore::slotsFor(
+        opt.serve, opt.maxKeyBytes, opt.maxValueBytes);
+    ObliviousKVStore store(opt);
+    ASSERT_EQ(store.capacityKeys(), store.slotCount());
+    const int keys = static_cast<int>(store.slotCount());
+    auto key_of = [](int k) { return "live" + std::to_string(k); };
+    for (int k = 0; k < keys; ++k)
+        store.put(key_of(k), KvWorkloadGenerator::valueFor(key_of(k), 0,
+                                                           64));
+    ASSERT_EQ(store.liveKeys(), store.slotCount());
+
+    const unsigned updaters = 2, coverers = 2;
+    const int rounds = 8;
+    std::atomic<bool> failed{false};
+    std::atomic<unsigned> updating{updaters};
+    std::vector<std::thread> workers;
+    for (unsigned u = 0; u < updaters; ++u) {
+        workers.emplace_back([&, u] {
+            for (int r = 1; r <= rounds && !failed.load(); ++r) {
+                for (int k = static_cast<int>(u); k < keys;
+                     k += static_cast<int>(updaters)) {
+                    const std::string val =
+                        KvWorkloadGenerator::valueFor(key_of(k), r, 64);
+                    store.put(key_of(k), val);
+                    if (store.get(key_of(k)) != val) {
+                        failed.store(true);
+                        ADD_FAILURE() << key_of(k) << " round " << r;
+                    }
+                }
+            }
+            --updating;
+        });
+    }
+    for (unsigned c = 0; c < coverers; ++c) {
+        workers.emplace_back([&, c] {
+            for (int i = 0; updating.load() > 0; ++i) {
+                const std::string ghost = "ghost" + std::to_string(c) +
+                                          ":" + std::to_string(i);
+                if (store.get(ghost).has_value() || store.erase(ghost)) {
+                    failed.store(true);
+                    ADD_FAILURE() << ghost << " found";
+                }
+            }
+        });
+    }
+    for (auto &t : workers)
+        t.join();
+    EXPECT_FALSE(failed.load());
+
+    for (int k = 0; k < keys; ++k)
+        EXPECT_EQ(store.get(key_of(k)),
+                  KvWorkloadGenerator::valueFor(key_of(k), rounds, 64))
+            << key_of(k);
+    EXPECT_EQ(store.liveKeys(), store.slotCount());
+    EXPECT_TRUE(store.integrityOk());
+    const util::MetricsRegistry m = store.metrics();
+    EXPECT_GT(m.counter("kv.dummy_ops"), 0u);
+    EXPECT_EQ(m.counter("kv.key_mismatches"), 0u);
+}
+
 TEST(KvConcurrent, WorkloadDrivenSoak)
 {
     // Zipfian generator per client (distinct tenants), full op mix

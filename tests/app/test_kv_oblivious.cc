@@ -4,8 +4,9 @@
  * visible channel (per-shard bucket-store traces) and the interleaved
  * completion schedule must be indistinguishable across differing key
  * sets, value contents, hit/miss ratios, and even op types -- every
- * operation is blocksPerSlot reads of one uniform slot followed by
- * blocksPerSlot writes of another.  The deliberately leaky baseline
+ * operation is blocksPerSlot reads of one slot followed by
+ * blocksPerSlot writes of the same slot, block j on shard j mod N.
+ * The deliberately leaky baseline
  * index (static slots, hit-length reads, no dummy work) is the
  * positive control: the same checkers must FAIL it.
  */
@@ -166,11 +167,17 @@ keyRange(const std::string &prefix, std::size_t n)
 TEST(KvOblivious, EveryOpHasTheSameVisibleShape)
 {
     // Hit get, miss get, insert, update, erase-hit, erase-miss, and a
-    // capacity-rejected insert: all exactly B reads then B writes.
+    // capacity-rejected insert: all exactly B reads then B writes, and
+    // event j of each phase lands on shard j mod N -- whichever slot
+    // the op touched.  B = 3 over N = 2 shards, so a slot stride of B
+    // would start odd slots on shard 1.
     ObliviousKVStore::Options opt =
         kvOptions(2, 4, /*seed=*/21, KvIndexMode::Oblivious);
     ObliviousKVStore store(opt);
     const unsigned B = store.blocksPerSlot();
+    const unsigned N = store.service().numShards();
+    ASSERT_EQ(B, 3u);
+    ASSERT_EQ(N, 2u);
     for (int i = 0; i < 4; ++i)
         store.put("k" + std::to_string(i), "v");
 
@@ -195,6 +202,17 @@ TEST(KvOblivious, EveryOpHasTheSameVisibleShape)
             const bool expect_write = j >= B;
             EXPECT_EQ(events[op * 2 * B + j].write, expect_write)
                 << "op " << op << " position " << j;
+        }
+        // The shard workers run in parallel, so a phase's events may
+        // complete in either shard order; what the layout fixes is
+        // how many of them each shard serves.
+        for (unsigned phase = 0; phase < 2; ++phase) {
+            std::vector<unsigned> want(N, 0), got(N, 0);
+            for (unsigned j = 0; j < B; ++j) {
+                ++want[j % N];
+                ++got[events[op * 2 * B + phase * B + j].shard];
+            }
+            EXPECT_EQ(got, want) << "op " << op << " phase " << phase;
         }
     }
 }

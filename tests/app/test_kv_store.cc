@@ -25,7 +25,7 @@ namespace secdimm::app
 namespace
 {
 
-/** Service sized for @p capacity_keys slots + ~25% slack. */
+/** Service sized for a quarter more slots than @p capacity_keys. */
 ObliviousKVStore::Options
 kvOptions(unsigned shards, std::uint64_t capacity_keys,
           std::uint64_t seed = 7,
@@ -217,9 +217,9 @@ TEST(KvStore, RequestTimeoutPropagates)
 {
     // Jam every shard's queue behind a deep backlog, then issue a
     // deadline-bounded op: the typed RequestTimeoutError must surface
-    // through the KV op, and the op must roll back cleanly.  The key is
-    // never stored: a miss get runs the same 2*B-access sequence as a
-    // hit, and no setup op has to beat the 1 ms deadline.
+    // through the KV op, and a read-phase timeout commits nothing.  The
+    // key is never stored: a miss get runs the same 2*B-access sequence
+    // as a hit, and no setup op has to beat the 1 ms deadline.
     ObliviousKVStore::Options opt = kvOptions(2, 8);
     opt.serve.queueCapacity = 4096;
     opt.serve.maxBatch = 1;
@@ -235,7 +235,7 @@ TEST(KvStore, RequestTimeoutPropagates)
     for (auto &f : backlog)
         (void)f.get();
     store.drain();
-    // The timed-out op rolled back: no get was committed.
+    // The op timed out before its writes: no get was committed.
     EXPECT_EQ(store.metrics().counter("kv.gets"), 0u);
 }
 

@@ -64,6 +64,7 @@
 #include "sdimm/indep_split_oram.hh"
 #include "sdimm/independent_oram.hh"
 #include "serve/sharded_memory.hh"
+#include "util/bit_utils.hh"
 #include "util/rng.hh"
 #include "verify/leak_meter.hh"
 #include "verify/trace_checker.hh"
@@ -848,12 +849,15 @@ kvChaosRun(const DesignSpec &spec, std::uint64_t plan_seed,
     opt.seed = plan_seed;
     opt.serve.shardFaultPlans =
         kvPlans(spec, shards, plan_seed, byzantine);
+    // A quarter more slots than keys; the store lays slots out with a
+    // stride of roundUp(B, shards) blocks.
     const std::uint64_t record =
         6 + opt.maxKeyBytes + opt.maxValueBytes;
     const std::uint64_t bps = (record + blockBytes - 1) / blockBytes;
+    const std::uint64_t stride = divCeil(bps, shards) * shards;
     const std::uint64_t slots =
         opt.capacityKeys + opt.capacityKeys / 4 + 4;
-    opt.serve.shard.capacityBytes = slots * bps * blockBytes;
+    opt.serve.shard.capacityBytes = slots * stride * blockBytes;
     app::ObliviousKVStore store(opt);
 
     // Per-shard deep traces gate the tree protocols only; the SDIMM
