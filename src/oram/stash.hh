@@ -69,7 +69,7 @@ class Stash
         return occupancy_;
     }
 
-    /** Iteration support (tests, Split shadow stash). */
+    /** Iteration support (invariant_audit, SecureBuffer). */
     const std::unordered_map<Addr, StashEntry> &entries() const
     {
         return entries_;

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <numeric>
 #include <unordered_set>
 
 #include "fault/fault_injector.hh"
-#include "util/bit_utils.hh"
 #include "util/logging.hh"
 
 namespace secdimm::sdimm
@@ -15,48 +15,36 @@ namespace secdimm::sdimm
 namespace
 {
 
-/** Metadata plaintext for up to Z (addr, leaf) pairs. */
-std::vector<std::uint8_t>
-buildMeta(unsigned z,
-          const std::vector<std::pair<Addr, LeafId>> &blocks)
+/** Bytes of a @p full -byte field that slice @p slice of @p s owns. */
+std::size_t
+shareLen(std::size_t full, unsigned slice, unsigned s)
 {
-    std::vector<std::uint8_t> meta(static_cast<std::size_t>(z) * 16);
-    for (unsigned i = 0; i < z; ++i) {
-        Addr a = invalidAddr;
-        LeafId l = invalidLeaf;
-        if (i < blocks.size()) {
-            a = blocks[i].first;
-            l = blocks[i].second;
-        }
-        std::memcpy(meta.data() + 16 * i, &a, 8);
-        std::memcpy(meta.data() + 16 * i + 8, &l, 8);
-    }
-    return meta;
+    return full > slice ? (full - slice + s - 1) / s : 0;
 }
 
 } // namespace
 
-std::vector<std::uint8_t>
-extractShare(const std::vector<std::uint8_t> &full, unsigned slice,
-             unsigned s)
+std::size_t
+extractShare(std::span<const std::uint8_t> full, unsigned slice,
+             unsigned s, std::span<std::uint8_t> share)
 {
-    std::vector<std::uint8_t> share;
-    share.reserve(full.size() / s + 1);
-    for (std::size_t i = slice; i < full.size(); i += s)
-        share.push_back(full[i]);
-    return share;
+    const std::size_t n = shareLen(full.size(), slice, s);
+    SD_ASSERT(n <= share.size());
+    for (std::size_t k = 0; k < n; ++k)
+        share[k] = full[slice + k * s];
+    return n;
 }
 
-void
-mergeShare(std::vector<std::uint8_t> &full,
-           const std::vector<std::uint8_t> &share, unsigned slice,
+std::size_t
+mergeShare(std::span<std::uint8_t> full,
+           std::span<const std::uint8_t> share, unsigned slice,
            unsigned s)
 {
-    std::size_t k = 0;
-    for (std::size_t i = slice; i < full.size() && k < share.size();
-         i += s, ++k) {
-        full[i] = share[k];
-    }
+    const std::size_t n =
+        std::min(shareLen(full.size(), slice, s), share.size());
+    for (std::size_t k = 0; k < n; ++k)
+        full[slice + k * s] = share[k];
+    return n;
 }
 
 SplitOram::SplitOram(const Params &params, std::uint64_t seed)
@@ -70,46 +58,40 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
 {
     SD_ASSERT(params_.slices >= 1);
     SD_ASSERT(blockBytes % params_.slices == 0);
-    const std::uint64_t buckets = params_.tree.numBuckets();
+    const unsigned s = params_.slices;
     const unsigned z = params_.tree.bucketBlocks;
+    const std::uint64_t buckets = params_.tree.numBuckets();
+    const unsigned stash_slots = params_.tree.stashCapacity;
+    static_assert(sizeof(MetaSlot) == 16);
+    metaBytes_ = z * sizeof(MetaSlot);
+    metaShareBytes_ = shareLen(metaBytes_, 0, s);
+    shareBytes_ = blockBytes / s;
+    imageBytes_ = metaShareBytes_ + z * shareBytes_;
 
     for (auto &leaf : posMap_)
         leaf = rng_.nextBelow(params_.tree.numLeaves());
 
     for (auto &sl : slices_) {
-        sl.metaShare.resize(buckets);
-        sl.dataShare.resize(buckets);
+        sl.arena.assign(pieceOff(stash_slots), 0);
         sl.counter.assign(buckets, 0);
         sl.mac.assign(buckets, 0);
-        for (auto &d : sl.dataShare)
-            d.resize(z);
     }
+    // LIFO allocator handing out the lowest never-used slot first.
+    freeSlots_.resize(stash_slots);
+    std::iota(freeSlots_.rbegin(), freeSlots_.rend(), 0);
+
+    scratch_.image.resize(imageBytes_);
+    scratch_.ok.reset(new bool[std::size_t{params_.tree.levels + 1} * s]);
 
     // Initialize every bucket empty.
-    const std::vector<std::uint8_t> meta_plain = buildMeta(z, {});
-    const std::vector<std::uint8_t> zero_block(blockBytes, 0);
     for (std::uint64_t seq = 0; seq < buckets; ++seq) {
-        const std::uint64_t ctr = 1;
-        std::vector<std::uint8_t> meta_cipher = meta_plain;
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
-                                metaNonce(seq), ctr);
-        std::vector<std::vector<std::uint8_t>> slot_cipher(z);
-        for (unsigned s = 0; s < z; ++s) {
-            slot_cipher[s] = zero_block;
-            cipher_.transformBuffer(slot_cipher[s].data(), blockBytes,
-                                    dataNonce(seq, s), ctr);
+        scratch_.meta.assign(z, MetaSlot{});
+        sealMeta(seq, 1);
+        for (unsigned slot = 0; slot < z; ++slot) {
+            scratch_.block = BlockData{};
+            sealBlock(seq, slot, 1);
         }
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            Slice &sl = slices_[j];
-            sl.metaShare[seq] =
-                extractShare(meta_cipher, j, params_.slices);
-            for (unsigned s = 0; s < z; ++s) {
-                sl.dataShare[seq][s] =
-                    extractShare(slot_cipher[s], j, params_.slices);
-            }
-            sl.counter[seq] = ctr;
-            sl.mac[seq] = sliceMac(j, seq, sl);
-        }
+        tagSlices(&seq, 1);
     }
 }
 
@@ -125,53 +107,55 @@ SplitOram::dataNonce(std::uint64_t seq, unsigned slot) const
     return (seq << 6) | slot | (std::uint64_t{1} << 61);
 }
 
-std::vector<std::uint8_t>
-SplitOram::ctrPad(std::uint64_t nonce, std::uint64_t counter,
-                  std::size_t len) const
+crypto::PmmacItem
+SplitOram::sliceItem(unsigned j, std::uint64_t seq) const
 {
-    std::vector<std::uint8_t> pad(len, 0);
-    cipher_.transformBuffer(pad.data(), len, nonce, counter);
-    return pad;
-}
-
-std::size_t
-SplitOram::gatherSlice(const Slice &sl, std::uint64_t seq) const
-{
-    std::size_t total = sl.metaShare[seq].size();
-    for (const auto &share : sl.dataShare[seq])
-        total += share.size();
-    macScratch_.resize(total);
-    std::uint8_t *dst = macScratch_.data();
-    std::memcpy(dst, sl.metaShare[seq].data(), sl.metaShare[seq].size());
-    dst += sl.metaShare[seq].size();
-    for (const auto &share : sl.dataShare[seq]) {
-        std::memcpy(dst, share.data(), share.size());
-        dst += share.size();
-    }
-    return total;
-}
-
-crypto::Tag64
-SplitOram::sliceMac(unsigned slice, std::uint64_t seq,
-                    const Slice &sl) const
-{
-    const std::size_t total = gatherSlice(sl, seq);
-    const std::uint64_t id =
-        seq | (static_cast<std::uint64_t>(slice) << 56);
-    return mac_.tag(id, sl.counter[seq], macScratch_.data(), total);
+    const std::uint64_t id = seq | (static_cast<std::uint64_t>(j) << 56);
+    return {id, slices_[j].counter[seq],
+            slices_[j].arena.data() + imageOff(seq), imageBytes_};
 }
 
 bool
-SplitOram::fetchAndVerifySlice(unsigned j, std::uint64_t seq) const
+SplitOram::verifySlice(unsigned j, std::uint64_t seq, bool flipped)
 {
-    const Slice &sl = slices_[j];
-    const std::size_t total = gatherSlice(sl, seq);
-    if (injector_ && injector_->rollDramBitFlip())
-        injector_->corruptBuffer(macScratch_.data(), total);
-    const std::uint64_t id =
-        seq | (static_cast<std::uint64_t>(j) << 56);
-    return mac_.tag(id, sl.counter[seq], macScratch_.data(), total) ==
-           sl.mac[seq];
+    crypto::PmmacItem it = sliceItem(j, seq);
+    if (flipped) {
+        std::memcpy(scratch_.image.data(), it.data, imageBytes_);
+        injector_->corruptBuffer(scratch_.image.data(), imageBytes_);
+        it.data = scratch_.image.data();
+    }
+    return mac_.verify(it.id, it.counter, it.data, it.len,
+                       slices_[j].mac[seq]);
+}
+
+void
+SplitOram::settleSlice(unsigned j, std::uint64_t seq, bool ok)
+{
+    if (injector_ && !ok) {
+        // Same ledger convention as transferChannel(): one detection
+        // per failed verify, one recovery per granted re-fetch (a
+        // re-fetch that flips again is a NEW fault), so detected ==
+        // recovered + unrecovered.  The stored share is intact, so a
+        // clean re-fetch succeeds.
+        unsigned attempts = 0;
+        for (;;) {
+            injector_->recordDetected(fault::FaultKind::DramBitFlip);
+            if (attempts >= injector_->maxRetries()) {
+                injector_->recordUnrecovered(
+                    fault::FaultKind::DramBitFlip, "split.fetch_data",
+                    attempts);
+                break;
+            }
+            ++attempts;
+            injector_->recordRecovered(fault::FaultKind::DramBitFlip,
+                                       "split.fetch_data", 1);
+            ok = verifySlice(j, seq, injector_->rollDramBitFlip());
+            if (ok)
+                break;
+        }
+    }
+    if (!ok)
+        ++stats_.integrityFailures;
 }
 
 void
@@ -207,133 +191,159 @@ SplitOram::transferChannel(std::size_t bytes, const char *site)
     }
 }
 
-std::size_t
-SplitOram::allocStashSlot()
+void
+SplitOram::decodeMeta(std::uint64_t seq, MetaSlot *slots) const
 {
-    if (!freeSlots_.empty()) {
-        const std::size_t idx = freeSlots_.back();
-        freeSlots_.pop_back();
-        return idx;
+    auto *out = reinterpret_cast<std::uint8_t *>(slots);
+    for (unsigned j = 0; j < params_.slices; ++j) {
+        mergeShare({out, metaBytes_},
+                   {slices_[j].arena.data() + imageOff(seq),
+                    metaShareBytes_},
+                   j, params_.slices);
     }
-    const std::size_t idx = stashSlots_++;
-    for (auto &sl : slices_)
-        sl.stash.resize(stashSlots_);
-    return idx;
+    cipher_.transformBuffer(out, metaBytes_, metaNonce(seq),
+                            slices_[0].counter[seq]);
+}
+
+BlockData
+SplitOram::openBlock(std::size_t off, std::uint64_t nonce,
+                     std::uint64_t counter) const
+{
+    BlockData out{};
+    for (unsigned j = 0; j < params_.slices; ++j) {
+        mergeShare(out, {slices_[j].arena.data() + off, shareBytes_}, j,
+                   params_.slices);
+    }
+    cipher_.transformBlock(out, nonce, counter);
+    return out;
+}
+
+BlockData
+SplitOram::openPiece(const ShadowEntry &e) const
+{
+    return openBlock(pieceOff(e.stashIdx), dataNonce(e.srcSeq, e.srcSlot),
+                     e.srcCounter);
 }
 
 void
-SplitOram::freeStashSlot(std::size_t idx)
+SplitOram::sealMeta(std::uint64_t seq, std::uint64_t counter)
 {
-    for (auto &sl : slices_)
-        sl.stash[idx].reset();
-    freeSlots_.push_back(idx);
+    auto *meta = reinterpret_cast<std::uint8_t *>(scratch_.meta.data());
+    cipher_.transformBuffer(meta, metaBytes_, metaNonce(seq), counter);
+    for (unsigned j = 0; j < params_.slices; ++j) {
+        Slice &sl = slices_[j];
+        extractShare({meta, metaBytes_}, j, params_.slices,
+                     {sl.arena.data() + imageOff(seq), metaShareBytes_});
+        sl.counter[seq] = counter;
+    }
+}
+
+void
+SplitOram::sealBlock(std::uint64_t seq, unsigned slot,
+                     std::uint64_t counter)
+{
+    cipher_.transformBlock(scratch_.block, dataNonce(seq, slot), counter);
+    for (unsigned j = 0; j < params_.slices; ++j) {
+        extractShare(scratch_.block, j, params_.slices,
+                     {slices_[j].arena.data() + dataOff(seq, slot),
+                      shareBytes_});
+    }
+}
+
+void
+SplitOram::tagSlices(const std::uint64_t *seqs, std::size_t n)
+{
+    auto &items = scratch_.items;
+    items.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (unsigned j = 0; j < params_.slices; ++j)
+            items.push_back(sliceItem(j, seqs[i]));
+    }
+    scratch_.tags.resize(items.size());
+    mac_.tagBatch(items.data(), items.size(), scratch_.tags.data());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (unsigned j = 0; j < params_.slices; ++j)
+            slices_[j].mac[seqs[i]] = scratch_.tags[k++];
+    }
+}
+
+std::unordered_map<Addr, SplitOram::ShadowEntry>::iterator
+SplitOram::shadowInsert(Addr addr, const ShadowEntry &e)
+{
+    const auto it = shadow_.emplace(addr, e).first;
+    stats_.maxShadowStash =
+        std::max(stats_.maxShadowStash, shadow_.size());
+    return it;
 }
 
 void
 SplitOram::readPath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
+    auto &items = scratch_.items;
+    auto &expected = scratch_.tags;
+    auto &fetched = scratch_.fetched;
+    items.clear();
+    expected.clear();
+    fetched.clear();
     for (unsigned level = 0; level <= params_.tree.levels; ++level) {
         const std::uint64_t seq = layout_.bucketSeq(
             oram::pathBucket(leaf, level, params_.tree.levels));
 
         // Each SDIMM verifies its slice MAC (FETCH_DATA step).  With
         // an injector armed the fetched image may carry a transient
-        // bit flip; the MAC catches it and the slice is re-fetched
-        // from the (intact) stored share up to the retry budget.
+        // bit flip.  The injector is rolled per slice in (level,
+        // slice) order and a flipped image is verified and re-fetched
+        // right away, so the injector's draws keep that order.  The
+        // clean images are verified in place, in one batch after the
+        // path; a stored image failing there (it was tampered with)
+        // is re-fetched after the path's other draws.
         for (unsigned j = 0; j < params_.slices; ++j) {
-            bool ok = fetchAndVerifySlice(j, seq);
-            if (injector_ && !ok) {
-                // Same ledger convention as transferChannel(): one
-                // detection per failed verify, one recovery per
-                // granted re-fetch (a re-fetch that flips again is a
-                // NEW fault), so detected == recovered + unrecovered.
-                unsigned attempts = 0;
-                for (;;) {
-                    injector_->recordDetected(
-                        fault::FaultKind::DramBitFlip);
-                    if (attempts >= injector_->maxRetries()) {
-                        injector_->recordUnrecovered(
-                            fault::FaultKind::DramBitFlip,
-                            "split.fetch_data", attempts);
-                        break;
-                    }
-                    ++attempts;
-                    injector_->recordRecovered(
-                        fault::FaultKind::DramBitFlip,
-                        "split.fetch_data", 1);
-                    ok = fetchAndVerifySlice(j, seq);
-                    if (ok)
-                        break;
-                }
+            if (injector_ && injector_->rollDramBitFlip()) {
+                settleSlice(j, seq, verifySlice(j, seq, true));
+                continue;
             }
-            if (!ok)
-                ++stats_.integrityFailures;
+            items.push_back(sliceItem(j, seq));
+            expected.push_back(slices_[j].mac[seq]);
+            fetched.emplace_back(j, seq);
         }
 
         // Reassemble counter and metadata at the CPU.
         const std::uint64_t ctr = slices_[0].counter[seq];
         for (unsigned j = 1; j < params_.slices; ++j)
             SD_ASSERT(slices_[j].counter[seq] == ctr);
-
-        std::vector<std::uint8_t> meta_cipher(
-            static_cast<std::size_t>(z) * 16, 0);
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            mergeShare(meta_cipher, slices_[j].metaShare[seq], j,
-                       params_.slices);
-        }
-        transferChannel(meta_cipher.size() + 8,
+        decodeMeta(seq, scratch_.meta.data());
+        transferChannel(metaBytes_ + 8,
                         "split.fetch_data.meta"); // meta + ctr.
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
-                                metaNonce(seq), ctr);
 
         // Data pieces move into the slice stashes (local traffic).
         for (unsigned slot = 0; slot < z; ++slot) {
-            Addr a;
-            LeafId l;
-            std::memcpy(&a, meta_cipher.data() + 16 * slot, 8);
-            std::memcpy(&l, meta_cipher.data() + 16 * slot + 8, 8);
+            const auto [a, l] = scratch_.meta[slot];
             if (a == invalidAddr)
                 continue;
             SD_ASSERT(shadow_.find(a) == shadow_.end());
-            const std::size_t idx = allocStashSlot();
-            for (unsigned j = 0; j < params_.slices; ++j) {
-                Slice &sl = slices_[j];
-                sl.stash[idx] = SlicePiece{sl.dataShare[seq][slot], seq,
-                                           slot, ctr};
+            if (freeSlots_.empty()) {
+                panic("split piece stash overflow: capacity %u exceeded",
+                      params_.tree.stashCapacity);
+            }
+            const std::size_t idx = freeSlots_.back();
+            freeSlots_.pop_back();
+            for (auto &sl : slices_) {
+                std::memcpy(sl.arena.data() + pieceOff(idx),
+                            sl.arena.data() + dataOff(seq, slot),
+                            shareBytes_);
             }
             stats_.localBytes += blockBytes;
-            ShadowEntry e;
-            e.leaf = l;
-            e.cpuResident = false;
-            e.stashIdx = idx;
-            e.srcSeq = seq;
-            e.srcSlot = slot;
-            e.srcCounter = ctr;
-            shadow_.emplace(a, e);
+            shadowInsert(a, {.leaf = l, .stashIdx = idx, .srcSeq = seq,
+                             .srcSlot = slot, .srcCounter = ctr});
         }
     }
-    stats_.maxShadowStash =
-        std::max(stats_.maxShadowStash, shadow_.size());
-}
 
-BlockData
-SplitOram::fetchStash(const ShadowEntry &e)
-{
-    SD_ASSERT(!e.cpuResident);
-    std::vector<std::uint8_t> merged(blockBytes, 0);
-    for (unsigned j = 0; j < params_.slices; ++j) {
-        const auto &piece = slices_[j].stash[e.stashIdx];
-        SD_ASSERT(piece.has_value());
-        mergeShare(merged, piece->cipher, j, params_.slices);
-    }
-    transferChannel(blockBytes, "split.fetch_stash");
-    cipher_.transformBuffer(merged.data(), merged.size(),
-                            dataNonce(e.srcSeq, e.srcSlot),
-                            e.srcCounter);
-    BlockData out{};
-    std::memcpy(out.data(), merged.data(), blockBytes);
-    return out;
+    mac_.verifyBatch(items.data(), items.size(), expected.data(),
+                     scratch_.ok.get());
+    for (std::size_t i = 0; i < fetched.size(); ++i)
+        settleSlice(fetched[i].first, fetched[i].second, scratch_.ok[i]);
 }
 
 void
@@ -341,15 +351,18 @@ SplitOram::writePath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
     const unsigned L = params_.tree.levels;
+    auto &chosen = scratch_.chosen;
+    scratch_.seqs.clear();
 
     for (int level = static_cast<int>(L); level >= 0; --level) {
         const unsigned shift = L - static_cast<unsigned>(level);
         const std::uint64_t bucket_index = leaf >> shift;
         const std::uint64_t seq = layout_.bucketSeq(oram::pathBucket(
             leaf, static_cast<unsigned>(level), L));
+        scratch_.seqs.push_back(seq);
 
         // CPU: pick up to Z compatible shadow-stash blocks.
-        std::vector<std::pair<Addr, ShadowEntry>> chosen;
+        chosen.clear();
         for (auto it = shadow_.begin();
              it != shadow_.end() && chosen.size() < z;) {
             if ((it->second.leaf >> shift) == bucket_index) {
@@ -363,77 +376,53 @@ SplitOram::writePath(LeafId leaf)
         const std::uint64_t new_ctr = slices_[0].counter[seq] + 1;
 
         // CPU composes the new metadata and sends it in RECEIVE_LIST.
-        std::vector<std::pair<Addr, LeafId>> meta_blocks;
-        for (const auto &kv : chosen)
-            meta_blocks.emplace_back(kv.first, kv.second.leaf);
-        std::vector<std::uint8_t> meta_cipher =
-            buildMeta(z, meta_blocks);
-        transferChannel(meta_cipher.size() + 8 + 4 * z,
-                        "split.receive_list");
-        cipher_.transformBuffer(meta_cipher.data(), meta_cipher.size(),
-                                metaNonce(seq), new_ctr);
+        scratch_.meta.assign(z, MetaSlot{});
+        for (std::size_t i = 0; i < chosen.size(); ++i)
+            scratch_.meta[i] = {chosen[i].first, chosen[i].second.leaf};
+        transferChannel(metaBytes_ + 8 + 4 * z, "split.receive_list");
+        sealMeta(seq, new_ctr);
 
         // Fill the bucket's data slots slice by slice.
         for (unsigned slot = 0; slot < z; ++slot) {
-            if (slot < chosen.size() && chosen[slot].second.cpuResident) {
-                // CPU-resident block: the CPU encrypts for the
-                // destination and ships each slice its share.
-                const ShadowEntry &e = chosen[slot].second;
-                std::vector<std::uint8_t> full(
-                    e.data.begin(), e.data.end());
-                cipher_.transformBuffer(full.data(), full.size(),
-                                        dataNonce(seq, slot), new_ctr);
-                transferChannel(blockBytes, "split.receive_list");
-                for (unsigned j = 0; j < params_.slices; ++j) {
-                    slices_[j].dataShare[seq][slot] =
-                        extractShare(full, j, params_.slices);
-                }
-            } else if (slot < chosen.size()) {
+            const bool real = slot < chosen.size();
+            if (real && !chosen[slot].second.cpuResident) {
                 // Piece-resident block: each SDIMM re-encrypts its
                 // share locally (old pad out, new pad in).
                 const ShadowEntry &e = chosen[slot].second;
-                const auto old_pad =
-                    ctrPad(dataNonce(e.srcSeq, e.srcSlot), e.srcCounter,
-                           blockBytes);
-                const auto new_pad =
-                    ctrPad(dataNonce(seq, slot), new_ctr, blockBytes);
+                scratch_.block = BlockData{};
+                cipher_.transformBlock(scratch_.block,
+                                       dataNonce(e.srcSeq, e.srcSlot),
+                                       e.srcCounter);
+                cipher_.transformBlock(scratch_.block, dataNonce(seq, slot),
+                                       new_ctr);
                 for (unsigned j = 0; j < params_.slices; ++j) {
-                    Slice &sl = slices_[j];
-                    const auto &piece = sl.stash[e.stashIdx];
-                    SD_ASSERT(piece.has_value());
-                    std::vector<std::uint8_t> share = piece->cipher;
-                    for (std::size_t k = 0; k < share.size(); ++k) {
-                        const std::size_t gi = j + params_.slices * k;
-                        share[k] = static_cast<std::uint8_t>(
-                            share[k] ^ old_pad[gi] ^ new_pad[gi]);
-                    }
-                    sl.dataShare[seq][slot] = std::move(share);
+                    std::uint8_t *arena = slices_[j].arena.data();
+                    std::uint8_t *dst = arena + dataOff(seq, slot);
+                    const std::uint8_t *piece =
+                        arena + pieceOff(e.stashIdx);
+                    extractShare(scratch_.block, j, params_.slices,
+                                 {dst, shareBytes_});
+                    for (std::size_t k = 0; k < shareBytes_; ++k)
+                        dst[k] ^= piece[k];
                 }
                 stats_.localBytes += blockBytes;
-                freeStashSlot(e.stashIdx);
-            } else {
-                // Dummy slot: each SDIMM writes its share of an
-                // encrypted zero block.
-                std::vector<std::uint8_t> zero(blockBytes, 0);
-                cipher_.transformBuffer(zero.data(), zero.size(),
-                                        dataNonce(seq, slot), new_ctr);
-                for (unsigned j = 0; j < params_.slices; ++j) {
-                    slices_[j].dataShare[seq][slot] =
-                        extractShare(zero, j, params_.slices);
-                }
-                stats_.localBytes += blockBytes;
+                freeSlots_.push_back(e.stashIdx);
+                continue;
             }
-        }
-
-        // Commit metadata, counter, and fresh slice MACs.
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            Slice &sl = slices_[j];
-            sl.metaShare[seq] =
-                extractShare(meta_cipher, j, params_.slices);
-            sl.counter[seq] = new_ctr;
-            sl.mac[seq] = sliceMac(j, seq, sl);
+            // CPU-resident block: the CPU encrypts for the destination
+            // and ships each slice its share.  Dummy slot: each SDIMM
+            // writes its share of an encrypted zero block.
+            scratch_.block = real ? chosen[slot].second.data : BlockData{};
+            sealBlock(seq, slot, new_ctr);
+            if (real)
+                transferChannel(blockBytes, "split.receive_list");
+            else
+                stats_.localBytes += blockBytes;
         }
     }
+
+    // Fresh slice MACs for the whole path.
+    tagSlices(scratch_.seqs.data(), scratch_.seqs.size());
 }
 
 BlockData
@@ -458,34 +447,29 @@ SplitOram::accessExplicit(Addr addr, LeafId old_leaf, LeafId new_leaf,
     readPath(old_leaf);
 
     const bool remove = new_leaf == invalidLeaf;
+    const bool write = op == oram::OramOp::Write && !remove;
+    SD_ASSERT(!write || new_data != nullptr);
     auto it = shadow_.find(addr);
+    if (it == shadow_.end() && !remove) {
+        // Uninitialized block: materialize at the CPU.
+        it = shadowInsert(addr, {.cpuResident = true});
+    }
     BlockData old_value{};
-    if (it == shadow_.end()) {
-        if (!remove) {
-            // Uninitialized block: materialize at the CPU.
-            ShadowEntry e;
-            e.leaf = new_leaf;
-            e.cpuResident = true;
-            it = shadow_.emplace(addr, e).first;
-        }
-    } else {
+    if (it != shadow_.end()) {
         ShadowEntry &e = it->second;
         if (!e.cpuResident) {
-            old_value = fetchStash(e);
-            freeStashSlot(e.stashIdx);
+            transferChannel(blockBytes, "split.fetch_stash");
+            e.data = openPiece(e);
+            freeSlots_.push_back(e.stashIdx);
             e.cpuResident = true;
-            e.data = old_value;
-        } else {
-            old_value = e.data;
         }
+        old_value = e.data;
         e.leaf = new_leaf;
+        if (write)
+            e.data = *new_data;
+        if (remove)
+            shadow_.erase(it);
     }
-    if (op == oram::OramOp::Write && it != shadow_.end() && !remove) {
-        SD_ASSERT(new_data != nullptr);
-        it->second.data = *new_data;
-    }
-    if (remove && it != shadow_.end())
-        shadow_.erase(it);
 
     writePath(old_leaf);
 
@@ -500,13 +484,7 @@ SplitOram::adoptBlock(Addr addr, LeafId leaf, const BlockData &data)
 {
     SD_ASSERT(leaf < params_.tree.numLeaves());
     SD_ASSERT(shadow_.find(addr) == shadow_.end());
-    ShadowEntry e;
-    e.leaf = leaf;
-    e.cpuResident = true;
-    e.data = data;
-    shadow_.emplace(addr, e);
-    stats_.maxShadowStash =
-        std::max(stats_.maxShadowStash, shadow_.size());
+    shadowInsert(addr, {.leaf = leaf, .cpuResident = true, .data = data});
     while (shadow_.size() > params_.tree.stashCapacity / 2)
         backgroundEvict();
 }
@@ -544,20 +522,15 @@ SplitOram::auditInvariants(bool check_posmap,
     // 1. Per-slice storage shape, replicated counters, slice MACs.
     for (unsigned j = 0; j < params_.slices; ++j) {
         const Slice &sl = slices_[j];
-        check(sl.metaShare.size() == buckets && sl.dataShare.size() == buckets &&
+        check(sl.arena.size() == pieceOff(params_.tree.stashCapacity) &&
                   sl.counter.size() == buckets && sl.mac.size() == buckets,
               [&] {
                   std::ostringstream os;
-                  os << "slice " << j << ": storage vectors not sized to "
-                     << buckets << " buckets";
+                  os << "slice " << j << ": storage not sized to "
+                     << buckets << " buckets and "
+                     << params_.tree.stashCapacity << " stash slots";
                   return os.str();
               });
-        check(sl.stash.size() == stashSlots_, [&] {
-            std::ostringstream os;
-            os << "slice " << j << ": stash has " << sl.stash.size()
-               << " slots, allocator says " << stashSlots_;
-            return os.str();
-        });
         for (std::uint64_t seq = 0; seq < buckets; ++seq) {
             check(sl.counter[seq] == slices_[0].counter[seq], [&] {
                 std::ostringstream os;
@@ -565,12 +538,15 @@ SplitOram::auditInvariants(bool check_posmap,
                    << " counter diverges from slice 0";
                 return os.str();
             });
-            check(sliceMac(j, seq, sl) == sl.mac[seq], [&] {
-                std::ostringstream os;
-                os << "bucket " << seq << ": slice " << j
-                   << " MAC mismatch (tampered or stale)";
-                return os.str();
-            });
+            const crypto::PmmacItem it = sliceItem(j, seq);
+            check(mac_.verify(it.id, it.counter, it.data, it.len,
+                              sl.mac[seq]),
+                  [&] {
+                      std::ostringstream os;
+                      os << "bucket " << seq << ": slice " << j
+                         << " MAC mismatch (tampered or stale)";
+                      return os.str();
+                  });
         }
     }
 
@@ -579,24 +555,16 @@ SplitOram::auditInvariants(bool check_posmap,
     //    passes through that bucket, and no address may appear twice
     //    (tree or shadow stash).
     std::unordered_set<Addr> seen;
+    std::vector<MetaSlot> meta(z);
     for (unsigned level = 0; level <= L; ++level) {
         const std::uint64_t level_width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const oram::BucketPos pos{level, index};
             const std::uint64_t seq = layout_.bucketSeq(pos);
-            std::vector<std::uint8_t> meta(
-                static_cast<std::size_t>(z) * 16, 0);
-            for (unsigned j = 0; j < params_.slices; ++j)
-                mergeShare(meta, slices_[j].metaShare[seq], j,
-                           params_.slices);
-            cipher_.transformBuffer(meta.data(), meta.size(),
-                                    metaNonce(seq),
-                                    slices_[0].counter[seq]);
+            decodeMeta(seq, meta.data());
             for (unsigned slot = 0; slot < z; ++slot) {
-                Addr a;
-                LeafId l;
-                std::memcpy(&a, meta.data() + 16 * slot, 8);
-                std::memcpy(&l, meta.data() + 16 * slot + 8, 8);
+                const Addr a = meta[slot].addr;
+                const LeafId l = meta[slot].leaf;
                 if (a == invalidAddr)
                     continue;
                 check(l < params_.tree.numLeaves(), [&] {
@@ -665,7 +633,7 @@ SplitOram::auditInvariants(bool check_posmap,
             });
         }
         if (!e.cpuResident) {
-            check(e.stashIdx < stashSlots_ &&
+            check(e.stashIdx < params_.tree.stashCapacity &&
                       referenced.insert(e.stashIdx).second,
                   [&] {
                       std::ostringstream os;
@@ -673,33 +641,27 @@ SplitOram::auditInvariants(bool check_posmap,
                          << ": bad or shared stash slot " << e.stashIdx;
                       return os.str();
                   });
-            for (unsigned j = 0; j < params_.slices; ++j) {
-                check(e.stashIdx < slices_[j].stash.size() &&
-                          slices_[j].stash[e.stashIdx].has_value(),
-                      [&] {
-                          std::ostringstream os;
-                          os << "shadow block " << a << ": slice " << j
-                             << " missing its stash piece";
-                          return os.str();
-                      });
-            }
         }
     }
 
     // 4. Stash-slot allocator: every slot is either free or referenced
     //    by exactly one piece-resident shadow entry.
     for (std::size_t idx : freeSlots_) {
-        check(idx < stashSlots_ && referenced.find(idx) == referenced.end(),
+        check(idx < params_.tree.stashCapacity &&
+                  referenced.find(idx) == referenced.end(),
               [&] {
                   std::ostringstream os;
                   os << "stash slot " << idx << " both free and in use";
                   return os.str();
               });
     }
-    check(referenced.size() + freeSlots_.size() == stashSlots_, [&] {
+    check(referenced.size() + freeSlots_.size() ==
+              params_.tree.stashCapacity,
+          [&] {
         std::ostringstream os;
         os << "stash slots leaked: " << referenced.size() << " in use + "
-           << freeSlots_.size() << " free != " << stashSlots_;
+           << freeSlots_.size() << " free != "
+           << params_.tree.stashCapacity;
         return os.str();
     });
 
@@ -712,7 +674,9 @@ void
 SplitOram::tamperSlice(unsigned slice, std::uint64_t bucket_seq,
                        unsigned slot, std::size_t byte_index)
 {
-    slices_.at(slice).dataShare.at(bucket_seq).at(slot).at(byte_index) ^=
+    SD_ASSERT(bucket_seq < params_.tree.numBuckets() &&
+              slot < params_.tree.bucketBlocks && byte_index < shareBytes_);
+    slices_.at(slice).arena[dataOff(bucket_seq, slot) + byte_index] ^=
         0x01;
 }
 
@@ -720,58 +684,30 @@ std::vector<oram::StashEntry>
 SplitOram::residentBlocks() const
 {
     std::vector<oram::StashEntry> out;
-    const unsigned z = params_.tree.bucketBlocks;
+    std::vector<MetaSlot> meta(params_.tree.bucketBlocks);
     const unsigned L = params_.tree.levels;
     for (unsigned level = 0; level <= L; ++level) {
         const std::uint64_t level_width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const std::uint64_t seq =
                 layout_.bucketSeq({level, index});
-            const std::uint64_t ctr = slices_[0].counter[seq];
-            std::vector<std::uint8_t> meta(
-                static_cast<std::size_t>(z) * 16, 0);
-            for (unsigned j = 0; j < params_.slices; ++j)
-                mergeShare(meta, slices_[j].metaShare[seq], j,
-                           params_.slices);
-            cipher_.transformBuffer(meta.data(), meta.size(),
-                                    metaNonce(seq), ctr);
-            for (unsigned slot = 0; slot < z; ++slot) {
-                Addr a;
-                LeafId l;
-                std::memcpy(&a, meta.data() + 16 * slot, 8);
-                std::memcpy(&l, meta.data() + 16 * slot + 8, 8);
+            decodeMeta(seq, meta.data());
+            for (unsigned slot = 0; slot < params_.tree.bucketBlocks;
+                 ++slot) {
+                const auto [a, l] = meta[slot];
                 if (a == invalidAddr)
                     continue;
-                std::vector<std::uint8_t> merged(blockBytes, 0);
-                for (unsigned j = 0; j < params_.slices; ++j)
-                    mergeShare(merged, slices_[j].dataShare[seq][slot],
-                               j, params_.slices);
-                cipher_.transformBuffer(merged.data(), merged.size(),
-                                        dataNonce(seq, slot), ctr);
-                BlockData d{};
-                std::memcpy(d.data(), merged.data(), blockBytes);
-                out.push_back({a, l, d});
+                out.push_back({a, l,
+                               openBlock(dataOff(seq, slot),
+                                         dataNonce(seq, slot),
+                                         slices_[0].counter[seq])});
             }
         }
     }
     for (const auto &kv : shadow_) {
         const ShadowEntry &e = kv.second;
-        if (e.cpuResident) {
-            out.push_back({kv.first, e.leaf, e.data});
-            continue;
-        }
-        std::vector<std::uint8_t> merged(blockBytes, 0);
-        for (unsigned j = 0; j < params_.slices; ++j) {
-            const auto &piece = slices_[j].stash[e.stashIdx];
-            SD_ASSERT(piece.has_value());
-            mergeShare(merged, piece->cipher, j, params_.slices);
-        }
-        cipher_.transformBuffer(merged.data(), merged.size(),
-                                dataNonce(e.srcSeq, e.srcSlot),
-                                e.srcCounter);
-        BlockData d{};
-        std::memcpy(d.data(), merged.data(), blockBytes);
-        out.push_back({kv.first, e.leaf, d});
+        out.push_back(
+            {kv.first, e.leaf, e.cpuResident ? e.data : openPiece(e)});
     }
     return out;
 }

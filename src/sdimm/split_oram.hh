@@ -14,6 +14,18 @@
  * and write their shares back locally.  Only metadata and the one
  * requested block ever cross the CPU channel.
  *
+ * Storage: each slice is one flat arena.  Bucket seq's slice image
+ * sits at seq * imageBytes and is its metadata share (ceil(16Z/S)
+ * bytes) followed by its Z data shares (blockBytes/S bytes each).
+ * The slice's piece stash follows the bucket images: stashCapacity
+ * data shares, sized once (an overflow panics, as PathOram's stash
+ * does).  The replicated counters and the slice MACs are flat
+ * per-bucket arrays beside the arena.  A slice MAC binds the identity
+ * (bucket seq, slice), the bucket counter, and the whole slice image
+ * -- metadata share and every data share -- and is computed over the
+ * image where it lies: one Pmmac::tagBatch per path write and one
+ * Pmmac::verifyBatch per path read.
+ *
  * DESIGN.md substitution note: bucket counters are replicated per
  * slice instead of bit-split, letting each SDIMM verify its slice MAC
  * at read time.  Wire sizes are modeled as if split (the timing layer
@@ -24,7 +36,8 @@
 #define SECUREDIMM_SDIMM_SPLIT_ORAM_HH
 
 #include <cstdint>
-#include <optional>
+#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,12 +55,18 @@
 namespace secdimm::sdimm
 {
 
-/** Byte-interleaving helpers (slice j gets bytes i with i%S == j). */
-std::vector<std::uint8_t> extractShare(
-    const std::vector<std::uint8_t> &full, unsigned slice, unsigned s);
-void mergeShare(std::vector<std::uint8_t> &full,
-                const std::vector<std::uint8_t> &share, unsigned slice,
-                unsigned s);
+/**
+ * Byte-interleaving helpers: slice @p slice of @p s owns the bytes
+ * {i : i mod s == slice} of @p full.  extractShare copies them into
+ * the front of @p share, mergeShare copies them back; both return the
+ * share's length in bytes.
+ */
+std::size_t extractShare(std::span<const std::uint8_t> full,
+                         unsigned slice, unsigned s,
+                         std::span<std::uint8_t> share);
+std::size_t mergeShare(std::span<std::uint8_t> full,
+                       std::span<const std::uint8_t> share,
+                       unsigned slice, unsigned s);
 
 /** Split ORAM statistics. */
 struct SplitOramStats
@@ -196,25 +215,12 @@ class SplitOram final : public oram::OramEngine
     }
 
   private:
-    /** Per-slice ciphertext share of one block, parked in a stash. */
-    struct SlicePiece
-    {
-        std::vector<std::uint8_t> cipher; ///< blockBytes/S bytes.
-        std::uint64_t srcSeq = 0;
-        unsigned srcSlot = 0;
-        std::uint64_t srcCounter = 0;
-    };
-
-    /** One SDIMM's slice of the tree + its local stash. */
+    /** One SDIMM's arena (bucket images, then piece stash) + arrays. */
     struct Slice
     {
-        /** [bucket] metadata cipher share. */
-        std::vector<std::vector<std::uint8_t>> metaShare;
-        /** [bucket][slot] data cipher share. */
-        std::vector<std::vector<std::vector<std::uint8_t>>> dataShare;
-        std::vector<std::uint64_t> counter; ///< Replicated per slice.
-        std::vector<crypto::Tag64> mac;
-        std::vector<std::optional<SlicePiece>> stash;
+        std::vector<std::uint8_t> arena;
+        std::vector<std::uint64_t> counter; ///< [bucket], replicated.
+        std::vector<crypto::Tag64> mac;     ///< [bucket] slice MAC.
     };
 
     /** CPU-side record of a block held in the SDIMM stashes. */
@@ -229,26 +235,58 @@ class SplitOram final : public oram::OramEngine
         std::uint64_t srcCounter = 0;
     };
 
+    /** One metadata slot as encrypted: 16 bytes, no padding. */
+    struct MetaSlot
+    {
+        Addr addr = invalidAddr;
+        LeafId leaf = invalidLeaf;
+    };
+
+    /** Buffers reused by every path (no per-access allocation). */
+    struct PathScratch
+    {
+        std::vector<MetaSlot> meta;      ///< One bucket's metadata.
+        BlockData block{};               ///< One full block.
+        std::vector<std::uint8_t> image; ///< A bit-flipped image copy.
+        std::vector<std::pair<Addr, ShadowEntry>> chosen;
+        std::vector<std::uint64_t> seqs; ///< The path's bucket seqs.
+        /** (slice, bucket seq) of each queued FETCH_DATA verify. */
+        std::vector<std::pair<unsigned, std::uint64_t>> fetched;
+        std::vector<crypto::PmmacItem> items;
+        std::vector<crypto::Tag64> tags;
+        std::unique_ptr<bool[]> ok;
+    };
+
     std::uint64_t metaNonce(std::uint64_t seq) const;
     std::uint64_t dataNonce(std::uint64_t seq, unsigned slot) const;
 
-    /** Full CTR pad of @p len bytes. */
-    std::vector<std::uint8_t> ctrPad(std::uint64_t nonce,
-                                     std::uint64_t counter,
-                                     std::size_t len) const;
+    /** Arena offsets (the same in every slice). */
+    std::size_t imageOff(std::uint64_t seq) const { return seq * imageBytes_; }
+    std::size_t dataOff(std::uint64_t seq, unsigned slot) const
+    {
+        return imageOff(seq) + metaShareBytes_ + slot * shareBytes_;
+    }
+    std::size_t pieceOff(std::size_t idx) const
+    {
+        return imageOff(params_.tree.numBuckets()) + idx * shareBytes_;
+    }
 
-    /** Gather a slice's meta+data shares into the reused scratch. */
-    std::size_t gatherSlice(const Slice &sl, std::uint64_t seq) const;
-
-    crypto::Tag64 sliceMac(unsigned slice, std::uint64_t seq,
-                           const Slice &sl) const;
+    /** Slice @p j's MAC input: bucket @p seq's image in the arena. */
+    crypto::PmmacItem sliceItem(unsigned j, std::uint64_t seq) const;
 
     /**
-     * Model one FETCH_DATA of slice @p j of bucket @p seq: the SDIMM
-     * reads its share image (possibly bit-flipped in flight when an
-     * injector is armed) and checks it against the stored slice MAC.
+     * One FETCH_DATA attempt of slice @p j of bucket @p seq: the SDIMM
+     * checks its image against the stored slice MAC.  A @p flipped
+     * image is a bit-flipped copy of the stored one.
      */
-    bool fetchAndVerifySlice(unsigned j, std::uint64_t seq) const;
+    bool verifySlice(unsigned j, std::uint64_t seq, bool flipped);
+
+    /**
+     * Account a first FETCH_DATA verdict: a failed verify is re-fetched
+     * (one injector roll per attempt) up to the retry budget, and a
+     * slice still failing counts an integrity failure.
+     */
+    void settleSlice(unsigned j, std::uint64_t seq, bool ok);
 
     /**
      * Charge @p bytes of CPU-channel traffic, retrying through
@@ -256,9 +294,25 @@ class SplitOram final : public oram::OramEngine
      */
     void transferChannel(std::size_t bytes, const char *site);
 
-    /** Allocate the same stash slot in every slice. */
-    std::size_t allocStashSlot();
-    void freeStashSlot(std::size_t idx);
+    /** Merge bucket @p seq's metadata shares and decrypt into @p out. */
+    void decodeMeta(std::uint64_t seq, MetaSlot *out) const;
+
+    /** Merge the block shares at arena offset @p off and decrypt. */
+    BlockData openBlock(std::size_t off, std::uint64_t nonce,
+                        std::uint64_t counter) const;
+    BlockData openPiece(const ShadowEntry &e) const;
+
+    /** Encrypt scratch_.meta / scratch_.block into every slice. */
+    void sealMeta(std::uint64_t seq, std::uint64_t counter);
+    void sealBlock(std::uint64_t seq, unsigned slot,
+                   std::uint64_t counter);
+
+    /** Tag every slice image of buckets @p seqs in one batch. */
+    void tagSlices(const std::uint64_t *seqs, std::size_t n);
+
+    /** Insert into the shadow stash, tracking its peak. */
+    std::unordered_map<Addr, ShadowEntry>::iterator
+    shadowInsert(Addr addr, const ShadowEntry &e);
 
     /** Steps 1-3 for one path; fills shadow stash from metadata. */
     void readPath(LeafId leaf);
@@ -266,26 +320,26 @@ class SplitOram final : public oram::OramEngine
     /** Steps 4.5-6: evict shadow-stash blocks onto the path. */
     void writePath(LeafId leaf);
 
-    /** Reassemble + decrypt a block from its stash pieces. */
-    BlockData fetchStash(const ShadowEntry &e);
-
     Params params_;
     oram::TreeLayout layout_;
     crypto::CtrCipher cipher_;
     crypto::Pmmac mac_;
     Rng rng_;
 
+    std::size_t metaBytes_;      ///< Z metadata slots, in bytes.
+    std::size_t metaShareBytes_; ///< ceil(metaBytes_ / S).
+    std::size_t shareBytes_;     ///< blockBytes / S.
+    std::size_t imageBytes_;     ///< One bucket's slice image.
+
     std::vector<Slice> slices_;
     std::vector<LeafId> posMap_;
     std::unordered_map<Addr, ShadowEntry> shadow_;
-    std::size_t stashSlots_ = 0;
-    std::vector<std::size_t> freeSlots_; ///< Shared slot allocator.
+    /** Free piece-stash slots, the same in every slice (LIFO). */
+    std::vector<std::size_t> freeSlots_;
+    PathScratch scratch_;
 
     TraceEventFn observer_;
     SplitOramStats stats_;
-    /** Reused share-concatenation buffer for slice MACs (no
-     *  per-verification allocation in steady state). */
-    mutable std::vector<std::uint8_t> macScratch_;
     fault::FaultInjector *injector_ = nullptr;
 };
 

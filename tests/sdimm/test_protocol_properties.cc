@@ -183,10 +183,13 @@ TEST_P(SplitSweep, ShareSizesPartitionBlock)
         full[i] = static_cast<std::uint8_t>(i);
     std::size_t total = 0;
     std::vector<std::uint8_t> rebuilt(blockBytes, 0);
+    std::vector<std::uint8_t> share(blockBytes);
     for (unsigned j = 0; j < slices; ++j) {
-        const auto share = extractShare(full, j, slices);
-        total += share.size();
-        mergeShare(rebuilt, share, j, slices);
+        const std::size_t n = extractShare(full, j, slices, share);
+        total += n;
+        EXPECT_EQ(mergeShare(rebuilt, std::span(share).first(n), j,
+                             slices),
+                  n);
     }
     EXPECT_EQ(total, blockBytes);
     EXPECT_EQ(rebuilt, full);

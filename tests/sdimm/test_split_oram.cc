@@ -36,8 +36,11 @@ TEST(SplitShares, ExtractMergeRoundTrip)
         full[i] = static_cast<std::uint8_t>(i * 7);
     for (unsigned s : {2u, 4u}) {
         std::vector<std::uint8_t> rebuilt(64, 0);
-        for (unsigned j = 0; j < s; ++j)
-            mergeShare(rebuilt, extractShare(full, j, s), j, s);
+        std::vector<std::uint8_t> share(64);
+        for (unsigned j = 0; j < s; ++j) {
+            extractShare(full, j, s, share);
+            mergeShare(rebuilt, share, j, s);
+        }
         EXPECT_EQ(rebuilt, full) << "slices=" << s;
     }
 }
@@ -45,9 +48,10 @@ TEST(SplitShares, ExtractMergeRoundTrip)
 TEST(SplitShares, SharesPartitionTheBytes)
 {
     std::vector<std::uint8_t> full(64, 0xff);
-    const auto s0 = extractShare(full, 0, 2);
-    const auto s1 = extractShare(full, 1, 2);
-    EXPECT_EQ(s0.size() + s1.size(), full.size());
+    std::vector<std::uint8_t> share(64);
+    const std::size_t s0 = extractShare(full, 0, 2, share);
+    const std::size_t s1 = extractShare(full, 1, 2, share);
+    EXPECT_EQ(s0 + s1, full.size());
 }
 
 TEST(SplitOram, UninitializedReadsZero)
@@ -161,6 +165,18 @@ TEST(SplitOram, ShadowStashStaysBounded)
     EXPECT_LE(oram.stats().maxShadowStash,
               oram.capacityBlocks()); // Sanity.
     EXPECT_LE(oram.shadowStashSize(), 200u);
+}
+
+TEST(SplitOram, ShadowStashPeakCountsTheAccessedBlock)
+{
+    // A fresh tree holds no blocks, so the written block is the only
+    // one to pass through the shadow stash (between the path read and
+    // the path write): the peak must count it.
+    SplitOram oram(smallParams(), 1);
+    const BlockData v = blockOf(1);
+    oram.access(0, oram::OramOp::Write, &v);
+    EXPECT_EQ(oram.stats().maxShadowStash, 1u);
+    EXPECT_EQ(oram.shadowStashSize(), 0u);
 }
 
 TEST(SplitOram, OverwritePersistsAcrossManyAccesses)

@@ -83,7 +83,9 @@ TEST(TamperExhaustive, SplitSliceShareEveryByteFlipDetected)
 
     // The root bucket lies on every path, so any access re-reads (and,
     // on write-back, re-MACs) it: tamper, access, expect exactly one
-    // new integrity failure per swept byte.
+    // new integrity failure per swept byte.  Every byte of every
+    // slot's share in every slice is swept, so a wrong slot or slice
+    // offset into the slice arenas cannot pass.
     const oram::TreeLayout layout(sp.tree.levels,
                                   sp.tree.linesPerBucket());
     const std::uint64_t root_seq =
@@ -95,11 +97,19 @@ TEST(TamperExhaustive, SplitSliceShareEveryByteFlipDetected)
     o.access(0, oram::OramOp::Write, &d);
     ASSERT_EQ(o.stats().integrityFailures, 0u);
 
-    for (std::size_t b = 0; b < share_bytes; ++b) {
-        o.tamperSlice(1, root_seq, 0, b);
-        o.access(b % o.capacityBlocks(), oram::OramOp::Read);
-        EXPECT_EQ(o.stats().integrityFailures, b + 1)
-            << "share byte " << b;
+    std::uint64_t flips = 0;
+    for (unsigned j = 0; j < sp.slices; ++j) {
+        for (unsigned slot = 0; slot < sp.tree.bucketBlocks; ++slot) {
+            for (std::size_t b = 0; b < share_bytes; ++b) {
+                o.tamperSlice(j, root_seq, slot, b);
+                o.access(flips % o.capacityBlocks(),
+                         oram::OramOp::Read);
+                ++flips;
+                EXPECT_EQ(o.stats().integrityFailures, flips)
+                    << "slice " << j << " slot " << slot
+                    << " share byte " << b;
+            }
+        }
     }
     EXPECT_FALSE(o.integrityOk());
 }
