@@ -108,6 +108,28 @@ BM_CmacPathBatch(benchmark::State &state)
 }
 BENCHMARK(BM_CmacPathBatch);
 
+/** One path's CTR pass: 16 bucket images of 320 B, as on kv_zipf's
+ *  tree (a read decrypts, a write encrypts, each one such pass). */
+void
+BM_CtrTransformPath(benchmark::State &state)
+{
+    constexpr std::size_t kPath = 16;
+    crypto::CtrCipher ctr(crypto::makeKey(3, 4));
+    std::vector<std::uint8_t> images(kPath * 320, 0x3c);
+    std::uint64_t counter = 0;
+    for (auto _ : state) {
+        ++counter;
+        for (std::size_t i = 0; i < kPath; ++i)
+            ctr.transformBuffer(images.data() + 320 * i, 320, i, counter);
+        benchmark::DoNotOptimize(images.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(
+        static_cast<std::int64_t>(state.iterations()) *
+        static_cast<std::int64_t>(kPath * 320));
+}
+BENCHMARK(BM_CtrTransformPath);
+
 /** Batched PMMAC verification of one path (verify side of a read). */
 void
 BM_PmmacPathVerifyBatch(benchmark::State &state)
@@ -158,39 +180,46 @@ BM_BucketStorePathBatch(benchmark::State &state)
     constexpr std::size_t kPath = 13;
     oram::BucketStore store(64, 4, crypto::makeKey(1, 1),
                             crypto::makeKey(2, 2));
-    std::vector<oram::Bucket> buckets;
+    const std::size_t img = store.imageBytes();
+    std::vector<std::uint8_t> images(kPath * img);
     std::vector<std::uint64_t> seqs;
     for (std::size_t i = 0; i < kPath; ++i) {
         oram::Bucket b(4);
         b.slot(0) = oram::BlockSlot{static_cast<Addr>(i), 2,
                                     BlockData{}};
-        buckets.push_back(std::move(b));
+        b.toImageInto(images.data() + img * i);
         seqs.push_back(i);
     }
-    std::vector<oram::BucketReadResult> results;
+    bool ok[kPath] = {};
     for (auto _ : state) {
-        store.writeBuckets(seqs.data(), buckets.data(), kPath);
-        store.readBuckets(seqs.data(), kPath, results);
-        benchmark::DoNotOptimize(results);
+        store.writeBuckets(seqs.data(), images.data(), kPath);
+        store.readBuckets(seqs.data(), kPath, images.data(), ok);
+        benchmark::DoNotOptimize(images.data());
+        benchmark::DoNotOptimize(ok);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) * kPath);
 }
 BENCHMARK(BM_BucketStorePathBatch);
 
+/** One path write-back: 100 stashed blocks onto a 7-bucket path. */
 void
 BM_StashEvict(benchmark::State &state)
 {
+    constexpr unsigned kLevels = 6;
+    constexpr unsigned kZ = 4;
+    std::vector<std::uint8_t> images((kLevels + 1) *
+                                     oram::Bucket::imageBytes(kZ));
     for (auto _ : state) {
         state.PauseTiming();
         oram::Stash stash(256);
         for (Addr a = 0; a < 100; ++a)
             stash.put(a, a % 64, BlockData{});
         state.ResumeTiming();
-        for (int level = 6; level >= 0; --level) {
-            auto picked = stash.evictForBucket(13, level, 6, 4);
-            benchmark::DoNotOptimize(picked);
-        }
+        stash.fillPath(13, kLevels, kZ, images.data());
+        benchmark::DoNotOptimize(images.data());
+        benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_StashEvict);

@@ -9,10 +9,11 @@
  * x86 AES-NI, and the ARMv8 Crypto Extension.  Each instance picks
  * its backend at construction via cpu_features.hh (CPUID/HWCAP
  * detection, `SDIMM_AES_IMPL` env override, forceAesImpl() test
- * hook).  The hardware paths run the batch API (encryptBlocks) with
- * rounds interleaved eight blocks wide, which is what makes pipelined
- * CTR keystreams and batched path MACs fast; see docs/PERFORMANCE.md
- * for the measured before/after and the dispatch design.
+ * hook).  The hardware paths run the two batch APIs (encryptBlocks
+ * for independent blocks, cbcChains for CBC-MAC chains) with rounds
+ * interleaved eight blocks wide, which is what makes CTR keystreams
+ * and batched path MACs fast; see docs/PERFORMANCE.md for the
+ * measured before/after and the dispatch design.
  */
 
 #ifndef SECUREDIMM_CRYPTO_AES128_HH
@@ -86,6 +87,17 @@ class Aes128
      */
     void encryptBlocks(const std::uint8_t *in, std::uint8_t *out,
                        std::size_t n) const;
+
+    /**
+     * Advance @p n independent CBC-MAC chains by @p nblocks blocks:
+     * for each of the 16-byte blocks m at msgs[i], msgs[i] + 16, ...
+     * in turn, chain i's state (16 bytes at state + 16 i) becomes
+     * E(state ^ m).  The AES-NI backend keeps the states in registers
+     * across blocks, eight chains interleaved; the other backends
+     * loop over encryptBlocks.  Counts n * nblocks block operations.
+     */
+    void cbcChains(std::uint8_t *state, const std::uint8_t *const *msgs,
+                   std::size_t n, std::size_t nblocks) const;
 
     /** Backend this instance dispatches to. */
     AesImpl impl() const { return impl_; }

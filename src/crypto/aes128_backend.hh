@@ -36,6 +36,16 @@ void aesniExpandInv(const std::uint8_t *rk, std::uint8_t *inv_rk);
 void aesniEncryptBlocks(const std::uint8_t *rk, const std::uint8_t *in,
                         std::uint8_t *out, std::size_t n);
 
+/**
+ * Advance @p n CBC-MAC chains by @p nblocks blocks each: chain i's
+ * 16-byte state at state + 16 i becomes E(state ^ m) for each block m
+ * of msgs[i] in turn.  The states stay in registers across blocks,
+ * eight chains interleaved.
+ */
+void aesniCbcChains(const std::uint8_t *rk, std::uint8_t *state,
+                    const std::uint8_t *const *msgs, std::size_t n,
+                    std::size_t nblocks);
+
 /** Decrypt one block with the aesniExpandInv() schedule. */
 void aesniDecryptBlock(const std::uint8_t *inv_rk,
                        const std::uint8_t *in, std::uint8_t *out);

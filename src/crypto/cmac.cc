@@ -1,7 +1,7 @@
 #include "crypto/cmac.hh"
 
+#include <algorithm>
 #include <cstring>
-#include <vector>
 
 namespace secdimm::crypto
 {
@@ -33,6 +33,14 @@ generateSubkey(const Aes128Block &l)
     return k;
 }
 
+/** Blocks in prefix||msg under RFC 4493 padding (at least one). */
+std::size_t
+blockCount(const CmacJob &job)
+{
+    const std::size_t total = (job.prefix != nullptr ? 16 : 0) + job.len;
+    return total == 0 ? 1 : (total + 15) / 16;
+}
+
 /** Full (non-final) block @p i of prefix||msg; always 16 bytes. */
 void
 middleBlock(const CmacJob &job, std::size_t i, std::uint8_t *out)
@@ -51,8 +59,7 @@ finalBlock(const CmacJob &job, const Aes128Block &k1,
 {
     const std::size_t pre = job.prefix != nullptr ? 16 : 0;
     const std::size_t total = pre + job.len;
-    const std::size_t n_blocks = total == 0 ? 1 : (total + 15) / 16;
-    const std::size_t start = 16 * (n_blocks - 1);
+    const std::size_t start = 16 * (blockCount(job) - 1);
 
     Aes128Block last{};
     if (total != 0 && total % 16 == 0) {
@@ -85,9 +92,7 @@ Cmac::computeOne(const std::uint8_t *prefix, const std::uint8_t *msg,
                  std::size_t len) const
 {
     const CmacJob job{prefix, msg, len};
-    const std::size_t pre = prefix != nullptr ? 16 : 0;
-    const std::size_t total = pre + len;
-    const std::size_t n_blocks = total == 0 ? 1 : (total + 15) / 16;
+    const std::size_t n_blocks = blockCount(job);
 
     Aes128Block x{};
     std::uint8_t m[16];
@@ -125,47 +130,59 @@ Cmac::computeBatch(const CmacJob *jobs, std::size_t n,
     batchTags_ += n;
     tags_ += n;
 
-    std::vector<Aes128Block> x(n, Aes128Block{});
-    std::vector<std::size_t> blocks(n);
-    for (std::size_t j = 0; j < n; ++j) {
-        const std::size_t pre = jobs[j].prefix != nullptr ? 16 : 0;
-        const std::size_t total = pre + jobs[j].len;
-        blocks[j] = total == 0 ? 1 : (total + 15) / 16;
+    // Group the jobs by (has prefix, block count): every chain of a
+    // group takes the same steps, so the group advances as one
+    // cbcChains call with its states held in registers.
+    const auto key = [jobs](std::uint32_t j) {
+        return 2 * blockCount(jobs[j]) + (jobs[j].prefix != nullptr);
+    };
+    order_.resize(n);
+    bool uniform = true;
+    for (std::uint32_t j = 0; j < n; ++j) {
+        order_[j] = j;
+        uniform = uniform && key(j) == key(0);
     }
-
-    // Advance every chain in lockstep: each round gathers one full
-    // block per still-active chain, XORs in the running state, runs a
-    // single batched AES call, and scatters the results back.
-    std::vector<std::uint8_t> buf(16 * n);
-    std::vector<std::size_t> active(n);
-    for (std::size_t round = 0;; ++round) {
-        std::size_t na = 0;
-        for (std::size_t j = 0; j < n; ++j)
-            if (round + 1 < blocks[j])
-                active[na++] = j;
-        if (na == 0)
-            break;
-        for (std::size_t i = 0; i < na; ++i) {
-            std::uint8_t *slot = buf.data() + 16 * i;
-            middleBlock(jobs[active[i]], round, slot);
-            const Aes128Block &xi = x[active[i]];
-            for (std::size_t b = 0; b < 16; ++b)
-                slot[b] ^= xi[b];
+    if (!uniform) {
+        std::sort(order_.begin(), order_.end(),
+                  [&key](std::uint32_t a, std::uint32_t b) {
+                      const std::size_t ka = key(a), kb = key(b);
+                      return ka != kb ? ka < kb : a < b;
+                  });
+    }
+    states_.assign(16 * n, 0);
+    ptrs_.resize(n);
+    for (std::size_t g = 0; g < n;) {
+        const CmacJob &first = jobs[order_[g]];
+        std::size_t end = g + 1;
+        while (end < n && key(order_[end]) == key(order_[g]))
+            ++end;
+        const std::size_t m = end - g;
+        std::uint8_t *state = states_.data() + 16 * g;
+        // Every block but the last is a full middle block; with a
+        // prefix, the first of them is the prefix.
+        std::size_t middle = blockCount(first) - 1;
+        if (first.prefix != nullptr && middle != 0) {
+            for (std::size_t i = 0; i < m; ++i)
+                ptrs_[i] = jobs[order_[g + i]].prefix;
+            aes_.cbcChains(state, ptrs_.data(), m, 1);
+            --middle;
         }
-        aes_.encryptBlocks(buf.data(), buf.data(), na);
-        for (std::size_t i = 0; i < na; ++i)
-            std::memcpy(x[active[i]].data(), buf.data() + 16 * i, 16);
+        if (middle != 0) {
+            for (std::size_t i = 0; i < m; ++i)
+                ptrs_[i] = jobs[order_[g + i]].msg;
+            aes_.cbcChains(state, ptrs_.data(), m, middle);
+        }
+        g = end;
     }
 
-    for (std::size_t j = 0; j < n; ++j) {
-        const Aes128Block last = finalBlock(jobs[j], k1_, k2_);
-        std::uint8_t *slot = buf.data() + 16 * j;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Aes128Block last = finalBlock(jobs[order_[i]], k1_, k2_);
         for (std::size_t b = 0; b < 16; ++b)
-            slot[b] = static_cast<std::uint8_t>(x[j][b] ^ last[b]);
+            states_[16 * i + b] ^= last[b];
     }
-    aes_.encryptBlocks(buf.data(), buf.data(), n);
-    for (std::size_t j = 0; j < n; ++j)
-        std::memcpy(tags[j].data(), buf.data() + 16 * j, 16);
+    aes_.encryptBlocks(states_.data(), states_.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        std::memcpy(tags[order_[i]].data(), states_.data() + 16 * i, 16);
 }
 
 bool

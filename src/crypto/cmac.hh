@@ -9,11 +9,11 @@
  *  - computeWithPrefix() logically prepends one 16-byte block to the
  *    message without concatenating buffers, so PMMAC's (id || counter)
  *    header never forces a per-tag allocation+copy.
- *  - computeBatch() runs many independent CMAC chains side by side,
- *    feeding each round of every chain through Aes128::encryptBlocks.
- *    One chain is inherently serial (CBC-style dependency), but a
- *    whole ORAM path's buckets are independent, which is exactly the
- *    parallelism the hardware AES backends need.
+ *  - computeBatch() runs many independent CMAC chains side by side
+ *    through Aes128::cbcChains, which keeps the chain states in
+ *    registers.  One chain is inherently serial (CBC-style
+ *    dependency), but a whole ORAM path's buckets are independent,
+ *    which is exactly the parallelism the hardware AES backends need.
  */
 
 #ifndef SECUREDIMM_CRYPTO_CMAC_HH
@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "crypto/aes128.hh"
 
@@ -57,10 +58,11 @@ class Cmac
                                   std::size_t len) const;
 
     /**
-     * Compute @p n independent tags at once.  Chains advance in
-     * lockstep: round r of every still-active chain is one
-     * encryptBlocks call, so the AES backend sees up to @p n
-     * independent blocks per round.
+     * Compute @p n independent tags at once.  Jobs are grouped by
+     * (has prefix, block count); each group's chains advance together
+     * through Aes128::cbcChains, and every job's final block goes
+     * through one encryptBlocks call.  Allocates only while its
+     * scratch grows to the largest batch seen.
      */
     void computeBatch(const CmacJob *jobs, std::size_t n,
                       Aes128Block *tags) const;
@@ -90,6 +92,10 @@ class Cmac
     Aes128 aes_;
     Aes128Block k1_;
     Aes128Block k2_;
+    /** computeBatch scratch: job order, chain states, block pointers. */
+    mutable std::vector<std::uint32_t> order_;
+    mutable std::vector<std::uint8_t> states_;
+    mutable std::vector<const std::uint8_t *> ptrs_;
     mutable std::uint64_t tags_ = 0;
     mutable std::uint64_t batchCalls_ = 0;
     mutable std::uint64_t batchTags_ = 0;

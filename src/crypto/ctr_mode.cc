@@ -10,7 +10,7 @@ namespace
 {
 
 /** Keystream lanes generated per encryptBlocks call. */
-constexpr std::size_t kCtrLanes = 8;
+constexpr std::size_t kCtrLanes = 64;
 
 /** Layout: nonce[0:8) | counter[8:12) folded | lane[12:16). */
 void
@@ -23,6 +23,23 @@ buildCtrBlock(std::uint8_t *out, std::uint64_t nonce,
         static_cast<std::uint32_t>(counter >> 32) ^ lane;
     std::memcpy(out + 8, &ctr_lo, 4);
     std::memcpy(out + 12, &ctr_hi, 4);
+}
+
+/** data[0, n) ^= pad[0, n), eight bytes at a time. */
+void
+xorPad(std::uint8_t *data, const std::uint8_t *pad, std::size_t n)
+{
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t d = 0;
+        std::uint64_t p = 0;
+        std::memcpy(&d, data + i, 8);
+        std::memcpy(&p, pad + i, 8);
+        d ^= p;
+        std::memcpy(data + i, &d, 8);
+    }
+    for (; i < n; ++i)
+        data[i] ^= pad[i];
 }
 
 } // namespace
@@ -49,24 +66,20 @@ CtrCipher::transformBuffer(std::uint8_t *data, std::size_t len,
                            std::uint64_t counter) const
 {
     bytes_ += len;
-    std::uint8_t ctrs[16 * kCtrLanes];
+    // Counter blocks, encrypted in place into pads; every byte XORed
+    // into data is written first.
     std::uint8_t pads[16 * kCtrLanes];
     std::uint32_t lane = 0;
-    std::size_t off = 0;
-    while (off < len) {
+    for (std::size_t off = 0; off < len;) {
         const std::size_t lanes = std::min<std::size_t>(
             kCtrLanes, (len - off + 15) / 16);
         for (std::size_t i = 0; i < lanes; ++i)
-            buildCtrBlock(ctrs + 16 * i, nonce, counter,
+            buildCtrBlock(pads + 16 * i, nonce, counter,
                           lane + static_cast<std::uint32_t>(i));
-        aes_.encryptBlocks(ctrs, pads, lanes);
-        for (std::size_t i = 0; i < lanes; ++i) {
-            const std::size_t n = std::min<std::size_t>(16, len - off);
-            const std::uint8_t *p = pads + 16 * i;
-            for (std::size_t j = 0; j < n; ++j)
-                data[off + j] ^= p[j];
-            off += n;
-        }
+        aes_.encryptBlocks(pads, pads, lanes);
+        const std::size_t n = std::min<std::size_t>(16 * lanes, len - off);
+        xorPad(data + off, pads, n);
+        off += n;
         lane += static_cast<std::uint32_t>(lanes);
     }
 }

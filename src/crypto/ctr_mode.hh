@@ -8,9 +8,9 @@
  *   AES_k(nonce || counter || i)
  * so a pad is never reused as long as the counter advances.  The lanes
  * of one buffer are independent, so the keystream is generated through
- * Aes128::encryptBlocks up to eight blocks at a time -- on the
- * hardware backends the AES rounds interleave across lanes and the
- * whole keystream costs little more than one block's latency.
+ * Aes128::encryptBlocks up to 64 blocks at a time -- a whole 320-byte
+ * bucket image in one call -- and the hardware backends interleave
+ * the AES rounds eight lanes wide.
  */
 
 #ifndef SECUREDIMM_CRYPTO_CTR_MODE_HH

@@ -69,29 +69,29 @@ Pmmac::tagBatch(const PmmacItem *items, std::size_t n,
 {
     if (n == 0)
         return;
-    std::vector<std::uint8_t> headers(16 * n);
-    std::vector<CmacJob> jobs(n);
+    headers_.resize(16 * n);
+    jobs_.resize(n);
+    full_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        buildHeader(headers.data() + 16 * i, items[i].id,
+        buildHeader(headers_.data() + 16 * i, items[i].id,
                     items[i].counter);
-        jobs[i] = CmacJob{headers.data() + 16 * i, items[i].data,
-                          items[i].len};
+        jobs_[i] = CmacJob{headers_.data() + 16 * i, items[i].data,
+                           items[i].len};
     }
-    std::vector<Aes128Block> full(n);
-    cmac_.computeBatch(jobs.data(), n, full.data());
+    cmac_.computeBatch(jobs_.data(), n, full_.data());
     for (std::size_t i = 0; i < n; ++i)
-        tags[i] = truncateTag(full[i]);
+        tags[i] = truncateTag(full_[i]);
 }
 
 bool
 Pmmac::verifyBatch(const PmmacItem *items, std::size_t n,
                    const Tag64 *expected, bool *ok) const
 {
-    std::vector<Tag64> actual(n);
-    tagBatch(items, n, actual.data());
+    actual_.resize(n);
+    tagBatch(items, n, actual_.data());
     bool all = true;
     for (std::size_t i = 0; i < n; ++i) {
-        ok[i] = constantTimeTagEq(actual[i], expected[i]);
+        ok[i] = constantTimeTagEq(actual_[i], expected[i]);
         all = all && ok[i];
     }
     return all;

@@ -72,6 +72,11 @@ class Pmmac
 
   private:
     Cmac cmac_;
+    /** Batch scratch; grows to the largest batch, then stays. */
+    mutable std::vector<std::uint8_t> headers_;
+    mutable std::vector<CmacJob> jobs_;
+    mutable std::vector<Aes128Block> full_;
+    mutable std::vector<Tag64> actual_;
 };
 
 } // namespace secdimm::crypto

@@ -1,7 +1,6 @@
 #include "oram/bucket_store.hh"
 
 #include <cstring>
-#include <memory>
 
 #include "fault/fault_injector.hh"
 #include "util/logging.hh"
@@ -14,10 +13,11 @@ BucketStore::BucketStore(std::uint64_t num_buckets, unsigned z,
                          const crypto::Aes128Key &mac_key,
                          std::uint64_t nonce_salt)
     : z_(z),
+      img_(Bucket::imageBytes(z)),
       cipher_(enc_key),
       mac_(mac_key),
       nonceSalt_(nonce_salt),
-      images_(num_buckets),
+      arena_(num_buckets * img_),
       counters_(num_buckets, 0),
       macs_(num_buckets, 0)
 {
@@ -39,98 +39,83 @@ BucketStore::nonce(std::uint64_t seq) const
 void
 BucketStore::writeBucket(std::uint64_t seq, const Bucket &bucket)
 {
-    SD_ASSERT(seq < images_.size());
+    SD_ASSERT(seq < counters_.size());
     SD_ASSERT(bucket.z() == z_);
     if (observer_)
         observer_(TraceEventKind::StoreWrite, seq);
-    std::vector<std::uint8_t> image = bucket.toImage();
+    std::uint8_t *dst = image(seq);
+    bucket.toImageInto(dst);
     const std::uint64_t ctr = ++counters_[seq];
-    cipher_.transformBuffer(image.data(), image.size(), nonce(seq), ctr);
-    macs_[seq] = mac_.tag(nonce(seq), ctr, image.data(), image.size());
-    images_[seq] = std::move(image);
+    cipher_.transformBuffer(dst, img_, nonce(seq), ctr);
+    macs_[seq] = mac_.tag(nonce(seq), ctr, dst, img_);
 }
 
 BucketReadResult
 BucketStore::readBucket(std::uint64_t seq) const
 {
-    SD_ASSERT(seq < images_.size());
+    SD_ASSERT(seq < counters_.size());
     if (observer_)
         observer_(TraceEventKind::StoreRead, seq);
     const std::uint64_t ctr = counters_[seq];
-    std::vector<std::uint8_t> image = images_[seq];
+    std::vector<std::uint8_t> copy(image(seq), image(seq) + img_);
     if (injector_ && injector_->rollDramBitFlip())
-        injector_->corruptBuffer(image);
-    const bool authentic = mac_.verify(nonce(seq), ctr, image.data(),
-                                       image.size(), macs_[seq]);
-    cipher_.transformBuffer(image.data(), image.size(), nonce(seq), ctr);
-    BucketReadResult r{Bucket::fromImage(image, z_), authentic};
-    return r;
+        injector_->corruptBuffer(copy);
+    const bool authentic = mac_.verify(nonce(seq), ctr, copy.data(),
+                                       img_, macs_[seq]);
+    cipher_.transformBuffer(copy.data(), img_, nonce(seq), ctr);
+    return BucketReadResult{Bucket::fromImage(copy, z_), authentic};
 }
 
 void
 BucketStore::readBuckets(const std::uint64_t *seqs, std::size_t n,
-                         std::vector<BucketReadResult> &out) const
+                         std::uint8_t *images, bool *ok) const
 {
-    out.clear();
     if (n == 0)
         return;
-    const std::size_t img = Bucket::imageBytes(z_);
-    arena_.resize(img * n);
-    std::vector<crypto::PmmacItem> items(n);
-    std::vector<crypto::Tag64> expected(n);
+    items_.resize(n);
+    tags_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t seq = seqs[i];
-        SD_ASSERT(seq < images_.size());
+        SD_ASSERT(seq < counters_.size());
         if (observer_)
             observer_(TraceEventKind::StoreRead, seq);
-        std::uint8_t *slot = arena_.data() + img * i;
-        std::memcpy(slot, images_[seq].data(), img);
+        std::uint8_t *slot = images + img_ * i;
+        std::memcpy(slot, image(seq), img_);
         if (injector_ && injector_->rollDramBitFlip())
-            injector_->corruptBuffer(slot, img);
-        items[i] = crypto::PmmacItem{nonce(seq), counters_[seq], slot,
-                                     img};
-        expected[i] = macs_[seq];
+            injector_->corruptBuffer(slot, img_);
+        items_[i] = crypto::PmmacItem{nonce(seq), counters_[seq], slot,
+                                      img_};
+        tags_[i] = macs_[seq];
     }
-    const std::unique_ptr<bool[]> ok(new bool[n]);
-    mac_.verifyBatch(items.data(), n, expected.data(), ok.get());
-    out.reserve(n);
+    mac_.verifyBatch(items_.data(), n, tags_.data(), ok);
     for (std::size_t i = 0; i < n; ++i) {
-        std::uint8_t *slot = arena_.data() + img * i;
-        cipher_.transformBuffer(slot, img, nonce(seqs[i]),
+        cipher_.transformBuffer(images + img_ * i, img_, nonce(seqs[i]),
                                 counters_[seqs[i]]);
-        out.push_back(
-            BucketReadResult{Bucket::fromImage(slot, img, z_), ok[i]});
     }
 }
 
 void
 BucketStore::writeBuckets(const std::uint64_t *seqs,
-                          const Bucket *buckets, std::size_t n)
+                          const std::uint8_t *images, std::size_t n)
 {
     if (n == 0)
         return;
-    const std::size_t img = Bucket::imageBytes(z_);
-    arena_.resize(img * n);
-    std::vector<crypto::PmmacItem> items(n);
+    items_.resize(n);
+    tags_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t seq = seqs[i];
-        SD_ASSERT(seq < images_.size());
-        SD_ASSERT(buckets[i].z() == z_);
+        SD_ASSERT(seq < counters_.size());
         if (observer_)
             observer_(TraceEventKind::StoreWrite, seq);
-        std::uint8_t *slot = arena_.data() + img * i;
-        buckets[i].toImageInto(slot);
+        std::uint8_t *dst = image(seq);
+        std::memcpy(dst, images + img_ * i, img_);
         const std::uint64_t ctr = ++counters_[seq];
-        cipher_.transformBuffer(slot, img, nonce(seq), ctr);
-        items[i] = crypto::PmmacItem{nonce(seq), ctr, slot, img};
+        cipher_.transformBuffer(dst, img_, nonce(seq), ctr);
+        items_[i] = crypto::PmmacItem{nonce(seq), ctr, dst, img_};
     }
-    std::vector<crypto::Tag64> tags(n);
-    mac_.tagBatch(items.data(), n, tags.data());
-    for (std::size_t i = 0; i < n; ++i) {
-        macs_[seqs[i]] = tags[i];
-        const std::uint8_t *slot = arena_.data() + img * i;
-        images_[seqs[i]].assign(slot, slot + img);
-    }
+    mac_.tagBatch(items_.data(), n, tags_.data());
+    for (std::size_t i = 0; i < n; ++i)
+        macs_[seqs[i]] = tags_[i];
 }
 
 std::uint64_t
@@ -143,8 +128,9 @@ BucketStore::counter(std::uint64_t seq) const
 void
 BucketStore::tamperData(std::uint64_t seq, std::size_t byte_index)
 {
-    SD_ASSERT(seq < images_.size());
-    images_[seq].at(byte_index) ^= 0x01;
+    SD_ASSERT(seq < counters_.size());
+    SD_ASSERT(byte_index < img_);
+    image(seq)[byte_index] ^= 0x01;
 }
 
 void
@@ -152,17 +138,18 @@ BucketStore::replayFrom(std::uint64_t seq,
                         const std::vector<std::uint8_t> &old_image,
                         std::uint64_t old_counter, crypto::Tag64 old_mac)
 {
-    SD_ASSERT(seq < images_.size());
-    images_[seq] = old_image;
+    SD_ASSERT(seq < counters_.size());
+    SD_ASSERT(old_image.size() == img_);
+    std::memcpy(image(seq), old_image.data(), img_);
     counters_[seq] = old_counter;
     macs_[seq] = old_mac;
 }
 
-const std::vector<std::uint8_t> &
+std::vector<std::uint8_t>
 BucketStore::rawImage(std::uint64_t seq) const
 {
-    SD_ASSERT(seq < images_.size());
-    return images_[seq];
+    SD_ASSERT(seq < counters_.size());
+    return std::vector<std::uint8_t>(image(seq), image(seq) + img_);
 }
 
 crypto::Tag64

@@ -6,6 +6,10 @@
  *
  * This models the DRAM contents an attacker can see and tamper with;
  * tamperData()/replayFrom() let tests inject exactly such attacks.
+ * Every ciphertext image lives in one flat arena (bucket seq's image
+ * at seq * imageBytes()), and the path calls work on the caller's
+ * contiguous plaintext images, so a path read or write allocates
+ * nothing once the MAC scratch has grown to one path.
  */
 
 #ifndef SECUREDIMM_ORAM_BUCKET_STORE_HH
@@ -55,17 +59,22 @@ class BucketStore
 
     /**
      * Authenticated read of @p n buckets at once (e.g. one ORAM
-     * path).  Observer events and fault-injection rolls fire per
-     * bucket in argument order, exactly as n readBucket() calls
-     * would; the MACs are then verified in one batched PMMAC pass
-     * over a reused contiguous arena instead of per-bucket copies.
+     * path) into @p images: n plaintext images of imageBytes() each,
+     * in argument order, with @p ok[i] set iff bucket i's MAC holds.
+     * Observer events and fault-injection rolls fire per bucket in
+     * argument order, exactly as n readBucket() calls would; the MACs
+     * are then verified in one batched PMMAC pass.
      */
     void readBuckets(const std::uint64_t *seqs, std::size_t n,
-                     std::vector<BucketReadResult> &out) const;
+                     std::uint8_t *images, bool *ok) const;
 
-    /** Encrypt, MAC (one batched pass), and store @p n buckets. */
-    void writeBuckets(const std::uint64_t *seqs, const Bucket *buckets,
-                      std::size_t n);
+    /**
+     * Encrypt, MAC (one batched pass), and store @p n plaintext
+     * images (imageBytes() each, in argument order); bumps each
+     * bucket's counter.
+     */
+    void writeBuckets(const std::uint64_t *seqs,
+                      const std::uint8_t *images, std::size_t n);
 
     /** Current freshness counter of a bucket. */
     std::uint64_t counter(std::uint64_t seq) const;
@@ -78,11 +87,13 @@ class BucketStore
                     const std::vector<std::uint8_t> &old_image,
                     std::uint64_t old_counter, crypto::Tag64 old_mac);
 
-    /** Raw ciphertext image (for replay capture in tests). */
-    const std::vector<std::uint8_t> &rawImage(std::uint64_t seq) const;
+    /** Copy of the raw ciphertext image (replay capture in tests). */
+    std::vector<std::uint8_t> rawImage(std::uint64_t seq) const;
     crypto::Tag64 rawMac(std::uint64_t seq) const;
 
-    std::uint64_t numBuckets() const { return images_.size(); }
+    /** Bytes of one bucket image (Bucket::imageBytes(z())). */
+    std::size_t imageBytes() const { return img_; }
+    std::uint64_t numBuckets() const { return counters_.size(); }
     unsigned z() const { return z_; }
 
     /**
@@ -114,18 +125,29 @@ class BucketStore
 
   private:
     std::uint64_t nonce(std::uint64_t seq) const;
+    std::uint8_t *image(std::uint64_t seq)
+    {
+        return arena_.data() + seq * img_;
+    }
+    const std::uint8_t *image(std::uint64_t seq) const
+    {
+        return arena_.data() + seq * img_;
+    }
 
     unsigned z_;
+    std::size_t img_;
     crypto::CtrCipher cipher_;
     crypto::Pmmac mac_;
     std::uint64_t nonceSalt_;
-    std::vector<std::vector<std::uint8_t>> images_;
+    /** Every bucket's ciphertext image, back to back. */
+    std::vector<std::uint8_t> arena_;
     std::vector<std::uint64_t> counters_;
     std::vector<crypto::Tag64> macs_;
     TraceEventFn observer_;
     fault::FaultInjector *injector_ = nullptr;
-    /** Scratch for batch reads/writes; grows to one path, then stays. */
-    mutable std::vector<std::uint8_t> arena_;
+    /** Batch MAC scratch; grows to one path, then stays. */
+    mutable std::vector<crypto::PmmacItem> items_;
+    mutable std::vector<crypto::Tag64> tags_;
 };
 
 } // namespace secdimm::oram

@@ -1,6 +1,6 @@
 #include "oram/path_oram.hh"
 
-#include <algorithm>
+#include <cstring>
 
 #include "fault/fault_injector.hh"
 #include "util/logging.hh"
@@ -19,8 +19,11 @@ PathOram::PathOram(const OramParams &params,
       stash_(params.stashCapacity),
       rng_(seed),
       posMap_(params.capacityBlocks()),
-      expectedCounter_(params.numBuckets(), 1)
+      expectedCounter_(params.numBuckets(), 1),
+      pathImages_((params.levels + 1) * store_.imageBytes())
 {
+    SD_ASSERT(params_.levels < pathOk_.size());
+    pathSeqs_.reserve(params_.levels + 1);
     // The BucketStore constructor wrote every bucket once (counter 1).
     for (auto &leaf : posMap_)
         leaf = rng_.nextBelow(params_.numLeaves());
@@ -44,14 +47,18 @@ PathOram::readPath(LeafId leaf)
         pathSeqs_.push_back(
             layout_.bucketSeq(pathBucket(leaf, level, params_.levels)));
     }
-    store_.readBuckets(pathSeqs_.data(), pathSeqs_.size(), pathRead_);
+    store_.readBuckets(pathSeqs_.data(), pathSeqs_.size(),
+                       pathImages_.data(), pathOk_.data());
 
+    const unsigned z = params_.bucketBlocks;
+    const std::size_t img = store_.imageBytes();
     for (unsigned level = 0; level <= params_.levels; ++level) {
         const std::uint64_t seq = pathSeqs_[level];
-        BucketReadResult &r = pathRead_[level];
+        std::uint8_t *image = pathImages_.data() + img * level;
+        bool authentic = pathOk_[level];
         bool counter_fresh =
             store_.counter(seq) == expectedCounter_[seq];
-        if (injector_ && (!r.authentic || !counter_fresh)) {
+        if (injector_ && (!authentic || !counter_fresh)) {
             /*
              * Detect-and-retry: a transient read flip leaves the
              * stored image intact, so re-reading the same bucket
@@ -75,27 +82,35 @@ PathOram::readPath(LeafId leaf)
                 ++attempts;
                 injector_->recordRecovered(fault::FaultKind::DramBitFlip,
                                            "store.read_path", 1);
-                r = store_.readBucket(seq);
+                const BucketReadResult r = store_.readBucket(seq);
+                authentic = r.authentic;
                 counter_fresh =
                     store_.counter(seq) == expectedCounter_[seq];
-                if (r.authentic && counter_fresh)
+                if (authentic && counter_fresh) {
+                    r.bucket.toImageInto(image);
                     break;
+                }
             }
         }
-        if (!r.authentic || !counter_fresh) {
+        if (!authentic || !counter_fresh) {
             ++stats_.integrityFailures;
             continue;
         }
-        for (unsigned i = 0; i < r.bucket.z(); ++i) {
-            const BlockSlot &s = r.bucket.slot(i);
-            if (s.valid()) {
-                const bool ok = stash_.put(s.addr, s.leaf, s.data);
-                if (!ok) {
-                    panic("stash overflow: capacity %u exceeded while "
-                          "reading path to leaf %llu",
-                          stash_.capacity(),
-                          static_cast<unsigned long long>(leaf));
-                }
+        const std::uint8_t *data = image + Bucket::metadataBytes(z);
+        for (unsigned i = 0; i < z; ++i) {
+            Addr addr = invalidAddr;
+            std::memcpy(&addr, image + 16 * i, 8);
+            if (addr == invalidAddr)
+                continue;
+            LeafId block_leaf = invalidLeaf;
+            BlockData block{};
+            std::memcpy(&block_leaf, image + 16 * i + 8, 8);
+            std::memcpy(block.data(), data + blockBytes * i, blockBytes);
+            if (!stash_.put(addr, block_leaf, block)) {
+                panic("stash overflow: capacity %u exceeded while "
+                      "reading path to leaf %llu",
+                      stash_.capacity(),
+                      static_cast<unsigned long long>(leaf));
             }
         }
     }
@@ -105,28 +120,18 @@ PathOram::readPath(LeafId leaf)
 void
 PathOram::writePath(LeafId leaf)
 {
-    // Bottom-up greedy packing maximizes how deep blocks settle.
-    // Packing stays sequential (each level sees what deeper levels
-    // already took), but the encrypt+MAC of the assembled path runs
-    // as one batched store write.
+    // Bottom-up greedy packing maximizes how deep blocks settle; the
+    // stash fills the whole path in one pass, and the encrypt+MAC of
+    // the assembled path runs as one batched store write (leaf first).
     pathSeqs_.clear();
-    pathBuckets_.clear();
     for (int level = static_cast<int>(params_.levels); level >= 0;
          --level) {
-        const auto picked = stash_.evictForBucket(
-            leaf, static_cast<unsigned>(level), params_.levels,
-            params_.bucketBlocks);
-        Bucket bucket(params_.bucketBlocks);
-        for (std::size_t i = 0; i < picked.size(); ++i) {
-            bucket.slot(static_cast<unsigned>(i)) =
-                BlockSlot{picked[i].addr, picked[i].leaf,
-                          picked[i].data};
-        }
         pathSeqs_.push_back(layout_.bucketSeq(pathBucket(
             leaf, static_cast<unsigned>(level), params_.levels)));
-        pathBuckets_.push_back(std::move(bucket));
     }
-    store_.writeBuckets(pathSeqs_.data(), pathBuckets_.data(),
+    stash_.fillPath(leaf, params_.levels, params_.bucketBlocks,
+                    pathImages_.data());
+    store_.writeBuckets(pathSeqs_.data(), pathImages_.data(),
                         pathSeqs_.size());
     for (const std::uint64_t seq : pathSeqs_)
         expectedCounter_[seq] = store_.counter(seq);
@@ -157,8 +162,6 @@ PathOram::accessPath(Addr addr, LeafId old_leaf, LeafId new_leaf,
     }
 
     writePath(old_leaf);
-    stats_.maxStashSize =
-        std::max(stats_.maxStashSize, stash_.maxSizeSeen());
 
     // Background eviction keeps the stash comfortably below capacity.
     while (stash_.size() > params_.stashCapacity / 2)
@@ -225,7 +228,7 @@ PathOram::exportMetrics(util::MetricsRegistry &m,
     m.setCounter(prefix + ".dummy_accesses", stats_.dummyAccesses);
     m.setCounter(prefix + ".integrity_failures",
                  stats_.integrityFailures);
-    m.setCounter(prefix + ".stash.max", stats_.maxStashSize);
+    m.setCounter(prefix + ".stash.max", stash_.maxSizeSeen());
     m.setGauge(prefix + ".stash.size",
                static_cast<double>(stash_.size()));
     m.histogram(prefix + ".stash.occupancy")

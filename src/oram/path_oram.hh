@@ -13,6 +13,7 @@
 #ifndef SECUREDIMM_ORAM_PATH_ORAM_HH
 #define SECUREDIMM_ORAM_PATH_ORAM_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -34,7 +35,6 @@ struct PathOramStats
     std::uint64_t accesses = 0;
     std::uint64_t dummyAccesses = 0;   ///< Background evictions.
     std::uint64_t integrityFailures = 0;
-    std::size_t maxStashSize = 0;
 };
 
 /** Functional single-tree Path ORAM. */
@@ -180,12 +180,15 @@ class PathOram final : public OramEngine
     /**
      * Read one path into the stash; verifies integrity.  All buckets
      * of the path go through BucketStore::readBuckets (one batched
-     * MAC pass); a bucket that fails falls back to per-bucket
-     * detect-and-retry so the fault ledger semantics are unchanged.
+     * MAC pass) into pathImages_, and the stash takes the valid slots
+     * straight out of those images; a bucket that fails falls back to
+     * per-bucket detect-and-retry so the fault ledger semantics are
+     * unchanged.
      */
     void readPath(LeafId leaf);
 
-    /** Greedily write the stash back onto one path (batched MACs). */
+    /** Greedily write the stash back onto one path: Stash::fillPath
+     *  into pathImages_, then one batched BucketStore::writeBuckets. */
     void writePath(LeafId leaf);
 
     OramParams params_;
@@ -201,11 +204,11 @@ class PathOram final : public OramEngine
     PathOramStats stats_;
     fault::FaultInjector *injector_ = nullptr;
 
-    /** Per-path scratch reused across accesses (no steady-state
-     *  allocation on the hot path). */
+    /** Per-path scratch sized once (no allocation on the hot path):
+     *  the path's bucket seqs, its plaintext images, its MAC flags. */
     std::vector<std::uint64_t> pathSeqs_;
-    std::vector<BucketReadResult> pathRead_;
-    std::vector<Bucket> pathBuckets_;
+    std::vector<std::uint8_t> pathImages_;
+    std::array<bool, 64> pathOk_{};
 };
 
 } // namespace secdimm::oram

@@ -9,7 +9,6 @@
 #define SECUREDIMM_ORAM_STASH_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "util/metrics.hh"
@@ -26,16 +25,20 @@ struct StashEntry
     BlockData data{};
 };
 
-/** Address-indexed stash with occupancy tracking. */
+/**
+ * Fixed-capacity stash: one array of at most capacity() entries,
+ * allocated once.  find() scans it, erase() moves the last entry into
+ * the hole, and fillPath() repacks it into a whole path in one pass.
+ */
 class Stash
 {
   public:
-    explicit Stash(unsigned capacity) : capacity_(capacity) {}
+    explicit Stash(unsigned capacity);
 
     /** Insert or overwrite; returns false if at capacity (new addr). */
     bool put(Addr addr, LeafId leaf, const BlockData &data);
 
-    /** Pointer to the entry or nullptr. */
+    /** Pointer to the entry or nullptr; invalidated by put/erase. */
     StashEntry *find(Addr addr);
     const StashEntry *find(Addr addr) const;
 
@@ -43,17 +46,24 @@ class Stash
     bool erase(Addr addr);
 
     /**
-     * Greedy eviction: pop up to @p z blocks whose leaf path passes
-     * through the bucket at (@p level, on the path to @p path_leaf) in
-     * a tree of @p tree_levels levels.  Removed from the stash.
+     * Greedy eviction onto the path to @p path_leaf in a tree of
+     * @p tree_levels levels with @p z slots per bucket.  Each entry's
+     * deepest legal level (the length of the common prefix of its
+     * leaf and @p path_leaf) is computed once; the path is then
+     * filled bottom-up, each bucket taking up to @p z of the
+     * remaining entries that may sit there, deepest-legal first.
+     * Placed entries leave the stash.
+     *
+     * The bucket images (Bucket::imageBytes(z) each, in the Bucket
+     * image layout, dummy slots zeroed) are written leaf first: level
+     * l lands at @p images + (tree_levels - l) * imageBytes(z).
      */
-    std::vector<StashEntry> evictForBucket(LeafId path_leaf,
-                                           unsigned level,
-                                           unsigned tree_levels,
-                                           unsigned z);
+    void fillPath(LeafId path_leaf, unsigned tree_levels, unsigned z,
+                  std::uint8_t *images);
 
     std::size_t size() const { return entries_.size(); }
     unsigned capacity() const { return capacity_; }
+    /** Peak occupancy, including blocks adopted between accesses. */
     std::size_t maxSizeSeen() const { return maxSize_; }
     bool full() const { return entries_.size() >= capacity_; }
 
@@ -69,15 +79,17 @@ class Stash
         return occupancy_;
     }
 
-    /** Iteration support (invariant_audit, SecureBuffer). */
-    const std::unordered_map<Addr, StashEntry> &entries() const
-    {
-        return entries_;
-    }
+    /** The resident entries, in no particular order (invariant_audit,
+     *  SecureBuffer evacuation). */
+    const std::vector<StashEntry> &entries() const { return entries_; }
 
   private:
     unsigned capacity_;
-    std::unordered_map<Addr, StashEntry> entries_;
+    /** Reserved to capacity_ at construction; never reallocates. */
+    std::vector<StashEntry> entries_;
+    /** fillPath scratch, capacity_ each: deepest legal level, order. */
+    std::vector<std::uint8_t> depth_;
+    std::vector<std::uint32_t> order_;
     std::size_t maxSize_ = 0;
     util::LogHistogram occupancy_;
 };

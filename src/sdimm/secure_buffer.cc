@@ -303,8 +303,8 @@ SecureBuffer::residentBlocks() const
             }
         }
     }
-    for (const auto &kv : oram_->stash().entries())
-        out.push_back(kv.second);
+    for (const oram::StashEntry &e : oram_->stash().entries())
+        out.push_back(e);
     for (const oram::StashEntry &e : xfer_.entries())
         out.push_back(e);
     return out;

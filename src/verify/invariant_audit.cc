@@ -125,8 +125,7 @@ walkPathOram(const oram::PathOram &o, bool check_posmap,
         }
     }
 
-    for (const auto &kv : o.stash().entries()) {
-        const oram::StashEntry &e = kv.second;
+    for (const oram::StashEntry &e : o.stash().entries()) {
         {
             std::ostringstream os;
             os << label << ": stash block " << e.addr << " leaf "

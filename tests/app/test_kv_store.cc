@@ -219,16 +219,21 @@ TEST(KvStore, RequestTimeoutPropagates)
     // deadline-bounded op: the typed RequestTimeoutError must surface
     // through the KV op, and a read-phase timeout commits nothing.  The
     // key is never stored: a miss get runs the same 2*B-access sequence
-    // as a hit, and no setup op has to beat the 1 ms deadline.
+    // as a hit, and no setup op has to beat the 1 ms deadline.  The
+    // backlog is three times what the queues hold, so the producer
+    // blocks and every queue is full when the op arrives: the jam then
+    // lasts queueCapacity accesses however fast the engine runs.
     ObliviousKVStore::Options opt = kvOptions(2, 8);
     opt.serve.queueCapacity = 4096;
     opt.serve.maxBatch = 1;
     opt.opDeadline = std::chrono::milliseconds(1);
     ObliviousKVStore store(opt);
 
+    const std::size_t jam =
+        3 * opt.serve.queueCapacity * opt.serve.numShards;
     std::vector<std::future<BlockData>> backlog;
-    backlog.reserve(1600);
-    for (int i = 0; i < 1600; ++i)
+    backlog.reserve(jam);
+    for (std::size_t i = 0; i < jam; ++i)
         backlog.push_back(store.service().submitRead(i % 2));
     EXPECT_THROW((void)store.get("victim"), serve::RequestTimeoutError);
 

@@ -123,15 +123,22 @@ TEST(AesDispatch, RandomizedDifferentialEncryptDecrypt)
 }
 
 /** encryptBlocks(n) must equal n independent encrypt() calls for
- *  every batch size around the 8-wide interleave boundary. */
+ *  every batch size around the 8-wide interleave boundary, around
+ *  16, 32 and 64 (a CTR call's 64-block keystream), and a whole
+ *  320-block path. */
 TEST(AesDispatch, BatchMatchesSingleBlocks)
 {
     Rng rng(0xba7c4);
     const Aes128Key key = randomKey(rng);
+    std::vector<std::size_t> sizes;
+    for (std::size_t n = 1; n <= 17; ++n)
+        sizes.push_back(n);
+    for (std::size_t n : {31, 32, 33, 48, 64, 65, 320})
+        sizes.push_back(n);
     for (AesImpl impl : availableImpls()) {
         ForcedImpl force(impl);
         Aes128 aes(key);
-        for (std::size_t n = 1; n <= 17; ++n) {
+        for (const std::size_t n : sizes) {
             const std::vector<std::uint8_t> in = randomBytes(rng, 16 * n);
             std::vector<std::uint8_t> out(16 * n);
             aes.encryptBlocks(in.data(), out.data(), n);
@@ -160,8 +167,9 @@ TEST(AesDispatch, CtrKeystreamMatchesAcrossBackends)
 {
     Rng rng(0xc7c7);
     const Aes128Key key = randomKey(rng);
-    for (const std::size_t len : {0UL, 1UL, 15UL, 16UL, 17UL, 64UL,
-                                  127UL, 128UL, 320UL, 1000UL}) {
+    for (const std::size_t len :
+         {0UL, 1UL, 15UL, 16UL, 17UL, 64UL, 127UL, 128UL, 320UL, 1000UL,
+          1023UL, 1024UL, 1025UL, 5120UL}) {
         const std::vector<std::uint8_t> plain = randomBytes(rng, len);
         const std::uint64_t nonce = rng.next();
         const std::uint64_t counter = rng.next();
@@ -199,11 +207,23 @@ TEST(AesDispatch, CmacAgreesAcrossBackendsAndApis)
         msgs.push_back(randomBytes(rng, len));
     const std::vector<std::uint8_t> prefix = randomBytes(rng, 16);
 
+    // 33 distinct equal-length messages, each under its own prefix,
+    // so a chain that reads another chain's blocks cannot pass.
+    std::vector<std::vector<std::uint8_t>> eqMsgs, eqPrefixes;
+    for (int i = 0; i < 33; ++i) {
+        eqMsgs.push_back(randomBytes(rng, 320));
+        eqPrefixes.push_back(randomBytes(rng, 16));
+    }
+
     // Reference tags from the table path, batch of one per message.
-    std::vector<Aes128Block> refPlain, refPrefixed;
+    std::vector<Aes128Block> refPlain, refPrefixed, refEq;
     {
         ForcedImpl table(AesImpl::Table);
         Cmac ref(key);
+        for (std::size_t i = 0; i < eqMsgs.size(); ++i) {
+            refEq.push_back(ref.computeWithPrefix(
+                eqPrefixes[i].data(), eqMsgs[i].data(), eqMsgs[i].size()));
+        }
         for (const auto &m : msgs) {
             refPlain.push_back(ref.compute(m.data(), m.size()));
             std::vector<std::uint8_t> cat = prefix;
@@ -243,56 +263,102 @@ TEST(AesDispatch, CmacAgreesAcrossBackendsAndApis)
             EXPECT_TRUE(Cmac::tagsEqual(got[i], refPrefixed[i]))
                 << aesImplName(impl) << " batch+prefix len=" << lens[i];
         }
+
+        // Batches of 1 to 17 and 33 equal-length prefixed jobs: every
+        // remainder of the 8-chain groups, with and without full groups.
+        std::vector<std::size_t> counts;
+        for (std::size_t n = 1; n <= 17; ++n)
+            counts.push_back(n);
+        counts.push_back(33);
+        for (const std::size_t n : counts) {
+            std::vector<CmacJob> same;
+            for (std::size_t i = 0; i < n; ++i) {
+                same.push_back(CmacJob{eqPrefixes[i].data(),
+                                       eqMsgs[i].data(),
+                                       eqMsgs[i].size()});
+            }
+            std::vector<Aes128Block> tags(n);
+            mac.computeBatch(same.data(), n, tags.data());
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_TRUE(Cmac::tagsEqual(tags[i], refEq[i]))
+                    << aesImplName(impl) << " n=" << n << " i=" << i;
+            }
+        }
+
+        // One batch mixing every length, with and without prefixes,
+        // interleaved so the groups are not contiguous in the input.
+        std::vector<CmacJob> mixed;
+        std::vector<Aes128Block> expect;
+        for (std::size_t i = 0; i < msgs.size(); ++i) {
+            mixed.push_back(prefixedJobs[i]);
+            expect.push_back(refPrefixed[i]);
+            mixed.push_back(plainJobs[msgs.size() - 1 - i]);
+            expect.push_back(refPlain[msgs.size() - 1 - i]);
+        }
+        std::vector<Aes128Block> tags(mixed.size());
+        mac.computeBatch(mixed.data(), mixed.size(), tags.data());
+        for (std::size_t i = 0; i < mixed.size(); ++i) {
+            EXPECT_TRUE(Cmac::tagsEqual(tags[i], expect[i]))
+                << aesImplName(impl) << " mixed i=" << i;
+        }
     }
 }
 
-/** PMMAC tags (single and batched) are backend-independent. */
+/** PMMAC tags (single and batched) are backend-independent, for
+ *  batches of 12, 16, 17 and 33: whole 8-chain groups with and
+ *  without a remainder. */
 TEST(AesDispatch, PmmacAgreesAcrossBackends)
 {
     Rng rng(0x9a9a);
     const Aes128Key key = randomKey(rng);
-    std::vector<std::vector<std::uint8_t>> payloads;
-    std::vector<PmmacItem> items;
-    for (int i = 0; i < 12; ++i)
-        payloads.push_back(randomBytes(rng, 320));
-    for (int i = 0; i < 12; ++i) {
-        items.push_back(PmmacItem{rng.next(), rng.next(),
-                                  payloads[i].data(),
-                                  payloads[i].size()});
-    }
-
-    std::vector<Tag64> ref(items.size());
-    {
-        ForcedImpl table(AesImpl::Table);
-        Pmmac mac(key);
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            ref[i] = mac.tag(items[i].id, items[i].counter,
-                             items[i].data, items[i].len);
+    for (const std::size_t count : {12UL, 16UL, 17UL, 33UL}) {
+        std::vector<std::vector<std::uint8_t>> payloads;
+        std::vector<PmmacItem> items;
+        for (std::size_t i = 0; i < count; ++i)
+            payloads.push_back(randomBytes(rng, 320));
+        for (std::size_t i = 0; i < count; ++i) {
+            items.push_back(PmmacItem{rng.next(), rng.next(),
+                                      payloads[i].data(),
+                                      payloads[i].size()});
         }
-    }
 
-    for (AesImpl impl : availableImpls()) {
-        ForcedImpl force(impl);
-        Pmmac mac(key);
-        std::vector<Tag64> got(items.size());
-        mac.tagBatch(items.data(), items.size(), got.data());
-        const std::unique_ptr<bool[]> ok(new bool[items.size()]);
-        EXPECT_TRUE(mac.verifyBatch(items.data(), items.size(),
-                                    ref.data(), ok.get()))
-            << aesImplName(impl);
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            EXPECT_EQ(got[i], ref[i]) << aesImplName(impl) << " " << i;
-            EXPECT_TRUE(mac.verify(items[i].id, items[i].counter,
-                                   items[i].data, items[i].len, ref[i]))
-                << aesImplName(impl) << " " << i;
+        std::vector<Tag64> ref(items.size());
+        {
+            ForcedImpl table(AesImpl::Table);
+            Pmmac mac(key);
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                ref[i] = mac.tag(items[i].id, items[i].counter,
+                                 items[i].data, items[i].len);
+            }
         }
-        // A wrong tag must fail exactly the corrupted item.
-        std::vector<Tag64> bad = ref;
-        bad[3] ^= 1;
-        EXPECT_FALSE(mac.verifyBatch(items.data(), items.size(),
-                                     bad.data(), ok.get()));
-        for (std::size_t i = 0; i < items.size(); ++i)
-            EXPECT_EQ(ok[i], i != 3) << aesImplName(impl) << " " << i;
+
+        for (AesImpl impl : availableImpls()) {
+            ForcedImpl force(impl);
+            Pmmac mac(key);
+            std::vector<Tag64> got(items.size());
+            mac.tagBatch(items.data(), items.size(), got.data());
+            const std::unique_ptr<bool[]> ok(new bool[items.size()]);
+            EXPECT_TRUE(mac.verifyBatch(items.data(), items.size(),
+                                        ref.data(), ok.get()))
+                << aesImplName(impl) << " count=" << count;
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                EXPECT_EQ(got[i], ref[i])
+                    << aesImplName(impl) << " " << count << "/" << i;
+                EXPECT_TRUE(mac.verify(items[i].id, items[i].counter,
+                                       items[i].data, items[i].len,
+                                       ref[i]))
+                    << aesImplName(impl) << " " << count << "/" << i;
+            }
+            // A wrong tag must fail exactly the corrupted item.
+            std::vector<Tag64> bad = ref;
+            bad[3] ^= 1;
+            EXPECT_FALSE(mac.verifyBatch(items.data(), items.size(),
+                                         bad.data(), ok.get()));
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                EXPECT_EQ(ok[i], i != 3)
+                    << aesImplName(impl) << " " << count << "/" << i;
+            }
+        }
     }
 }
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "oram/path_oram.hh"
+#include "util/metrics.hh"
 
 namespace secdimm::oram
 {
@@ -124,7 +125,7 @@ TEST(PathOram, PathInvariantHolds)
     const BlockData v = blockOf(7);
     for (Addr a = 0; a < capacity; ++a)
         oram->access(a % capacity, OramOp::Write, &v);
-    EXPECT_LE(oram->stats().maxStashSize,
+    EXPECT_LE(oram->stash().maxSizeSeen(),
               oram->params().stashCapacity);
     EXPECT_TRUE(oram->integrityOk());
 }
@@ -229,6 +230,20 @@ TEST(PathOram, BackgroundEvictionKeepsStashBounded)
     EXPECT_LE(oram->stashSize(), oram->params().stashCapacity / 2 +
                                      oram->params().bucketBlocks *
                                          (oram->params().levels + 1));
+}
+
+TEST(PathOram, StashPeakCountsAdoptedBlocks)
+{
+    // Blocks adopted between accesses (an Independent APPEND) raise
+    // the stash peak as much as a path read does, and the exported
+    // metric reads that peak.
+    auto oram = makeOram(6, 3);
+    for (Addr a = 0; a < 3; ++a)
+        ASSERT_TRUE(oram->adoptBlock(a, a, blockOf(a)));
+    EXPECT_EQ(oram->stash().maxSizeSeen(), 3u);
+    util::MetricsRegistry m;
+    oram->exportMetrics(m, "oram");
+    EXPECT_EQ(m.counter("oram.stash.max"), 3u);
 }
 
 TEST(PathOram, DistinctSeedsDistinctLeafSequences)

@@ -91,7 +91,7 @@ TEST_P(PathOramShapes, StashNeverExceedsCapacity)
     const BlockData v = blockOf(1);
     for (std::uint64_t i = 0; i < 2 * capacity; ++i)
         oram->access(i % capacity, OramOp::Write, &v);
-    EXPECT_LE(oram->stats().maxStashSize, params().stashCapacity);
+    EXPECT_LE(oram->stash().maxSizeSeen(), params().stashCapacity);
 }
 
 TEST_P(PathOramShapes, LeafDistributionUniform)
