@@ -420,17 +420,29 @@ ScheduleComparison::summary() const
 namespace
 {
 
-/** Per-shard 0/1 write-indicator subsequences of a schedule. */
-std::vector<std::vector<double>>
-perShardKindSeries(const std::vector<ScheduleEvent> &schedule,
-                   unsigned shards)
+/** ACF profiles of a schedule's per-shard 0/1 write-indicator
+ *  subsequences, with the subsequence lengths. */
+struct KindProfiles
+{
+    std::vector<std::vector<double>> acf;
+    std::vector<std::size_t> len;
+};
+
+KindProfiles
+kindProfiles(const std::vector<ScheduleEvent> &schedule, unsigned shards,
+             unsigned max_lag)
 {
     std::vector<std::vector<double>> series(shards);
     for (const ScheduleEvent &e : schedule) {
         if (e.shard < shards)
             series[e.shard].push_back(e.write ? 1.0 : 0.0);
     }
-    return series;
+    KindProfiles p;
+    for (const std::vector<double> &s : series) {
+        p.acf.push_back(acfProfile(s, max_lag));
+        p.len.push_back(s.size());
+    }
+    return p;
 }
 
 } // namespace
@@ -453,12 +465,13 @@ compareSchedules(const std::vector<ScheduleEvent> &a,
         shards = std::max(shards, e.shard + 1);
     for (const ScheduleEvent &e : b)
         shards = std::max(shards, e.shard + 1);
-    const auto sa = perShardKindSeries(a, shards);
-    const auto sb = perShardKindSeries(b, shards);
+    const unsigned lags = opts.timing.maxLag;
+    const KindProfiles pa = kindProfiles(a, shards, lags);
+    const KindProfiles pb = kindProfiles(b, shards, lags);
     cmp.perShardPass = true;
     for (unsigned s = 0; s < shards; ++s) {
-        const std::size_t na = sa[s].size();
-        const std::size_t nb = sb[s].size();
+        const std::size_t na = pa.len[s];
+        const std::size_t nb = pb.len[s];
         if (na < 2 || nb < 2)
             continue; // The marginal check owns occupancy mismatches.
         const double band =
@@ -466,10 +479,8 @@ compareSchedules(const std::vector<ScheduleEvent> &a,
                      opts.timing.acfBandScale *
                          std::sqrt(1.0 / static_cast<double>(na) +
                                    1.0 / static_cast<double>(nb)));
-        for (unsigned lag = 1; lag <= opts.timing.maxLag; ++lag) {
-            const double delta =
-                std::abs(lagAutocorrelation(sa[s], lag) -
-                         lagAutocorrelation(sb[s], lag));
+        for (unsigned k = 0; k < lags; ++k) {
+            const double delta = std::abs(pa.acf[s][k] - pb.acf[s][k]);
             if (delta > cmp.maxPerShardKindDelta) {
                 cmp.maxPerShardKindDelta = delta;
                 cmp.worstShard = s;
@@ -483,6 +494,344 @@ compareSchedules(const std::vector<ScheduleEvent> &a,
     }
     cmp.pass = cmp.marginal.indistinguishable && cmp.ordering.pass &&
                cmp.perShardPass;
+    return cmp;
+}
+
+/* ------------------------------------------------------------------ */
+/* The calibrated run-level gate                                       */
+/* ------------------------------------------------------------------ */
+
+static_assert(calibratedDraws >= 2, "a half needs two runs to relabel");
+
+namespace
+{
+
+const char *const shardStatNames[] = {"addr_tv",  "kind_tv",
+                                      "count_delta", "acf_addr",
+                                      "acf_gap",  "gap_profile"};
+const char *const scheduleStatNames[] = {"occupancy_tv", "kind_tv",
+                                         "count_delta", "acf",
+                                         "shard_kind_acf"};
+
+/** Shard @p s's trace of @p o; empty where the run observed none. */
+const std::vector<TraceEvent> &
+shardTrace(const Observation &o, std::size_t s)
+{
+    static const std::vector<TraceEvent> none;
+    return s < o.shardTraces.size() ? o.shardTraces[s] : none;
+}
+
+/**
+ * What the pair statistics need of one run, computed once: the ACF
+ * profiles compareAutocorrelation and compareSchedules would compute
+ * afresh for every pair the run is in.
+ */
+struct RunProfile
+{
+    std::vector<std::vector<double>> addrAcf; ///< Per shard.
+    std::vector<std::vector<double>> gapAcf;  ///< Per shard.
+    std::vector<TraceEvent> schedule;         ///< scheduleToTrace.
+    std::vector<double> scheduleAcf;
+    KindProfiles kinds;
+};
+
+RunProfile
+profileRun(const Observation &o, std::size_t shards, unsigned max_lag)
+{
+    RunProfile p;
+    for (std::size_t s = 0; s < shards; ++s) {
+        const std::vector<TraceEvent> &t = shardTrace(o, s);
+        p.addrAcf.push_back(acfProfile(addressSeries(t), max_lag));
+        p.gapAcf.push_back(acfProfile(gapSeries(t), max_lag));
+    }
+    p.schedule = scheduleToTrace(o.schedule);
+    p.scheduleAcf = acfProfile(addressSeries(p.schedule), max_lag);
+    unsigned sched_shards = 0;
+    for (const ScheduleEvent &e : o.schedule)
+        sched_shards = std::max(sched_shards, e.shard + 1);
+    p.kinds = kindProfiles(o.schedule, sched_shards, max_lag);
+    return p;
+}
+
+/** max_k |a[k] - b[k]|, the delta the ACF comparisons report. */
+double
+maxAcfDelta(const std::vector<double> &a, const std::vector<double> &b)
+{
+    double m = 0.0;
+    for (std::size_t k = 0; k < a.size(); ++k)
+        m = std::max(m, std::abs(a[k] - b[k]));
+    return m;
+}
+
+/** Write the statistics of one pair of runs to @p out. */
+void
+pairStatistics(const Observation &a, const Observation &b,
+               const RunProfile &pa, const RunProfile &pb,
+               std::size_t shards, bool schedule, double *out)
+{
+    for (std::size_t s = 0; s < shards; ++s) {
+        const std::vector<TraceEvent> &ta = shardTrace(a, s);
+        const std::vector<TraceEvent> &tb = shardTrace(b, s);
+        const TraceComparison c = compareTraces(ta, tb);
+        *out++ = c.addressDistance;
+        *out++ = c.kindDistance;
+        *out++ = c.countRatioDelta;
+        *out++ = maxAcfDelta(pa.addrAcf[s], pb.addrAcf[s]);
+        *out++ = maxAcfDelta(pa.gapAcf[s], pb.gapAcf[s]);
+        *out++ = compareGapProfiles(ta, tb).maxDelta;
+    }
+    if (!schedule)
+        return;
+    const TraceComparison c = compareTraces(pa.schedule, pb.schedule);
+    *out++ = c.addressDistance;
+    *out++ = c.kindDistance;
+    *out++ = c.countRatioDelta;
+    *out++ = maxAcfDelta(pa.scheduleAcf, pb.scheduleAcf);
+    // Shards either run served fewer than twice carry no order.
+    double kind = 0.0;
+    const std::size_t kind_shards =
+        std::min(pa.kinds.len.size(), pb.kinds.len.size());
+    for (std::size_t s = 0; s < kind_shards; ++s) {
+        if (pa.kinds.len[s] >= 2 && pb.kinds.len[s] >= 2)
+            kind = std::max(
+                kind, maxAcfDelta(pa.kinds.acf[s], pb.kinds.acf[s]));
+    }
+    *out = kind;
+}
+
+/**
+ * Exact permutation p-values.  d holds, for every ordered pair of
+ * the n runs, m statistics (d[(i*n + j)*m + k], symmetric, zero
+ * diagonal); runs 0, 2, 4, ... carry one secret.  T of a labelling
+ * rises with its cross-half sum, so each p is the share of the
+ * C(n-1, n/2-1) halves holding run 0 (the other halves mirror them)
+ * whose cross sum reaches the observed one.  A statistic equal on
+ * every pair cannot tell labellings apart and gets p = 1 unenumerated.
+ */
+class Relabeler
+{
+  public:
+    Relabeler(const std::vector<double> &d, unsigned n, unsigned m)
+        : n_(n), half_(n / 2), m_(m)
+    {
+        for (unsigned k = 0; k < m; ++k) {
+            for (std::size_t ij = 0; ij < std::size_t(n) * n; ++ij) {
+                const std::size_t i = ij / n, j = ij % n;
+                // Pair (0, 1) sits at ij = 1.
+                if (i != j && d[ij * m + k] != d[m + k]) {
+                    active_.push_back(k);
+                    break;
+                }
+            }
+        }
+        a_ = static_cast<unsigned>(active_.size());
+        d_.resize(std::size_t(n) * n * a_);
+        for (std::size_t ij = 0; ij < std::size_t(n) * n; ++ij) {
+            for (unsigned q = 0; q < a_; ++q)
+                d_[ij * a_ + q] = d[ij * m + active_[q]];
+        }
+        rowTotal_.assign(std::size_t(n) * a_, 0.0);
+        for (unsigned i = 0; i < n; ++i) {
+            for (unsigned j = 0; j < n; ++j) {
+                for (unsigned q = 0; q < a_; ++q)
+                    rowTotal_[i * a_ + q] += at(i, j)[q];
+            }
+        }
+        observed_.assign(a_, 0.0);
+        for (unsigned i = 0; i < n; i += 2) {
+            for (unsigned j = 1; j < n; j += 2) {
+                for (unsigned q = 0; q < a_; ++q)
+                    observed_[q] += at(i, j)[q];
+            }
+        }
+        // Sums reached along different paths round differently.
+        tol_.assign(a_, 1e-9);
+        for (unsigned q = 0; q < a_; ++q) {
+            for (unsigned i = 0; i < n; ++i)
+                tol_[q] += 1e-9 * std::abs(rowTotal_[i * a_ + q]);
+        }
+        hits_.assign(a_, 0);
+    }
+
+    /** p of every statistic (1 for the constant ones). */
+    std::vector<double>
+    pValues()
+    {
+        if (a_ > 0) {
+            // Per depth: the cross sum of the half so far, and for
+            // every run the sum of its pairs with the half.
+            cross_.assign(std::size_t(half_) * a_, 0.0);
+            inHalf_.assign(std::size_t(half_) * n_ * a_, 0.0);
+            std::copy(&rowTotal_[0], &rowTotal_[a_], &cross_[0]);
+            for (unsigned f = 0; f < n_; ++f)
+                std::copy(at(f, 0), at(f, 0) + a_, &inHalf_[f * a_]);
+            visit(1, 1);
+        }
+        std::vector<double> p(m_, 1.0);
+        for (unsigned q = 0; q < a_; ++q)
+            p[active_[q]] = static_cast<double>(hits_[q]) /
+                            static_cast<double>(total_);
+        return p;
+    }
+
+  private:
+    const double *
+    at(unsigned i, unsigned j) const
+    {
+        return &d_[(std::size_t(i) * n_ + j) * a_];
+    }
+
+    /** Extend a half of @p depth runs with every run from @p start. */
+    void
+    visit(unsigned start, unsigned depth)
+    {
+        const double *c = &cross_[std::size_t(depth - 1) * a_];
+        const double *in = &inHalf_[std::size_t(depth - 1) * n_ * a_];
+        // Adding e: its pairs with runs outside become cross pairs,
+        // its pairs with the half stop being ones.
+        if (depth + 1 == half_) {
+            for (unsigned e = start; e < n_; ++e) {
+                ++total_;
+                for (unsigned q = 0; q < a_; ++q) {
+                    const double x = c[q] + rowTotal_[e * a_ + q] -
+                                     2.0 * in[e * a_ + q];
+                    if (x >= observed_[q] - tol_[q])
+                        ++hits_[q];
+                }
+            }
+            return;
+        }
+        double *nc = &cross_[std::size_t(depth) * a_];
+        double *nin = &inHalf_[std::size_t(depth) * n_ * a_];
+        for (unsigned e = start; e + (half_ - depth) <= n_; ++e) {
+            for (unsigned q = 0; q < a_; ++q)
+                nc[q] = c[q] + rowTotal_[e * a_ + q] - 2.0 * in[e * a_ + q];
+            for (unsigned f = e + 1; f < n_; ++f) {
+                const double *df = at(f, e);
+                for (unsigned q = 0; q < a_; ++q)
+                    nin[f * a_ + q] = in[f * a_ + q] + df[q];
+            }
+            visit(e + 1, depth + 1);
+        }
+    }
+
+    unsigned n_, half_, m_;
+    std::vector<unsigned> active_;
+    unsigned a_ = 0;
+    std::vector<double> d_;
+    std::vector<double> rowTotal_;
+    std::vector<double> observed_;
+    std::vector<double> tol_;
+    std::vector<double> cross_;
+    std::vector<double> inHalf_;
+    std::vector<std::uint64_t> hits_;
+    std::uint64_t total_ = 0;
+};
+
+} // namespace
+
+bool
+CalibratedComparison::passes(const std::string &prefix) const
+{
+    for (const CalibratedStatistic &s : statistics) {
+        if (s.name.compare(0, prefix.size(), prefix) == 0 &&
+            s.pValue <= threshold)
+            return false;
+    }
+    return true;
+}
+
+std::string
+CalibratedComparison::summary() const
+{
+    std::ostringstream os;
+    os << (pass ? "CALIBRATED-PASS" : "CALIBRATED-FAIL")
+       << " R=" << calibratedDraws << " alpha=" << calibratedAlpha
+       << " m=" << statistics.size()
+       << " threshold=" << threshold << " floor=" << pFloor;
+    if (!statistics.empty()) {
+        const CalibratedStatistic &w = statistics[worst];
+        os << " worst=" << w.name << " p=" << w.pValue
+           << " T=" << w.effect;
+    }
+    for (const CalibratedStatistic &s : statistics) {
+        if (s.pValue <= threshold)
+            os << " [" << s.name << " p=" << s.pValue << " T=" << s.effect
+               << "]";
+    }
+    return os.str();
+}
+
+CalibratedComparison
+compareCalibrated(const ObservationRun &run)
+{
+    const unsigned r = calibratedDraws;
+    const unsigned n = 2 * r;
+    std::vector<Observation> runs;
+    runs.reserve(n);
+    for (unsigned i = 0; i < n; ++i)
+        runs.push_back(run(i % 2, i));
+
+    std::size_t shards = 0;
+    bool schedule = false;
+    for (const Observation &o : runs) {
+        shards = std::max(shards, o.shardTraces.size());
+        schedule = schedule || !o.schedule.empty();
+    }
+
+    CalibratedComparison cmp;
+    for (std::size_t s = 0; s < shards; ++s) {
+        for (const char *stat : shardStatNames)
+            cmp.statistics.push_back(
+                {"shard" + std::to_string(s) + "." + stat, 0.0, 1.0});
+    }
+    if (schedule) {
+        for (const char *stat : scheduleStatNames)
+            cmp.statistics.push_back(
+                {std::string("schedule.") + stat, 0.0, 1.0});
+    }
+    const unsigned m = static_cast<unsigned>(cmp.statistics.size());
+    SD_ASSERT(m > 0);
+
+    const unsigned lags = TimingCheckOptions{}.maxLag;
+    std::vector<RunProfile> profiles;
+    for (const Observation &o : runs)
+        profiles.push_back(profileRun(o, shards, lags));
+    std::vector<double> d(static_cast<std::size_t>(n) * n * m, 0.0);
+    for (unsigned i = 0; i < n; ++i) {
+        for (unsigned j = i + 1; j < n; ++j) {
+            double *ij = &d[(static_cast<std::size_t>(i) * n + j) * m];
+            pairStatistics(runs[i], runs[j], profiles[i], profiles[j],
+                           shards, schedule, ij);
+            std::copy(ij, ij + m,
+                      &d[(static_cast<std::size_t>(j) * n + i) * m]);
+        }
+    }
+
+    const std::vector<double> p = Relabeler(d, n, m).pValues();
+    double halves = 1.0; // C(2R, R) / 2 = C(2R-1, R-1).
+    for (unsigned k = 1; k < r; ++k)
+        halves = halves * (n - k) / k;
+    cmp.pFloor = 1.0 / halves;
+    cmp.threshold = calibratedAlpha / m;
+    // A floor above the threshold would make the gate unable to fail.
+    SD_ASSERT(cmp.pFloor < cmp.threshold);
+
+    cmp.pass = true;
+    for (unsigned k = 0; k < m; ++k) {
+        double cross = 0.0, same = 0.0;
+        for (unsigned i = 0; i < n; ++i) {
+            for (unsigned j = i + 1; j < n; ++j)
+                ((i + j) % 2 ? cross : same) +=
+                    d[(static_cast<std::size_t>(i) * n + j) * m + k];
+        }
+        CalibratedStatistic &s = cmp.statistics[k];
+        s.effect = cross / (double(r) * r) - same / (double(r) * (r - 1));
+        s.pValue = p[k];
+        if (s.pValue < cmp.statistics[cmp.worst].pValue)
+            cmp.worst = k;
+        cmp.pass = cmp.pass && s.pValue > cmp.threshold;
+    }
     return cmp;
 }
 

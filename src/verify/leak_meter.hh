@@ -24,7 +24,12 @@
  *
  *  - a thread-safe ScheduleRecorder + schedule comparison for
  *    concurrency-sound checking of the multi-threaded serve frontend
- *    (the recorder is the observer hook ShardedSecureMemory exposes).
+ *    (the recorder is the observer hook ShardedSecureMemory exposes);
+ *
+ *  - the calibrated gate (compareCalibrated): many re-seeded runs of
+ *    two secrets, every pair statistic above tested by an exact
+ *    permutation test over the run labels, so its false-alarm rate is
+ *    fixed whatever the sample size or the scheduler.
  *
  * The sdimm_leakmeter CLI (tools/) drives these over every secure
  * DesignPoint and emits a JSON report; docs/VERIFICATION.md explains
@@ -284,11 +289,12 @@ struct ScheduleComparison
     /**
      * The concurrency-sound core: per shard, the ACF profile of that
      * shard's read/write indicator SUBSEQUENCE.  Per-shard order is
-     * exactly the shard's FIFO service order -- deterministic given
-     * the submissions, and untouched by how the OS interleaved the
-     * worker threads -- so a secret-keyed within-shard reordering
-     * (writes first, sorted batches) is caught here even when
-     * scheduler noise blurs the global interleaving.
+     * exactly the shard's FIFO service order.  With one submitting
+     * thread it is fixed by the submission order and untouched by
+     * how the OS interleaves the shard workers; with several client
+     * threads it follows how their submissions raced.  Either way a
+     * secret-keyed within-shard reordering (writes first, sorted
+     * batches) moves it far more than scheduler noise does.
      */
     double maxPerShardKindDelta = 0.0;
     unsigned worstShard = 0;
@@ -309,6 +315,86 @@ ScheduleComparison
 compareSchedules(const std::vector<ScheduleEvent> &a,
                  const std::vector<ScheduleEvent> &b,
                  const DeepCheckOptions &opts = {});
+
+/* ------------------------------------------------------------------ */
+/* The calibrated run-level gate                                       */
+/* ------------------------------------------------------------------ */
+
+/**
+ * What the adversary sees of one run of a sharded service: each
+ * shard's channel trace and the completion-order schedule.  A caller
+ * that does not observe one of the two leaves it empty.
+ */
+struct Observation
+{
+    std::vector<std::vector<TraceEvent>> shardTraces;
+    std::vector<ScheduleEvent> schedule;
+};
+
+/** Runs of each secret the calibrated gate draws (R). */
+inline constexpr unsigned calibratedDraws = 12;
+
+/**
+ * False-alarm rate of one calibrated comparison (alpha), split
+ * Bonferroni-style over its statistics.  A full ctest run makes
+ * fewer than ten comparisons whose runs are not seeded end to end,
+ * so it fails on an honest design with probability below 1e-3.
+ */
+inline constexpr double calibratedAlpha = 1e-4;
+
+/** One statistic of a calibrated comparison. */
+struct CalibratedStatistic
+{
+    /** "shard<s>.<stat>" or "schedule.<stat>". */
+    std::string name;
+    /** T = mean cross-secret pair value - mean same-secret one. */
+    double effect = 0.0;
+    /** Share of run relabelings whose T is at least the observed T. */
+    double pValue = 1.0;
+};
+
+/** Verdict of the calibrated gate. */
+struct CalibratedComparison
+{
+    /** Smallest reachable p: 2 / C(2R, R). */
+    double pFloor = 0.0;
+    /** alpha / (number of statistics). */
+    double threshold = 0.0;
+    std::vector<CalibratedStatistic> statistics;
+    /** Index of the statistic with the smallest p. */
+    std::size_t worst = 0;
+    bool pass = false;
+
+    /** Every statistic whose name starts with @p prefix passes. */
+    bool passes(const std::string &prefix) const;
+
+    std::string summary() const;
+};
+
+/**
+ * One run of the workload under secret @p secret (0 or 1).  @p draw
+ * is the run's position in the gate's sequence (0..2R-1), distinct
+ * for every run: derive every public seed -- submission order,
+ * engine seeds -- from it, so that no two runs share one.
+ */
+using ObservationRun =
+    std::function<Observation(unsigned secret, std::uint64_t draw)>;
+
+/**
+ * The calibrated gate.  Runs R draws of each secret, alternating
+ * A B A B ... so that host drift hits both secrets alike, and scores
+ * every pair of runs with the numbers the pair functions produce:
+ * per shard the compareTraces distances, the compareAutocorrelation
+ * deltas and the compareGapProfiles delta; over the schedule the
+ * compareSchedules occupancy, kind and count distances, global ACF
+ * delta and per-shard kind ACF delta.  For each statistic
+ * T = mean(cross-secret pairs) - mean(same-secret pairs) is tested
+ * against every relabeling of the 2R runs into two halves: with no
+ * leak the runs are exchangeable, so each p is exact whatever the
+ * sample size or the scheduler.  PASS iff every p > alpha / m for
+ * the m statistics.
+ */
+CalibratedComparison compareCalibrated(const ObservationRun &run);
 
 } // namespace secdimm::verify
 

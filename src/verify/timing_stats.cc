@@ -128,6 +128,15 @@ lagAutocorrelation(const std::vector<double> &series, unsigned lag)
     return s / (static_cast<double>(series.size()) * var);
 }
 
+std::vector<double>
+acfProfile(const std::vector<double> &series, unsigned max_lag)
+{
+    std::vector<double> p(max_lag);
+    for (unsigned k = 1; k <= max_lag; ++k)
+        p[k - 1] = lagAutocorrelation(series, k);
+    return p;
+}
+
 std::string
 AcfComparison::summary() const
 {
@@ -154,20 +163,20 @@ compareAutocorrelation(const std::vector<TraceEvent> &a,
                         opts.acfBandScale *
                             std::sqrt(1.0 / na + 1.0 / nb));
 
-    const std::vector<double> addr_a = addressSeries(a);
-    const std::vector<double> addr_b = addressSeries(b);
-    const std::vector<double> gap_a = gapSeries(a);
-    const std::vector<double> gap_b = gapSeries(b);
+    const std::vector<double> addr_a =
+        acfProfile(addressSeries(a), opts.maxLag);
+    const std::vector<double> addr_b =
+        acfProfile(addressSeries(b), opts.maxLag);
+    const std::vector<double> gap_a = acfProfile(gapSeries(a), opts.maxLag);
+    const std::vector<double> gap_b = acfProfile(gapSeries(b), opts.maxLag);
 
     for (unsigned k = 1; k <= opts.maxLag; ++k) {
-        const double da = std::abs(lagAutocorrelation(addr_a, k) -
-                                   lagAutocorrelation(addr_b, k));
+        const double da = std::abs(addr_a[k - 1] - addr_b[k - 1]);
         if (da > cmp.maxAddressDelta) {
             cmp.maxAddressDelta = da;
             cmp.worstAddressLag = k;
         }
-        const double dg = std::abs(lagAutocorrelation(gap_a, k) -
-                                   lagAutocorrelation(gap_b, k));
+        const double dg = std::abs(gap_a[k - 1] - gap_b[k - 1]);
         if (dg > cmp.maxGapDelta) {
             cmp.maxGapDelta = dg;
             cmp.worstGapLag = k;

@@ -59,6 +59,10 @@ std::vector<double> gapSeries(const std::vector<TraceEvent> &events);
 double lagAutocorrelation(const std::vector<double> &series,
                           unsigned lag);
 
+/** lagAutocorrelation at lags 1..@p max_lag (entry k-1 is lag k). */
+std::vector<double> acfProfile(const std::vector<double> &series,
+                               unsigned max_lag);
+
 /* ------------------------------------------------------------------ */
 /* 1. Two-trace ordering/rhythm comparison                             */
 /* ------------------------------------------------------------------ */

@@ -57,18 +57,12 @@ struct ScriptOp
     std::string value;
 };
 
-struct RunResult
-{
-    std::vector<std::vector<verify::TraceEvent>> shardTraces;
-    std::vector<verify::ScheduleEvent> schedule;
-};
-
 /**
  * Build a store, preload @p resident keys, then run @p script while
  * observing every shard's bucket-store channel and the interleaved
  * schedule.  Only the measured (post-preload) traffic is recorded.
  */
-RunResult
+verify::Observation
 runScript(const ObliviousKVStore::Options &opt,
           const std::vector<std::string> &resident,
           const std::string &resident_value,
@@ -111,48 +105,36 @@ runScript(const ObliviousKVStore::Options &opt,
     store.drain();
     store.service().setScheduleRecorder(nullptr);
 
-    RunResult r;
+    verify::Observation r;
     for (auto &obs : observers)
         r.shardTraces.push_back(obs->events());
     r.schedule = recorder.events();
     return r;
 }
 
-/** PASS gate with schedule-noise retries (seeded re-runs). */
-void
-expectIndistinguishable(const ObliviousKVStore::Options &opt_a,
-                        const std::vector<std::string> &resident_a,
-                        const std::string &value_a,
-                        const std::vector<ScriptOp> &script_a,
-                        const ObliviousKVStore::Options &opt_b,
-                        const std::vector<std::string> &resident_b,
-                        const std::string &value_b,
-                        const std::vector<ScriptOp> &script_b)
+/**
+ * The calibrated gate over runs of the two secret workloads.  Every
+ * draw re-seeds the store and its shards' engines (public
+ * randomness) away from the options' own seeds.
+ */
+verify::CalibratedComparison
+calibratedGate(const ObliviousKVStore::Options &opt_a,
+               const std::vector<std::string> &resident_a,
+               const std::string &value_a,
+               const std::vector<ScriptOp> &script_a,
+               const ObliviousKVStore::Options &opt_b,
+               const std::vector<std::string> &resident_b,
+               const std::string &value_b,
+               const std::vector<ScriptOp> &script_b)
 {
-    RunResult a = runScript(opt_a, resident_a, value_a, script_a);
-    RunResult b = runScript(opt_b, resident_b, value_b, script_b);
-
-    ASSERT_EQ(a.schedule.size(), b.schedule.size());
-    for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
-        const verify::DeepComparison d = verify::deepCompareTraces(
-            a.shardTraces[s], b.shardTraces[s]);
-        EXPECT_TRUE(d.pass) << "shard " << s << ": " << d.summary();
-    }
-    // The global-interleave ACF rides scheduler noise; a real leak
-    // fails every re-randomized run, so retry with fresh seeds.
-    verify::ScheduleComparison sc =
-        verify::compareSchedules(a.schedule, b.schedule);
-    for (int retry = 1; retry < 3 && !sc.pass; ++retry) {
-        ObliviousKVStore::Options ra = opt_a, rb = opt_b;
-        ra.serve.shard.seed += 1000 * retry;
-        ra.seed += 1000 * retry;
-        rb.serve.shard.seed += 2000 * retry;
-        rb.seed += 2000 * retry;
-        a = runScript(ra, resident_a, value_a, script_a);
-        b = runScript(rb, resident_b, value_b, script_b);
-        sc = verify::compareSchedules(a.schedule, b.schedule);
-    }
-    EXPECT_TRUE(sc.pass) << sc.summary();
+    return verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            ObliviousKVStore::Options o = secret ? opt_b : opt_a;
+            o.seed += 1000 * draw;
+            o.serve.shard.seed = o.seed;
+            return secret ? runScript(o, resident_b, value_b, script_b)
+                          : runScript(o, resident_a, value_a, script_a);
+        });
 }
 
 std::vector<std::string>
@@ -232,8 +214,9 @@ TEST(KvOblivious, HitMissRatioIsInvisible)
         misses.push_back(
             {ScriptOp::What::Get, "absent" + std::to_string(i), ""});
     }
-    expectIndistinguishable(opt_a, resident, "value", hits, opt_b,
-                            resident, "value", misses);
+    const verify::CalibratedComparison c = calibratedGate(
+        opt_a, resident, "value", hits, opt_b, resident, "value", misses);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 TEST(KvOblivious, KeySetAndValueContentAreInvisible)
@@ -255,9 +238,10 @@ TEST(KvOblivious, KeySetAndValueContentAreInvisible)
                             "spread" + std::to_string(i % 24),
                             std::string(1 + i % 90, 'z')});
     }
-    expectIndistinguishable(opt_a, keyRange("hot", 2), "init",
-                            a_script, opt_b, keyRange("spread", 24),
-                            "other-init", b_script);
+    const verify::CalibratedComparison c = calibratedGate(
+        opt_a, keyRange("hot", 2), "init", a_script, opt_b,
+        keyRange("spread", 24), "other-init", b_script);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 TEST(KvOblivious, OpTypeMixIsInvisible)
@@ -292,8 +276,9 @@ TEST(KvOblivious, OpTypeMixIsInvisible)
             break;
         }
     }
-    expectIndistinguishable(opt_a, resident, "value", gets, opt_b,
-                            resident, "value", blend);
+    const verify::CalibratedComparison c = calibratedGate(
+        opt_a, resident, "value", gets, opt_b, resident, "value", blend);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 TEST(KvOblivious, LeakyBaselineFailsTheSameChecks)
@@ -316,8 +301,9 @@ TEST(KvOblivious, LeakyBaselineFailsTheSameChecks)
                         : "absent" + std::to_string(i),
              ""});
     }
-    const RunResult a = runScript(opt_a, resident, "value", hits);
-    const RunResult b =
+    const verify::Observation a =
+        runScript(opt_a, resident, "value", hits);
+    const verify::Observation b =
         runScript(opt_b, resident, "value", mostly_misses);
 
     // Hit-length reads vs nothing: wildly different event counts.
@@ -334,6 +320,11 @@ TEST(KvOblivious, LeakyBaselineFailsTheSameChecks)
     }
     EXPECT_TRUE(any_shard_fails)
         << "leaky baseline must fail at least one per-shard check";
+
+    const verify::CalibratedComparison c =
+        calibratedGate(opt_a, resident, "value", hits, opt_b, resident,
+                       "value", mostly_misses);
+    EXPECT_FALSE(c.pass) << c.summary();
 }
 
 } // namespace

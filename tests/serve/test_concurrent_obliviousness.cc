@@ -1,14 +1,14 @@
 /**
  * @file
- * Concurrency-sound obliviousness of the sharded serve frontend:
- * under randomized submission schedules, (a) every shard's externally
- * visible trace stays indistinguishable between two workloads that
- * differ only in WHICH blocks they touch, and (b) the interleaved
- * completion schedule (verify::ScheduleRecorder via
- * ShardedSecureMemory::setScheduleRecorder) is itself
- * indistinguishable -- checked with the v2 statistics, which also
- * catch a deliberately shard-sorted (secret-revealing) schedule that
- * the marginal view cannot.
+ * Concurrency-sound obliviousness of the sharded serve frontend.  The
+ * adversary sees every shard's channel trace and the completion-order
+ * schedule (verify::ScheduleRecorder via
+ * ShardedSecureMemory::setScheduleRecorder); under randomized
+ * submission orders and engine seeds, both must be indistinguishable
+ * between two workloads that differ only in WHICH blocks they touch.
+ * verify::compareCalibrated judges that against the variation honest
+ * runs of one secret show, and catches a frontend that reorders each
+ * shard's queue writes-first, which the marginal view cannot.
  *
  * Workload construction: A and B draw the SAME per-request (shard,
  * kind) sequence from a shared seed but place their blocks in
@@ -69,18 +69,12 @@ workloadSkeleton(std::uint64_t seed, std::size_t n, Addr region_blocks,
     return ops;
 }
 
-struct RunResult
-{
-    std::vector<std::vector<verify::TraceEvent>> shardTraces;
-    std::vector<verify::ScheduleEvent> schedule;
-};
-
 /**
  * Drive one service instance: submit the skeleton (offset into one
  * half-region) in the order given by @p submit_order, fully async, and
  * collect per-shard traces plus the interleaved completion schedule.
  */
-RunResult
+verify::Observation
 runWorkload(const ShardedSecureMemory::Options &opt,
             const std::vector<Op> &ops, Addr region_offset,
             const std::vector<std::size_t> &submit_order)
@@ -113,7 +107,7 @@ runWorkload(const ShardedSecureMemory::Options &opt,
     mem.setScheduleRecorder(nullptr);
     mem.shutdown();
 
-    RunResult r;
+    verify::Observation r;
     for (auto &obs : observers)
         r.shardTraces.push_back(obs->events());
     r.schedule = recorder.events();
@@ -132,6 +126,32 @@ shuffledOrder(std::size_t n, std::uint64_t seed)
     return order;
 }
 
+/**
+ * @p order with each shard's subsequence re-emitted writes-first:
+ * every position keeps its shard, only which request of that shard
+ * fills it changes.
+ */
+std::vector<std::size_t>
+writesFirstOrder(const ShardedSecureMemory &probe,
+                 const std::vector<Op> &ops,
+                 const std::vector<std::size_t> &order)
+{
+    std::vector<std::vector<std::size_t>> per_shard(probe.numShards());
+    for (std::size_t idx : order)
+        per_shard[probe.shardOf(ops[idx].base)].push_back(idx);
+    for (auto &list : per_shard)
+        std::stable_partition(list.begin(), list.end(),
+                              [&](std::size_t i) { return ops[i].write; });
+    std::vector<std::size_t> next(probe.numShards(), 0);
+    std::vector<std::size_t> out;
+    out.reserve(order.size());
+    for (std::size_t idx : order) {
+        const unsigned s = probe.shardOf(ops[idx].base);
+        out.push_back(per_shard[s][next[s]++]);
+    }
+    return out;
+}
+
 /** Offset of the B half-region, aligned so shardOf() is preserved. */
 Addr
 alignedHalf(const ShardedSecureMemory::Options &opt)
@@ -143,61 +163,34 @@ alignedHalf(const ShardedSecureMemory::Options &opt)
 
 TEST(ConcurrentObliviousness, AllSecureDesignsUnderRandomSchedules)
 {
-    // >= 8 randomized submission schedules per design; every shard's
-    // trace and the interleaved completion schedule must stay
-    // indistinguishable between the two half-region workloads.
+    // Every draw re-randomizes the submission order and the engine
+    // seed; every shard's trace and the interleaved completion
+    // schedule must stay indistinguishable between the two
+    // half-region workloads, judged against the spread of honest runs.
     for (Protocol proto :
          {Protocol::PathOram, Protocol::Freecursive,
           Protocol::Independent, Protocol::Split,
           Protocol::IndepSplit}) {
+        SCOPED_TRACE("proto=" +
+                     std::to_string(static_cast<int>(proto)));
         const ShardedSecureMemory::Options opt = serveOptions(proto, 2);
         const Addr offset = alignedHalf(opt);
         ASSERT_GT(offset, 0u);
-        // Enough requests that each shard's bucket-address histogram
-        // is dense relative to the checker's 64 bins; sparser traces
-        // sit right at the TV threshold on sampling noise alone.
         const std::vector<Op> ops = workloadSkeleton(101, 600, offset);
 
-        for (std::uint64_t sched = 0; sched < 8; ++sched) {
-            SCOPED_TRACE("proto=" + std::to_string(static_cast<int>(
-                             proto)) +
-                         " sched=" + std::to_string(sched));
-            const RunResult a = runWorkload(
-                opt, ops, 0, shuffledOrder(ops.size(), 900 + sched));
-            const RunResult b = runWorkload(
-                opt, ops, offset,
-                shuffledOrder(ops.size(), 500 + sched));
-
-            ASSERT_EQ(a.shardTraces.size(), opt.numShards);
-            ASSERT_EQ(b.shardTraces.size(), opt.numShards);
-            for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
-                const verify::TraceComparison c = verify::compareTraces(
-                    a.shardTraces[s], b.shardTraces[s]);
-                EXPECT_TRUE(c.indistinguishable)
-                    << "shard " << s << ": " << c.summary();
-            }
-            EXPECT_EQ(a.schedule.size(), b.schedule.size());
-            // The global-interleave ACF statistic rides real scheduler
-            // noise (the submission threads race), so a marginal band
-            // miss can happen with no leak present.  A true ordering
-            // leak fails every re-randomized run; give scheduler noise
-            // two fresh draws before declaring one.
-            verify::ScheduleComparison sc =
-                verify::compareSchedules(a.schedule, b.schedule);
-            for (int retry = 1; retry < 3 && !sc.pass; ++retry) {
-                const RunResult ra = runWorkload(
-                    opt, ops, 0,
+        const verify::CalibratedComparison c = verify::compareCalibrated(
+            [&](unsigned secret, std::uint64_t draw) {
+                ShardedSecureMemory::Options o = opt;
+                o.shard.seed += draw;
+                verify::Observation r = runWorkload(
+                    o, ops, secret ? offset : 0,
                     shuffledOrder(ops.size(),
-                                  900 + sched + 100 * retry));
-                const RunResult rb = runWorkload(
-                    opt, ops, offset,
-                    shuffledOrder(ops.size(),
-                                  500 + sched + 100 * retry));
-                sc = verify::compareSchedules(ra.schedule,
-                                              rb.schedule);
-            }
-            EXPECT_TRUE(sc.pass) << sc.summary();
-        }
+                                  (secret ? 500 : 900) + draw));
+                EXPECT_EQ(r.shardTraces.size(), opt.numShards);
+                EXPECT_EQ(r.schedule.size(), ops.size());
+                return r;
+            });
+        EXPECT_TRUE(c.pass) << c.summary();
     }
 }
 
@@ -209,9 +202,9 @@ TEST(ConcurrentObliviousness, PerShardTracesSurviveDeepChecks)
         serveOptions(Protocol::PathOram, 4);
     const Addr offset = alignedHalf(opt);
     const std::vector<Op> ops = workloadSkeleton(202, 1200, offset);
-    const RunResult a =
+    const verify::Observation a =
         runWorkload(opt, ops, 0, shuffledOrder(ops.size(), 11));
-    const RunResult b =
+    const verify::Observation b =
         runWorkload(opt, ops, offset, shuffledOrder(ops.size(), 12));
     for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
         const verify::DeepComparison d = verify::deepCompareTraces(
@@ -237,29 +230,15 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
     const std::vector<Op> ops =
         workloadSkeleton(303, 600, offset, 0.5);
 
+    const ShardedSecureMemory probe(opt);
     const std::vector<std::size_t> honest_order =
         shuffledOrder(ops.size(), 21);
-    // Leaky order: same position->shard assignment, but each shard's
-    // subsequence re-emitted writes-first.
-    std::vector<std::size_t> leaky_order;
-    {
-        ShardedSecureMemory probe(opt);
-        std::vector<std::vector<std::size_t>> per_shard(
-            probe.numShards());
-        for (std::size_t idx : honest_order)
-            per_shard[probe.shardOf(ops[idx].base)].push_back(idx);
-        for (auto &list : per_shard)
-            std::stable_partition(
-                list.begin(), list.end(),
-                [&](std::size_t i) { return ops[i].write; });
-        std::vector<std::size_t> next(probe.numShards(), 0);
-        for (std::size_t idx : honest_order) {
-            const unsigned s = probe.shardOf(ops[idx].base);
-            leaky_order.push_back(per_shard[s][next[s]++]);
-        }
-    }
-    const RunResult leaky = runWorkload(opt, ops, 0, leaky_order);
-    const RunResult honest = runWorkload(opt, ops, offset, honest_order);
+    const std::vector<std::size_t> leaky_order =
+        writesFirstOrder(probe, ops, honest_order);
+    const verify::Observation leaky =
+        runWorkload(opt, ops, 0, leaky_order);
+    const verify::Observation honest =
+        runWorkload(opt, ops, offset, honest_order);
 
     const verify::ScheduleComparison sc =
         verify::compareSchedules(leaky.schedule, honest.schedule);
@@ -268,6 +247,22 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
         << sc.marginal.summary();
     EXPECT_FALSE(sc.pass) << sc.summary();
     EXPECT_FALSE(sc.perShardPass) << sc.summary();
+
+    // The calibrated gate over R shuffles of each side: writes-first
+    // orders against honest ones.
+    const verify::CalibratedComparison c = verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            ShardedSecureMemory::Options o = opt;
+            o.shard.seed += draw;
+            const std::vector<std::size_t> order =
+                shuffledOrder(ops.size(), 21 + draw);
+            return secret ? runWorkload(o, ops, offset, order)
+                          : runWorkload(o, ops, 0,
+                                        writesFirstOrder(probe, ops,
+                                                         order));
+        });
+    EXPECT_FALSE(c.pass) << c.summary();
+    EXPECT_FALSE(c.passes("schedule.shard_kind_acf")) << c.summary();
 }
 
 TEST(ConcurrentObliviousness, RecorderDetachStopsRecording)

@@ -369,5 +369,103 @@ TEST(Schedules, ShardSortedScheduleFails)
     EXPECT_FALSE(c.ordering.pass);
 }
 
+/**
+ * A synthetic run: uniform per-shard traces over 512 addresses and a
+ * uniform schedule, drawn from @p seed; @p shift moves every trace
+ * address (the region a secret selects).
+ */
+Observation
+syntheticRun(std::uint64_t seed, Addr shift)
+{
+    Rng rng(seed);
+    Observation o;
+    o.shardTraces.resize(2);
+    for (auto &t : o.shardTraces) {
+        for (Tick i = 0; i < 300; ++i)
+            t.push_back(TraceEvent{TraceEventKind::Read,
+                                   shift + rng.nextBelow(512), 10 * i});
+    }
+    o.schedule = randomSchedule(rng.next(), 600, 2);
+    return o;
+}
+
+TEST(CalibratedGate, SameProcessRunsPass)
+{
+    std::vector<std::pair<unsigned, std::uint64_t>> calls;
+    const CalibratedComparison c =
+        compareCalibrated([&](unsigned secret, std::uint64_t draw) {
+            calls.emplace_back(secret, draw);
+            return syntheticRun(1000 + draw, 0);
+        });
+    EXPECT_TRUE(c.pass) << c.summary();
+    // Six statistics per shard, five over the schedule.
+    ASSERT_EQ(c.statistics.size(), 2u * 6 + 5);
+    EXPECT_EQ(c.statistics.front().name, "shard0.addr_tv");
+    EXPECT_EQ(c.statistics.back().name, "schedule.shard_kind_acf");
+    EXPECT_DOUBLE_EQ(c.threshold, calibratedAlpha / c.statistics.size());
+    // R draws of each secret, alternating, each with its own draw.
+    ASSERT_EQ(calls.size(), 2u * calibratedDraws);
+    for (std::size_t i = 0; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].first, i % 2);
+        EXPECT_EQ(calls[i].second, i);
+    }
+}
+
+TEST(CalibratedGate, RegionShiftedRunsFailAtTheFloor)
+{
+    const CalibratedComparison c =
+        compareCalibrated([](unsigned secret, std::uint64_t draw) {
+            return syntheticRun(2000 + draw, secret ? 512 : 0);
+        });
+    EXPECT_FALSE(c.pass) << c.summary();
+    for (const CalibratedStatistic &s : c.statistics) {
+        if (s.name == "shard0.addr_tv" || s.name == "shard1.addr_tv") {
+            EXPECT_DOUBLE_EQ(s.pValue, c.pFloor) << s.name;
+            EXPECT_GT(s.effect, 0.5) << s.name;
+        }
+    }
+    EXPECT_FALSE(c.passes("shard0."));
+    EXPECT_TRUE(c.passes("schedule."));
+    EXPECT_DOUBLE_EQ(c.statistics[c.worst].pValue, c.pFloor);
+}
+
+TEST(CalibratedGate, SwappingTheSecretsKeepsTheVerdict)
+{
+    // Runs 2k and 2k+1 share a seed, so swapping the secrets swaps
+    // which run of each pair carries which label: the same split.
+    for (Addr shift : {Addr{0}, Addr{512}}) {
+        auto run = [shift](unsigned secret, std::uint64_t draw) {
+            return syntheticRun(3000 + 2 * (draw / 2) + secret,
+                                secret ? shift : 0);
+        };
+        const CalibratedComparison c = compareCalibrated(run);
+        const CalibratedComparison swapped = compareCalibrated(
+            [&](unsigned secret, std::uint64_t draw) {
+                return run(1 - secret, draw);
+            });
+        EXPECT_EQ(c.pass, shift == 0) << c.summary();
+        EXPECT_EQ(swapped.pass, c.pass) << swapped.summary();
+        ASSERT_EQ(swapped.statistics.size(), c.statistics.size());
+        for (std::size_t k = 0; k < c.statistics.size(); ++k)
+            EXPECT_DOUBLE_EQ(swapped.statistics[k].pValue,
+                             c.statistics[k].pValue)
+                << c.statistics[k].name;
+    }
+}
+
+TEST(CalibratedGate, FloorIsOneOverHalfTheRelabelings)
+{
+    const CalibratedComparison c =
+        compareCalibrated([](unsigned, std::uint64_t draw) {
+            return syntheticRun(4000 + draw, 0);
+        });
+    // 2 / C(2R, R): a relabeling and its mirror score alike.
+    double choose = 1.0;
+    for (unsigned k = 1; k <= calibratedDraws; ++k)
+        choose = choose * (calibratedDraws + k) / k;
+    EXPECT_DOUBLE_EQ(c.pFloor, 2.0 / choose);
+    EXPECT_LT(c.pFloor, c.threshold);
+}
+
 } // namespace
 } // namespace secdimm::verify

@@ -15,9 +15,10 @@
  *    running evacuation), proactive retirement evidence, and the
  *    zero-survivor FailStop with its distinct ledger entry;
  *  - post-chaos indistinguishability: deepCompareTraces over two
- *    secret-differing runs with the SAME (public) fault plan,
- *    compareSchedules over two secret-differing sharded runs, and a
- *    zero-MI leak_meter measurement with chaos armed;
+ *    secret-differing runs with the SAME (public) fault plan, the
+ *    calibrated gate (verify::compareCalibrated) over the schedules of
+ *    secret-differing sharded runs, and a zero-MI leak_meter
+ *    measurement with chaos armed;
  *  - byzantine campaigns (unit designs): each lying-unit archetype --
  *    persistent corruptor, 25%-duty liar, sub-threshold liar,
  *    lost-write ACKer / group equivocator -- driven against the
@@ -29,7 +30,8 @@
  *    byzantine unit rage underneath (no dead shard -- KV slots span
  *    all shards), then post-chaos read-your-writes, store integrity,
  *    and secret-independence of the schedule (and, for tree
- *    protocols, per-shard deep traces) are gated.
+ *    protocols, per-shard traces) are gated, the latter by the
+ *    calibrated gate over re-seeded runs of two client op streams.
  *
  * Usage:
  *   sdimm_chaos [--design path|freecursive|independent|split|
@@ -612,30 +614,34 @@ deepRun(const DesignSpec &spec, std::uint64_t secret_seed,
 }
 
 /** One sharded run under the chaos plans; returns the interleaved
- *  completion schedule.  The secret is each client's address/op
- *  stream. */
+ *  completion schedule.  Each client's (shard, kind) sequence is
+ *  public, drawn from @p campaign_seed; the secret is which half of
+ *  the address space its blocks lie in. */
 std::vector<verify::ScheduleEvent>
 schedRun(const DesignSpec &spec, std::uint64_t campaign_seed,
-         std::uint64_t secret_seed, std::uint64_t requests,
-         unsigned threads, unsigned shards)
+         unsigned secret, std::uint64_t requests, unsigned threads,
+         unsigned shards)
 {
     verify::ScheduleRecorder rec;
     serve::ShardedSecureMemory mem(
         campaignOptions(spec, shards, campaign_seed));
     mem.setScheduleRecorder(&rec);
-    const std::uint64_t cap = mem.capacityBlocks();
+    // Both halves start on shard 0, so a block keeps its shard.
+    const std::uint64_t half =
+        mem.capacityBlocks() / 2 - mem.capacityBlocks() / 2 % shards;
     const std::uint64_t per_thread = (requests + threads - 1) / threads;
     std::vector<std::thread> clients;
     for (unsigned t = 0; t < threads; ++t) {
         clients.emplace_back([&, t] {
-            Rng rng(secret_seed * 8191 + t);
+            Rng rng(campaign_seed * 8191 + t);
             for (std::uint64_t i = 0; i < per_thread; ++i) {
-                const std::uint64_t block = rng.nextBelow(cap);
+                const std::uint64_t block =
+                    rng.nextBelow(half) + (secret ? half : 0);
                 const bool write = rng.nextBelow(2) == 1;
                 try {
                     if (write)
                         mem.writeBlock(block,
-                                       stampBlock(block, secret_seed));
+                                       stampBlock(block, campaign_seed));
                     else
                         mem.readBlock(block);
                 } catch (const serve::ShardFailedError &) {
@@ -683,6 +689,7 @@ struct PostChaosResult
 {
     bool deepPass = false;
     bool schedPass = false;
+    std::string schedSummary;
     verify::LeakReport mi;
     bool expectLeak = false;
     bool miOk = false;
@@ -702,11 +709,16 @@ runPostChaos(const DesignSpec &spec, std::uint64_t seed,
         deepRun(spec, seed * 13 + 7, seed, deep_accesses);
     r.deepPass = verify::deepCompareTraces(a, b).pass;
 
-    const auto sa =
-        schedRun(spec, seed, seed * 17 + 3, requests, threads, shards);
-    const auto sb =
-        schedRun(spec, seed, seed * 19 + 5, requests, threads, shards);
-    r.schedPass = verify::compareSchedules(sa, sb).pass;
+    // Every draw re-seeds the (public) campaign: engines and plans.
+    const verify::CalibratedComparison sched = verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            verify::Observation o;
+            o.schedule = schedRun(spec, seed + 1000 * draw, secret,
+                                  requests, threads, shards);
+            return o;
+        });
+    r.schedPass = sched.pass;
+    r.schedSummary = sched.summary();
 
     verify::PlbLeakOptions mi_opts;
     mi_opts.requests = mi_requests;
@@ -820,8 +832,7 @@ kvPlans(const DesignSpec &spec, unsigned shards, std::uint64_t seed,
  *  zipfian op stream (keys, values, get/put mix). */
 struct KvRun
 {
-    std::vector<verify::ScheduleEvent> schedule;
-    std::vector<std::vector<verify::TraceEvent>> traces;
+    verify::Observation seen;
     bool rywOk = true;      ///< Every read saw the shadow-map value.
     bool integrityOk = false;
     bool healthOk = true;   ///< No shard failed (no dead plan armed).
@@ -860,8 +871,8 @@ kvChaosRun(const DesignSpec &spec, std::uint64_t plan_seed,
     opt.serve.shard.capacityBytes = slots * stride * blockBytes;
     app::ObliviousKVStore store(opt);
 
-    // Per-shard deep traces gate the tree protocols only; the SDIMM
-    // protocols are gated by the schedule comparison alone.
+    // Per-shard traces are observed for the tree protocols only; the
+    // SDIMM protocols are gated on the schedule alone.
     const bool tree = spec.protocol == Protocol::PathOram ||
                       spec.protocol == Protocol::Freecursive;
     std::vector<std::unique_ptr<verify::ChannelObserver>> observers;
@@ -927,9 +938,9 @@ kvChaosRun(const DesignSpec &spec, std::uint64_t plan_seed,
         c.join();
     store.drain();
     store.service().setScheduleRecorder(nullptr);
-    r.schedule = rec.events();
+    r.seen.schedule = rec.events();
     for (auto &obs : observers)
-        r.traces.push_back(obs->events());
+        r.seen.shardTraces.push_back(obs->events());
     r.ops = ops_per_client * threads;
 
     // Post-chaos read-your-writes sweep: after bursts, retirements,
@@ -973,37 +984,26 @@ runKvChaos(const DesignSpec &spec, std::uint64_t seed,
     const std::uint64_t ops_per_client =
         std::max<std::uint64_t>(requests / (threads * 8), 48);
 
-    // Indistinguishability pair: identical (public) count-triggered
-    // plans, differing secrets.
-    KvRun a = kvChaosRun(spec, seed, seed * 23 + 1, ops_per_client,
-                         threads, shards, false);
-    KvRun b = kvChaosRun(spec, seed, seed * 29 + 7, ops_per_client,
-                         threads, shards, false);
-    verify::ScheduleComparison sc =
-        verify::compareSchedules(a.schedule, b.schedule);
-    // The global-interleave ACF rides scheduler noise; a real leak
-    // fails every re-randomized run.
-    for (unsigned retry = 1; retry < 4 && !sc.pass; ++retry) {
-        a = kvChaosRun(spec, seed + 1000 * retry,
-                       seed * 23 + 1 + retry, ops_per_client, threads,
-                       shards, false);
-        b = kvChaosRun(spec, seed + 1000 * retry,
-                       seed * 29 + 7 + retry, ops_per_client, threads,
-                       shards, false);
-        sc = verify::compareSchedules(a.schedule, b.schedule);
-    }
-    r.schedPass = sc.pass;
-    r.schedSummary = sc.summary();
-    r.deepChecked = !a.traces.empty();
-    for (std::size_t s = 0;
-         s < a.traces.size() && s < b.traces.size(); ++s)
-        r.deepPass = r.deepPass &&
-                     verify::deepCompareTraces(a.traces[s],
-                                               b.traces[s]).pass;
-    r.ops = a.ops + b.ops;
-    r.rywOk = a.rywOk && b.rywOk;
-    r.integrityOk = a.integrityOk && b.integrityOk;
-    r.healthOk = a.healthOk && b.healthOk;
+    // Indistinguishability: every draw re-seeds the (public)
+    // count-triggered plans; the secret is the clients' op streams.
+    r.rywOk = true;
+    r.integrityOk = true;
+    r.healthOk = true;
+    const verify::CalibratedComparison cmp = verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            KvRun run = kvChaosRun(spec, seed + 1000 * draw,
+                                   secret ? seed * 29 + 7 : seed * 23 + 1,
+                                   ops_per_client, threads, shards, false);
+            r.ops += run.ops;
+            r.rywOk = r.rywOk && run.rywOk;
+            r.integrityOk = r.integrityOk && run.integrityOk;
+            r.healthOk = r.healthOk && run.healthOk;
+            r.deepChecked = !run.seen.shardTraces.empty();
+            return std::move(run.seen);
+        });
+    r.schedPass = cmp.passes("schedule.");
+    r.deepPass = cmp.passes("shard");
+    r.schedSummary = cmp.summary();
 
     // Survival run with the byzantine corruptor armed (unit designs):
     // read-your-writes, integrity, and health must also hold through
@@ -1217,6 +1217,9 @@ main(int argc, char **argv)
                     spec.name, pc.pass ? "PASS" : "FAIL",
                     boolJson(pc.deepPass), boolJson(pc.schedPass),
                     boolJson(pc.miOk), pc.mi.mi.summary().c_str());
+        if (!pc.schedPass)
+            std::printf("%-12s post-chaos %s\n", spec.name,
+                        pc.schedSummary.c_str());
         design_pass = design_pass && pc.pass;
 
         const KvChaosOutcome kv =
@@ -1228,7 +1231,7 @@ main(int argc, char **argv)
                     boolJson(kv.healthOk), boolJson(kv.schedPass),
                     kv.deepChecked ? boolJson(kv.deepPass) : "\"n/a\"",
                     static_cast<unsigned long long>(kv.ops));
-        if (!kv.schedPass)
+        if (!kv.schedPass || !kv.deepPass)
             std::printf("%-12s kv-campaign %s\n", spec.name,
                         kv.schedSummary.c_str());
         design_pass = design_pass && kv.pass;
