@@ -54,7 +54,8 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
       mac_(crypto::makeKey(0x3ac5 ^ seed, 0x91b2 ^ (seed << 2))),
       rng_(seed),
       slices_(params.slices),
-      posMap_(params.tree.capacityBlocks())
+      posMap_(params.tree.capacityBlocks()),
+      shadow_(params.tree.stashCapacity)
 {
     SD_ASSERT(params_.slices >= 1);
     SD_ASSERT(blockBytes % params_.slices == 0);
@@ -268,15 +269,6 @@ SplitOram::tagSlices(const std::uint64_t *seqs, std::size_t n)
     }
 }
 
-std::unordered_map<Addr, SplitOram::ShadowEntry>::iterator
-SplitOram::shadowInsert(Addr addr, const ShadowEntry &e)
-{
-    const auto it = shadow_.emplace(addr, e).first;
-    stats_.maxShadowStash =
-        std::max(stats_.maxShadowStash, shadow_.size());
-    return it;
-}
-
 void
 SplitOram::readPath(LeafId leaf)
 {
@@ -322,10 +314,12 @@ SplitOram::readPath(LeafId leaf)
             const auto [a, l] = scratch_.meta[slot];
             if (a == invalidAddr)
                 continue;
-            SD_ASSERT(shadow_.find(a) == shadow_.end());
-            if (freeSlots_.empty()) {
-                panic("split piece stash overflow: capacity %u exceeded",
-                      params_.tree.stashCapacity);
+            // A piece slot is free whenever the shadow stash has room:
+            // every piece-resident entry holds exactly one.
+            const std::size_t held = shadow_.size();
+            if (held == shadow_.capacity()) {
+                panic("split shadow stash overflow: capacity %u exceeded",
+                      shadow_.capacity());
             }
             const std::size_t idx = freeSlots_.back();
             freeSlots_.pop_back();
@@ -335,8 +329,9 @@ SplitOram::readPath(LeafId leaf)
                             shareBytes_);
             }
             stats_.localBytes += blockBytes;
-            shadowInsert(a, {.leaf = l, .stashIdx = idx, .srcSeq = seq,
-                             .srcSlot = slot, .srcCounter = ctr});
+            shadow_.put({.addr = a, .leaf = l, .stashIdx = idx,
+                         .srcSeq = seq, .srcSlot = slot, .srcCounter = ctr});
+            SD_ASSERT(shadow_.size() == held + 1);
         }
     }
 
@@ -351,44 +346,30 @@ SplitOram::writePath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
     const unsigned L = params_.tree.levels;
-    auto &chosen = scratch_.chosen;
     scratch_.seqs.clear();
 
-    for (int level = static_cast<int>(L); level >= 0; --level) {
-        const unsigned shift = L - static_cast<unsigned>(level);
-        const std::uint64_t bucket_index = leaf >> shift;
-        const std::uint64_t seq = layout_.bucketSeq(oram::pathBucket(
-            leaf, static_cast<unsigned>(level), L));
+    // CPU: the stash's greedy rule picks each bucket's blocks.
+    shadow_.evict(leaf, L, z, [&](unsigned level,
+                                  std::span<const ShadowEntry *const> fill) {
+        const std::uint64_t seq =
+            layout_.bucketSeq(oram::pathBucket(leaf, level, L));
         scratch_.seqs.push_back(seq);
-
-        // CPU: pick up to Z compatible shadow-stash blocks.
-        chosen.clear();
-        for (auto it = shadow_.begin();
-             it != shadow_.end() && chosen.size() < z;) {
-            if ((it->second.leaf >> shift) == bucket_index) {
-                chosen.emplace_back(it->first, it->second);
-                it = shadow_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-
         const std::uint64_t new_ctr = slices_[0].counter[seq] + 1;
 
         // CPU composes the new metadata and sends it in RECEIVE_LIST.
         scratch_.meta.assign(z, MetaSlot{});
-        for (std::size_t i = 0; i < chosen.size(); ++i)
-            scratch_.meta[i] = {chosen[i].first, chosen[i].second.leaf};
+        for (std::size_t i = 0; i < fill.size(); ++i)
+            scratch_.meta[i] = {fill[i]->addr, fill[i]->leaf};
         transferChannel(metaBytes_ + 8 + 4 * z, "split.receive_list");
         sealMeta(seq, new_ctr);
 
         // Fill the bucket's data slots slice by slice.
         for (unsigned slot = 0; slot < z; ++slot) {
-            const bool real = slot < chosen.size();
-            if (real && !chosen[slot].second.cpuResident) {
+            const bool real = slot < fill.size();
+            if (real && !fill[slot]->cpuResident) {
                 // Piece-resident block: each SDIMM re-encrypts its
                 // share locally (old pad out, new pad in).
-                const ShadowEntry &e = chosen[slot].second;
+                const ShadowEntry &e = *fill[slot];
                 scratch_.block = BlockData{};
                 cipher_.transformBlock(scratch_.block,
                                        dataNonce(e.srcSeq, e.srcSlot),
@@ -412,14 +393,14 @@ SplitOram::writePath(LeafId leaf)
             // CPU-resident block: the CPU encrypts for the destination
             // and ships each slice its share.  Dummy slot: each SDIMM
             // writes its share of an encrypted zero block.
-            scratch_.block = real ? chosen[slot].second.data : BlockData{};
+            scratch_.block = real ? fill[slot]->data : BlockData{};
             sealBlock(seq, slot, new_ctr);
             if (real)
                 transferChannel(blockBytes, "split.receive_list");
             else
                 stats_.localBytes += blockBytes;
         }
-    }
+    });
 
     // Fresh slice MACs for the whole path.
     tagSlices(scratch_.seqs.data(), scratch_.seqs.size());
@@ -449,26 +430,27 @@ SplitOram::accessExplicit(Addr addr, LeafId old_leaf, LeafId new_leaf,
     const bool remove = new_leaf == invalidLeaf;
     const bool write = op == oram::OramOp::Write && !remove;
     SD_ASSERT(!write || new_data != nullptr);
-    auto it = shadow_.find(addr);
-    if (it == shadow_.end() && !remove) {
+    ShadowEntry *e = shadow_.find(addr);
+    if (e == nullptr && !remove) {
         // Uninitialized block: materialize at the CPU.
-        it = shadowInsert(addr, {.cpuResident = true});
+        if (!shadow_.put({.addr = addr, .cpuResident = true}))
+            panic("split shadow stash overflow inserting accessed block");
+        e = shadow_.find(addr);
     }
     BlockData old_value{};
-    if (it != shadow_.end()) {
-        ShadowEntry &e = it->second;
-        if (!e.cpuResident) {
+    if (e != nullptr) {
+        if (!e->cpuResident) {
             transferChannel(blockBytes, "split.fetch_stash");
-            e.data = openPiece(e);
-            freeSlots_.push_back(e.stashIdx);
-            e.cpuResident = true;
+            e->data = openPiece(*e);
+            freeSlots_.push_back(e->stashIdx);
+            e->cpuResident = true;
         }
-        old_value = e.data;
-        e.leaf = new_leaf;
+        old_value = e->data;
+        e->leaf = new_leaf;
         if (write)
-            e.data = *new_data;
+            e->data = *new_data;
         if (remove)
-            shadow_.erase(it);
+            shadow_.erase(addr);
     }
 
     writePath(old_leaf);
@@ -483,8 +465,11 @@ void
 SplitOram::adoptBlock(Addr addr, LeafId leaf, const BlockData &data)
 {
     SD_ASSERT(leaf < params_.tree.numLeaves());
-    SD_ASSERT(shadow_.find(addr) == shadow_.end());
-    shadowInsert(addr, {.leaf = leaf, .cpuResident = true, .data = data});
+    SD_ASSERT(shadow_.find(addr) == nullptr);
+    if (!shadow_.put({.addr = addr, .leaf = leaf, .cpuResident = true,
+                      .data = data}))
+        panic("split shadow stash overflow adopting block %llu",
+              static_cast<unsigned long long>(addr));
     while (shadow_.size() > params_.tree.stashCapacity / 2)
         backgroundEvict();
 }
@@ -506,47 +491,36 @@ SplitOram::auditInvariants(bool check_posmap,
 {
     std::vector<std::string> violations;
     std::uint64_t checks = 0;
-    const auto fail = [&](const std::string &what) {
-        violations.push_back(what);
-    };
-    const auto check = [&](bool ok, auto &&describe) {
+    // One check: the message parts are streamed only on a violation.
+    const auto check = [&](bool ok, const auto &...what) {
         ++checks;
-        if (!ok)
-            fail(describe());
+        if (!ok) {
+            std::ostringstream os;
+            (os << ... << what);
+            violations.push_back(os.str());
+        }
     };
 
     const unsigned z = params_.tree.bucketBlocks;
     const unsigned L = params_.tree.levels;
+    const unsigned cap = params_.tree.stashCapacity;
     const std::uint64_t buckets = params_.tree.numBuckets();
 
     // 1. Per-slice storage shape, replicated counters, slice MACs.
     for (unsigned j = 0; j < params_.slices; ++j) {
         const Slice &sl = slices_[j];
-        check(sl.arena.size() == pieceOff(params_.tree.stashCapacity) &&
+        check(sl.arena.size() == pieceOff(cap) &&
                   sl.counter.size() == buckets && sl.mac.size() == buckets,
-              [&] {
-                  std::ostringstream os;
-                  os << "slice " << j << ": storage not sized to "
-                     << buckets << " buckets and "
-                     << params_.tree.stashCapacity << " stash slots";
-                  return os.str();
-              });
+              "slice ", j, ": storage not sized to ", buckets,
+              " buckets and ", cap, " stash slots");
         for (std::uint64_t seq = 0; seq < buckets; ++seq) {
-            check(sl.counter[seq] == slices_[0].counter[seq], [&] {
-                std::ostringstream os;
-                os << "bucket " << seq << ": slice " << j
-                   << " counter diverges from slice 0";
-                return os.str();
-            });
+            check(sl.counter[seq] == slices_[0].counter[seq], "bucket ",
+                  seq, ": slice ", j, " counter diverges from slice 0");
             const crypto::PmmacItem it = sliceItem(j, seq);
             check(mac_.verify(it.id, it.counter, it.data, it.len,
                               sl.mac[seq]),
-                  [&] {
-                      std::ostringstream os;
-                      os << "bucket " << seq << ": slice " << j
-                         << " MAC mismatch (tampered or stale)";
-                      return os.str();
-                  });
+                  "bucket ", seq, ": slice ", j,
+                  " MAC mismatch (tampered or stale)");
         }
     }
 
@@ -563,39 +537,21 @@ SplitOram::auditInvariants(bool check_posmap,
             const std::uint64_t seq = layout_.bucketSeq(pos);
             decodeMeta(seq, meta.data());
             for (unsigned slot = 0; slot < z; ++slot) {
-                const Addr a = meta[slot].addr;
-                const LeafId l = meta[slot].leaf;
+                const auto [a, l] = meta[slot];
                 if (a == invalidAddr)
                     continue;
-                check(l < params_.tree.numLeaves(), [&] {
-                    std::ostringstream os;
-                    os << "bucket " << seq << " slot " << slot
-                       << ": block " << a << " has leaf " << l
-                       << " out of range";
-                    return os.str();
-                });
+                check(l < params_.tree.numLeaves(), "bucket ", seq,
+                      " slot ", slot, ": block ", a, " has leaf ", l,
+                      " out of range");
                 check(l >= params_.tree.numLeaves() ||
                           oram::pathBucket(l, level, L).index == index,
-                      [&] {
-                          std::ostringstream os;
-                          os << "bucket (" << level << "," << index
-                             << "): block " << a << " leaf " << l
-                             << " path does not pass through it";
-                          return os.str();
-                      });
-                check(seen.insert(a).second, [&] {
-                    std::ostringstream os;
-                    os << "block " << a
-                       << " stored twice in the tree";
-                    return os.str();
-                });
+                      "bucket (", level, ",", index, "): block ", a,
+                      " leaf ", l, " path does not pass through it");
+                check(seen.insert(a).second, "block ", a,
+                      " stored twice in the tree");
                 if (check_posmap) {
-                    check(a < posMap_.size() && posMap_[a] == l, [&] {
-                        std::ostringstream os;
-                        os << "block " << a << ": tree leaf " << l
-                           << " disagrees with PosMap";
-                        return os.str();
-                    });
+                    check(a < posMap_.size() && posMap_[a] == l, "block ",
+                          a, ": tree leaf ", l, " disagrees with PosMap");
                 }
             }
         }
@@ -603,67 +559,35 @@ SplitOram::auditInvariants(bool check_posmap,
 
     // 3. Shadow stash: bounded, leaves in range, piece-resident
     //    entries backed by a piece in EVERY slice, no tree duplicate.
-    check(shadow_.size() <= params_.tree.stashCapacity, [&] {
-        std::ostringstream os;
-        os << "shadow stash " << shadow_.size() << " exceeds capacity "
-           << params_.tree.stashCapacity;
-        return os.str();
-    });
+    check(shadow_.size() <= cap, "shadow stash ", shadow_.size(),
+          " exceeds capacity ", cap);
     std::unordered_set<std::size_t> referenced;
-    for (const auto &kv : shadow_) {
-        const Addr a = kv.first;
-        const ShadowEntry &e = kv.second;
-        check(e.leaf < params_.tree.numLeaves(), [&] {
-            std::ostringstream os;
-            os << "shadow block " << a << ": leaf " << e.leaf
-               << " out of range";
-            return os.str();
-        });
-        check(seen.insert(a).second, [&] {
-            std::ostringstream os;
-            os << "block " << a << " in both tree and shadow stash";
-            return os.str();
-        });
+    for (const ShadowEntry &e : shadow_.entries()) {
+        check(e.leaf < params_.tree.numLeaves(), "shadow block ", e.addr,
+              ": leaf ", e.leaf, " out of range");
+        check(seen.insert(e.addr).second, "block ", e.addr,
+              " in both tree and shadow stash");
         if (check_posmap) {
-            check(a < posMap_.size() && posMap_[a] == e.leaf, [&] {
-                std::ostringstream os;
-                os << "shadow block " << a << ": leaf " << e.leaf
-                   << " disagrees with PosMap";
-                return os.str();
-            });
+            check(e.addr < posMap_.size() && posMap_[e.addr] == e.leaf,
+                  "shadow block ", e.addr, ": leaf ", e.leaf,
+                  " disagrees with PosMap");
         }
         if (!e.cpuResident) {
-            check(e.stashIdx < params_.tree.stashCapacity &&
-                      referenced.insert(e.stashIdx).second,
-                  [&] {
-                      std::ostringstream os;
-                      os << "shadow block " << a
-                         << ": bad or shared stash slot " << e.stashIdx;
-                      return os.str();
-                  });
+            check(e.stashIdx < cap && referenced.insert(e.stashIdx).second,
+                  "shadow block ", e.addr, ": bad or shared stash slot ",
+                  e.stashIdx);
         }
     }
 
     // 4. Stash-slot allocator: every slot is either free or referenced
     //    by exactly one piece-resident shadow entry.
     for (std::size_t idx : freeSlots_) {
-        check(idx < params_.tree.stashCapacity &&
-                  referenced.find(idx) == referenced.end(),
-              [&] {
-                  std::ostringstream os;
-                  os << "stash slot " << idx << " both free and in use";
-                  return os.str();
-              });
+        check(idx < cap && referenced.find(idx) == referenced.end(),
+              "stash slot ", idx, " both free and in use");
     }
-    check(referenced.size() + freeSlots_.size() ==
-              params_.tree.stashCapacity,
-          [&] {
-        std::ostringstream os;
-        os << "stash slots leaked: " << referenced.size() << " in use + "
-           << freeSlots_.size() << " free != "
-           << params_.tree.stashCapacity;
-        return os.str();
-    });
+    check(referenced.size() + freeSlots_.size() == cap,
+          "stash slots leaked: ", referenced.size(), " in use + ",
+          freeSlots_.size(), " free != ", cap);
 
     if (checks_run != nullptr)
         *checks_run += checks;
@@ -704,10 +628,9 @@ SplitOram::residentBlocks() const
             }
         }
     }
-    for (const auto &kv : shadow_) {
-        const ShadowEntry &e = kv.second;
+    for (const ShadowEntry &e : shadow_.entries()) {
         out.push_back(
-            {kv.first, e.leaf, e.cpuResident ? e.data : openPiece(e)});
+            {e.addr, e.leaf, e.cpuResident ? e.data : openPiece(e)});
     }
     return out;
 }

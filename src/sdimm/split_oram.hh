@@ -18,9 +18,11 @@
  * sits at seq * imageBytes and is its metadata share (ceil(16Z/S)
  * bytes) followed by its Z data shares (blockBytes/S bytes each).
  * The slice's piece stash follows the bucket images: stashCapacity
- * data shares, sized once (an overflow panics, as PathOram's stash
- * does).  The replicated counters and the slice MACs are flat
- * per-bucket arrays beside the arena.  A slice MAC binds the identity
+ * data shares, sized once.  The CPU tracks every stashed block, piece-
+ * or CPU-resident, in one oram::BasicStash of ShadowEntry records with
+ * the same capacity (an overflow panics, as PathOram's stash does)
+ * and evicts it by the stash's greedy rule.  The replicated counters
+ * and the slice MACs are flat per-bucket arrays beside the arena.  A slice MAC binds the identity
  * (bucket seq, slice), the bucket counter, and the whole slice image
  * -- metadata share and every data share -- and is computed over the
  * image where it lies: one Pmmac::tagBatch per path write and one
@@ -39,7 +41,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/ctr_mode.hh"
@@ -74,7 +75,6 @@ struct SplitOramStats
     std::uint64_t accesses = 0;
     std::uint64_t dummyAccesses = 0;
     std::uint64_t integrityFailures = 0;
-    std::size_t maxShadowStash = 0;
     /** CPU-channel payload bytes (metadata + fetched pieces + lists). */
     std::uint64_t channelBytes = 0;
     /** Bytes moved only inside SDIMMs (data shuffles). */
@@ -90,6 +90,20 @@ class SplitOram final : public oram::OramEngine
         oram::OramParams tree; ///< The (single) full tree.
         unsigned slices = 2;   ///< SDIMM count; divides blockBytes.
     };
+
+    /** CPU-side record of a block held in the SDIMM stashes. */
+    struct ShadowEntry
+    {
+        Addr addr = invalidAddr;
+        LeafId leaf = invalidLeaf;
+        bool cpuResident = false; ///< Data lives at the CPU (no pieces).
+        BlockData data{};         ///< Valid when cpuResident.
+        std::size_t stashIdx = 0; ///< Valid when !cpuResident.
+        std::uint64_t srcSeq = 0;
+        unsigned srcSlot = 0;
+        std::uint64_t srcCounter = 0;
+    };
+    using ShadowStash = oram::BasicStash<ShadowEntry>;
 
     SplitOram(const Params &params, std::uint64_t seed);
 
@@ -128,7 +142,8 @@ class SplitOram final : public oram::OramEngine
     {
         return stats_.accesses + stats_.dummyAccesses;
     }
-    std::size_t shadowStashSize() const { return shadow_.size(); }
+    /** The CPU-side shadow stash (tests and audits walk it). */
+    const ShadowStash &shadowStash() const { return shadow_; }
     bool integrityOk() const override
     {
         return stats_.integrityFailures == 0;
@@ -198,8 +213,7 @@ class SplitOram final : public oram::OramEngine
         m.setCounter(prefix + ".dummy_accesses", stats_.dummyAccesses);
         m.setCounter(prefix + ".integrity_failures",
                      stats_.integrityFailures);
-        m.setCounter(prefix + ".shadow_stash.max",
-                     stats_.maxShadowStash);
+        m.setCounter(prefix + ".shadow_stash.max", shadow_.maxSizeSeen());
         m.setGauge(prefix + ".shadow_stash.size",
                    static_cast<double>(shadow_.size()));
         m.setCounter(prefix + ".channel_bytes", stats_.channelBytes);
@@ -223,18 +237,6 @@ class SplitOram final : public oram::OramEngine
         std::vector<crypto::Tag64> mac;     ///< [bucket] slice MAC.
     };
 
-    /** CPU-side record of a block held in the SDIMM stashes. */
-    struct ShadowEntry
-    {
-        LeafId leaf = invalidLeaf;
-        bool cpuResident = false; ///< Data lives at the CPU (no pieces).
-        BlockData data{};         ///< Valid when cpuResident.
-        std::size_t stashIdx = 0; ///< Valid when !cpuResident.
-        std::uint64_t srcSeq = 0;
-        unsigned srcSlot = 0;
-        std::uint64_t srcCounter = 0;
-    };
-
     /** One metadata slot as encrypted: 16 bytes, no padding. */
     struct MetaSlot
     {
@@ -248,7 +250,6 @@ class SplitOram final : public oram::OramEngine
         std::vector<MetaSlot> meta;      ///< One bucket's metadata.
         BlockData block{};               ///< One full block.
         std::vector<std::uint8_t> image; ///< A bit-flipped image copy.
-        std::vector<std::pair<Addr, ShadowEntry>> chosen;
         std::vector<std::uint64_t> seqs; ///< The path's bucket seqs.
         /** (slice, bucket seq) of each queued FETCH_DATA verify. */
         std::vector<std::pair<unsigned, std::uint64_t>> fetched;
@@ -310,14 +311,11 @@ class SplitOram final : public oram::OramEngine
     /** Tag every slice image of buckets @p seqs in one batch. */
     void tagSlices(const std::uint64_t *seqs, std::size_t n);
 
-    /** Insert into the shadow stash, tracking its peak. */
-    std::unordered_map<Addr, ShadowEntry>::iterator
-    shadowInsert(Addr addr, const ShadowEntry &e);
-
     /** Steps 1-3 for one path; fills shadow stash from metadata. */
     void readPath(LeafId leaf);
 
-    /** Steps 4.5-6: evict shadow-stash blocks onto the path. */
+    /** Steps 4.5-6: evict shadow-stash blocks onto the path, each
+     *  bucket written by the ShadowStash::evict sink. */
     void writePath(LeafId leaf);
 
     Params params_;
@@ -333,7 +331,7 @@ class SplitOram final : public oram::OramEngine
 
     std::vector<Slice> slices_;
     std::vector<LeafId> posMap_;
-    std::unordered_map<Addr, ShadowEntry> shadow_;
+    ShadowStash shadow_;
     /** Free piece-stash slots, the same in every slice (LIFO). */
     std::vector<std::size_t> freeSlots_;
     PathScratch scratch_;

@@ -90,6 +90,12 @@ ShardedSecureMemory::workerLoop(unsigned shard)
         const std::size_t n = q.popBatch(batch, maxBatch_);
         if (n == 0)
             return; // Closed and fully drained.
+        if (held_.load(std::memory_order_relaxed)) {
+            std::unique_lock<std::mutex> lk(holdMu_);
+            holdCv_.wait(lk, [&] {
+                return !held_.load(std::memory_order_relaxed);
+            });
+        }
         verify::ScheduleRecorder *rec =
             scheduleRecorder_.load(std::memory_order_acquire);
         for (Request &r : batch) {
@@ -329,11 +335,22 @@ ShardedSecureMemory::drain()
 }
 
 void
+ShardedSecureMemory::holdWorkers(bool held)
+{
+    {
+        std::lock_guard<std::mutex> lk(holdMu_);
+        held_.store(held, std::memory_order_relaxed);
+    }
+    holdCv_.notify_all();
+}
+
+void
 ShardedSecureMemory::shutdown()
 {
     std::lock_guard<std::mutex> lk(shutdownMu_);
     if (shutdown_.exchange(true))
         return;
+    holdWorkers(false);
     for (auto &q : queues_)
         q->close(); // Queued requests still complete (popBatch drains).
     for (auto &w : workers_) {

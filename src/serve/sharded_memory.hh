@@ -283,6 +283,13 @@ class ShardedSecureMemory
         scheduleRecorder_.store(recorder, std::memory_order_release);
     }
 
+    /**
+     * Test seam: while @p held, every shard worker stops after its
+     * next dequeue, so queued requests wait however the OS schedules
+     * the threads (deadline tests).  shutdown() releases the workers.
+     */
+    void holdWorkers(bool held);
+
   private:
     struct Request
     {
@@ -325,6 +332,11 @@ class ShardedSecureMemory
     std::condition_variable idleCv_;
 
     std::atomic<verify::ScheduleRecorder *> scheduleRecorder_{nullptr};
+
+    /** holdWorkers() state: workers read held_ once per batch. */
+    std::atomic<bool> held_{false};
+    std::mutex holdMu_;
+    std::condition_variable holdCv_;
 
     std::atomic<bool> shutdown_{false};
     std::mutex shutdownMu_;

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <future>
 #include <set>
 #include <string>
 #include <vector>
@@ -215,30 +214,21 @@ TEST(KvStore, DeterministicAcrossRuns)
 
 TEST(KvStore, RequestTimeoutPropagates)
 {
-    // Jam every shard's queue behind a deep backlog, then issue a
-    // deadline-bounded op: the typed RequestTimeoutError must surface
-    // through the KV op, and a read-phase timeout commits nothing.  The
-    // key is never stored: a miss get runs the same 2*B-access sequence
-    // as a hit, and no setup op has to beat the 1 ms deadline.  The
-    // backlog is three times what the queues hold, so the producer
-    // blocks and every queue is full when the op arrives: the jam then
-    // lasts queueCapacity accesses however fast the engine runs.
+    // Hold the shard workers, then issue a deadline-bounded op: its
+    // requests wait in the queues until the workers are released, so
+    // the typed RequestTimeoutError must surface through the KV op
+    // however the OS schedules the threads, and a read-phase timeout
+    // commits nothing.  The key is never stored: a miss get runs the
+    // same 2*B-access sequence as a hit, and no setup op has to beat
+    // the 1 ms deadline.
     ObliviousKVStore::Options opt = kvOptions(2, 8);
-    opt.serve.queueCapacity = 4096;
-    opt.serve.maxBatch = 1;
     opt.opDeadline = std::chrono::milliseconds(1);
     ObliviousKVStore store(opt);
 
-    const std::size_t jam =
-        3 * opt.serve.queueCapacity * opt.serve.numShards;
-    std::vector<std::future<BlockData>> backlog;
-    backlog.reserve(jam);
-    for (std::size_t i = 0; i < jam; ++i)
-        backlog.push_back(store.service().submitRead(i % 2));
+    store.service().holdWorkers(true);
     EXPECT_THROW((void)store.get("victim"), serve::RequestTimeoutError);
 
-    for (auto &f : backlog)
-        (void)f.get();
+    store.service().holdWorkers(false);
     store.drain();
     // The op timed out before its writes: no get was committed.
     EXPECT_EQ(store.metrics().counter("kv.gets"), 0u);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
+#include "oram/path_oram.hh"
 #include "sdimm/split_oram.hh"
+#include "util/rng.hh"
 
 namespace secdimm::sdimm
 {
@@ -162,9 +167,9 @@ TEST(SplitOram, ShadowStashStaysBounded)
     for (int i = 0; i < 1000; ++i)
         oram.access(static_cast<Addr>(i) % oram.capacityBlocks(),
                     oram::OramOp::Write, &v);
-    EXPECT_LE(oram.stats().maxShadowStash,
+    EXPECT_LE(oram.shadowStash().maxSizeSeen(),
               oram.capacityBlocks()); // Sanity.
-    EXPECT_LE(oram.shadowStashSize(), 200u);
+    EXPECT_LE(oram.shadowStash().size(), 200u);
 }
 
 TEST(SplitOram, ShadowStashPeakCountsTheAccessedBlock)
@@ -175,8 +180,8 @@ TEST(SplitOram, ShadowStashPeakCountsTheAccessedBlock)
     SplitOram oram(smallParams(), 1);
     const BlockData v = blockOf(1);
     oram.access(0, oram::OramOp::Write, &v);
-    EXPECT_EQ(oram.stats().maxShadowStash, 1u);
-    EXPECT_EQ(oram.shadowStashSize(), 0u);
+    EXPECT_EQ(oram.shadowStash().maxSizeSeen(), 1u);
+    EXPECT_EQ(oram.shadowStash().size(), 0u);
 }
 
 TEST(SplitOram, OverwritePersistsAcrossManyAccesses)
@@ -190,6 +195,57 @@ TEST(SplitOram, OverwritePersistsAcrossManyAccesses)
     for (int i = 0; i < 100; ++i)
         oram.access(static_cast<Addr>(i % 30 + 10), oram::OramOp::Read);
     EXPECT_EQ(oram.access(9, oram::OramOp::Read), v2);
+}
+
+/** The (addr, leaf) pairs of a stash's entries, sorted. */
+template <class Stash>
+std::vector<std::pair<Addr, LeafId>>
+stashed(const Stash &stash)
+{
+    std::vector<std::pair<Addr, LeafId>> out;
+    for (const auto &e : stash.entries())
+        out.emplace_back(e.addr, e.leaf);
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(SplitOram, EvictsLikePathOram)
+{
+    // Path ORAM and Split driven with the same tree shape and the same
+    // (addr, old leaf, new leaf, op) sequence -- removals included --
+    // must keep the same blocks under the same leaves in their stashes:
+    // both evict by the one greedy rule.  The stashes stay below
+    // stashCapacity/2, so no background eviction draws its own leaf.
+    const SplitOram::Params p = smallParams(2, 6);
+    oram::PathOram path(p.tree, crypto::makeKey(1, 2),
+                        crypto::makeKey(3, 4), 5);
+    SplitOram split(p, 6);
+    const LeafId leaves = p.tree.numLeaves();
+    constexpr Addr kBlocks = 96;
+    std::vector<LeafId> pos(kBlocks, invalidLeaf);
+    Rng rng(0xe71c7);
+    for (int i = 0; i < 3000; ++i) {
+        const Addr a = rng.nextBelow(kBlocks);
+        const LeafId old_leaf =
+            pos[a] == invalidLeaf ? rng.nextBelow(leaves) : pos[a];
+        const LeafId new_leaf =
+            rng.nextBool(0.05) ? invalidLeaf : rng.nextBelow(leaves);
+        const bool write = rng.nextBool(0.5);
+        const BlockData v = blockOf(static_cast<std::uint64_t>(i));
+        const oram::OramOp op =
+            write ? oram::OramOp::Write : oram::OramOp::Read;
+        const BlockData *data = write ? &v : nullptr;
+        pos[a] = new_leaf;
+
+        ASSERT_EQ(path.accessExplicit(a, old_leaf, new_leaf, op, data),
+                  split.accessExplicit(a, old_leaf, new_leaf, op, data))
+            << "access " << i;
+        ASSERT_EQ(stashed(path.stash()), stashed(split.shadowStash()))
+            << "access " << i;
+    }
+    EXPECT_EQ(path.stats().dummyAccesses, 0u);
+    EXPECT_EQ(split.stats().dummyAccesses, 0u);
+    EXPECT_GT(split.shadowStash().maxSizeSeen(), 4u);
 }
 
 } // namespace
