@@ -5,7 +5,9 @@
  * target-attributed functions, runtime HWCAP gating.  AESE fuses
  * AddRoundKey+SubBytes+ShiftRows, so the round sequencing differs
  * from x86 but consumes the identical 176-byte FIPS-197 schedule and
- * produces bit-exact output.
+ * produces bit-exact output.  Its fixed-trip lane, round and key loops
+ * carry the same unroll pragmas, for the same reason: the eight-lane
+ * interleave exists only once they are fully unrolled.
  */
 
 #include "crypto/aes128_backend.hh"
@@ -57,18 +59,23 @@ armv8EncryptBlocks(const std::uint8_t *rk, const std::uint8_t *in,
                    std::uint8_t *out, std::size_t n)
 {
     uint8x16_t k[11];
+#pragma GCC unroll 11
     for (int i = 0; i < 11; ++i)
         k[i] = vld1q_u8(rk + 16 * i);
 
     constexpr std::size_t kLanes = 8;
     while (n >= kLanes) {
         uint8x16_t s[kLanes];
+#pragma GCC unroll 8
         for (std::size_t j = 0; j < kLanes; ++j)
             s[j] = vld1q_u8(in + 16 * j);
+#pragma GCC unroll 9
         for (int r = 0; r <= 8; ++r) {
+#pragma GCC unroll 8
             for (std::size_t j = 0; j < kLanes; ++j)
                 s[j] = vaesmcq_u8(vaeseq_u8(s[j], k[r]));
         }
+#pragma GCC unroll 8
         for (std::size_t j = 0; j < kLanes; ++j)
             vst1q_u8(out + 16 * j,
                      veorq_u8(vaeseq_u8(s[j], k[9]), k[10]));
@@ -78,6 +85,7 @@ armv8EncryptBlocks(const std::uint8_t *rk, const std::uint8_t *in,
     }
     for (std::size_t j = 0; j < n; ++j) {
         uint8x16_t s = vld1q_u8(in + 16 * j);
+#pragma GCC unroll 9
         for (int r = 0; r <= 8; ++r)
             s = vaesmcq_u8(vaeseq_u8(s, k[r]));
         vst1q_u8(out + 16 * j, veorq_u8(vaeseq_u8(s, k[9]), k[10]));
@@ -89,6 +97,7 @@ armv8DecryptBlock(const std::uint8_t *inv_rk, const std::uint8_t *in,
                   std::uint8_t *out)
 {
     uint8x16_t s = vld1q_u8(in);
+#pragma GCC unroll 9
     for (int r = 0; r <= 8; ++r)
         s = vaesimcq_u8(vaesdq_u8(s, vld1q_u8(inv_rk + 16 * r)));
     s = veorq_u8(vaesdq_u8(s, vld1q_u8(inv_rk + 144)),

@@ -125,7 +125,9 @@ TEST(AesDispatch, RandomizedDifferentialEncryptDecrypt)
 /** encryptBlocks(n) must equal n independent encrypt() calls for
  *  every batch size around the 8-wide interleave boundary, around
  *  16, 32 and 64 (a CTR call's 64-block keystream), and a whole
- *  320-block path. */
+ *  320-block path -- out of place and in place, as CTR and CMAC call
+ *  it, so a kernel that writes a block of the batch before reading it
+ *  fails. */
 TEST(AesDispatch, BatchMatchesSingleBlocks)
 {
     Rng rng(0xba7c4);
@@ -151,14 +153,30 @@ TEST(AesDispatch, BatchMatchesSingleBlocks)
                                        out.begin() + 16 * i))
                     << aesImplName(impl) << " n=" << n << " i=" << i;
             }
+            std::vector<std::uint8_t> buf = in;
+            aes.encryptBlocks(buf.data(), buf.data(), n);
+            EXPECT_EQ(buf, out) << aesImplName(impl) << " in place n=" << n;
         }
-        // In-place batch must give the same answer.
-        std::vector<std::uint8_t> buf = randomBytes(rng, 16 * 11);
-        std::vector<std::uint8_t> copy = buf;
-        std::vector<std::uint8_t> out(16 * 11);
-        aes.encryptBlocks(copy.data(), out.data(), 11);
-        aes.encryptBlocks(buf.data(), buf.data(), 11);
-        EXPECT_EQ(buf, out) << aesImplName(impl);
+    }
+}
+
+/** Advancing chains by zero blocks leaves every state as it was. */
+TEST(AesDispatch, CbcChainsZeroBlocksLeavesStates)
+{
+    Rng rng(0xcbc0);
+    const Aes128Key key = randomKey(rng);
+    const std::vector<std::uint8_t> msg = randomBytes(rng, 16);
+    for (AesImpl impl : availableImpls()) {
+        ForcedImpl force(impl);
+        Aes128 aes(key);
+        for (const std::size_t n : {1UL, 7UL, 8UL, 9UL, 17UL}) {
+            const std::vector<std::uint8_t> before = randomBytes(rng, 16 * n);
+            std::vector<std::uint8_t> state = before;
+            const std::vector<const std::uint8_t *> msgs(n, msg.data());
+            aes.cbcChains(state.data(), msgs.data(), n, 0);
+            EXPECT_EQ(state, before) << aesImplName(impl) << " n=" << n;
+        }
+        EXPECT_EQ(aes.blockOps(), 0U) << aesImplName(impl);
     }
 }
 
