@@ -284,22 +284,32 @@ BM_DramChannelRandomReads(benchmark::State &state)
 BENCHMARK(BM_DramChannelRandomReads);
 
 /**
- * Console output plus a BENCH_micro_primitives.json snapshot: one
- * design point per microbenchmark, with time-per-iteration and
- * throughput gauges (host cost, not simulated time).
+ * The display reporter --benchmark_format selects (console, json or
+ * csv) plus a BENCH_micro_primitives.json snapshot: one design point
+ * per microbenchmark, with time-per-iteration and throughput gauges
+ * (host cost, not simulated time).
  */
-class SnapshotReporter : public benchmark::ConsoleReporter
+class SnapshotReporter : public benchmark::BenchmarkReporter
 {
   public:
     explicit SnapshotReporter(secdimm::bench::JsonReport &report)
-        : report_(report)
+        : display_(benchmark::CreateDefaultDisplayReporter()),
+          report_(report)
     {
     }
+
+    bool
+    ReportContext(const Context &context) override
+    {
+        return display_->ReportContext(context);
+    }
+
+    void Finalize() override { display_->Finalize(); }
 
     void
     ReportRuns(const std::vector<Run> &runs) override
     {
-        ConsoleReporter::ReportRuns(runs);
+        display_->ReportRuns(runs);
         for (const Run &run : runs) {
             if (run.error_occurred)
                 continue;
@@ -328,6 +338,7 @@ class SnapshotReporter : public benchmark::ConsoleReporter
     }
 
   private:
+    benchmark::BenchmarkReporter *display_; ///< Owned by the library.
     secdimm::bench::JsonReport &report_;
 };
 
@@ -340,7 +351,8 @@ main(int argc, char **argv)
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     secdimm::bench::JsonReport report("micro_primitives");
-    std::printf("aes implementation: %s\n",
+    // On stderr, so a --benchmark_format=json stdout stays pure JSON.
+    std::fprintf(stderr, "aes implementation: %s\n",
                 secdimm::crypto::aesImplName(
                     secdimm::crypto::activeAesImpl()));
     SnapshotReporter reporter(report);

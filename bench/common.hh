@@ -171,7 +171,9 @@ class JsonReport
         }
         std::fwrite(out.data(), 1, out.size(), f);
         std::fclose(f);
-        std::printf("\nmetrics snapshot: %s\n", path.c_str());
+        // On stderr: a bench's stdout may be machine-read (e.g.
+        // google-benchmark's --benchmark_format=json).
+        std::fprintf(stderr, "\nmetrics snapshot: %s\n", path.c_str());
         return path;
     }
 

@@ -79,7 +79,7 @@ bool
 IndepSplitOram::appendSlot(unsigned g, const oram::StashEntry *real)
 {
     const bool delivered = transmitGroupCommand(
-        SdimmCommandType::Append, g, "indep_split.evacuate");
+        SdimmCommandType::Append, g, "indep_split.append");
     // An exhausted budget may have quarantined g: the slot then
     // counts as padding.
     if (real && !isQuarantined(g))
@@ -98,44 +98,25 @@ IndepSplitOram::padAppend(unsigned g)
     ++appendsDummy_;
 }
 
-BlockData
-IndepSplitOram::degradedAppends()
+void
+IndepSplitOram::padAccess(unsigned g)
 {
-    for (unsigned g = 0; g < params_.groups; ++g)
-        recordBus(SdimmCommandType::Append, g);
-    ++degradedAccesses_;
-    return BlockData{};
+    recordBus(SdimmCommandType::Access, g);
 }
 
-BlockData
-IndepSplitOram::access(Addr addr, oram::OramOp op,
-                       const BlockData *new_data)
+std::optional<BlockData>
+IndepSplitOram::fetch(unsigned src, Addr addr, LeafId old_local,
+                      LeafId new_local, oram::OramOp op,
+                      const BlockData *new_data)
 {
-    const bool write = op == oram::OramOp::Write;
-    SD_ASSERT(!write || new_data != nullptr);
-
-    const auto [old_leaf, new_leaf] = beginAccess(addr);
-    const unsigned src = unitOf(old_leaf);
-    const unsigned dst = unitOf(new_leaf);
-    const bool stays = src == dst;
-
-    if (failedStop_ || isQuarantined(src)) {
-        // Fail-stop or a quarantined source group: preserve the bus
-        // shape, serve zeros (post-evacuation remaps make the
-        // quarantined-src case unreachable unless every group died).
-        recordBus(SdimmCommandType::Access, src);
-        if (injector_)
-            injector_->recordDegraded();
-        return degradedAppends();
-    }
-
     // The Split access inside the source group (the ACCESS command).
     if (!transmitGroupCommand(SdimmCommandType::Access, src,
                               "indep_split.access"))
-        return degradedAppends();
+        return std::nullopt;
     const BlockData old = groups_[src]->accessExplicit(
-        addr, localLeaf(old_leaf),
-        stays ? localLeaf(new_leaf) : invalidLeaf, op, new_data);
+        addr, old_local, new_local, op, new_data);
+    if (!injector_)
+        return old;
 
     /*
      * Byzantine groups: a group-level corruptor/liar garbles its
@@ -147,63 +128,37 @@ IndepSplitOram::access(Addr addr, oram::OramOp op,
      * the shared retry budget.  Every failure blames src in the
      * mistrust tracker, exactly like the Independent downlink.
      */
-    if (injector_) {
-        double srcBlame = 0.0;
-        unsigned attempts = 0;
-        const unsigned budget = injector_->maxRetries();
-        for (;;) {
-            const bool equiv = injector_->rollByzantineEquivocate(src);
-            const bool garble = injector_->rollByzantineCorrupt(src);
-            if (!equiv && !garble)
+    double srcBlame = 0.0;
+    unsigned attempts = 0;
+    const unsigned budget = injector_->maxRetries();
+    for (;;) {
+        const bool equiv = injector_->rollByzantineEquivocate(src);
+        const bool garble = injector_->rollByzantineCorrupt(src);
+        if (!equiv && !garble)
+            break;
+        const fault::FaultKind kind =
+            equiv ? fault::FaultKind::ByzantineEquivocate
+                  : fault::FaultKind::ByzantineCorrupt;
+        injector_->recordDetected(kind);
+        srcBlame += 1.0;
+        if (attempts >= budget) {
+            // A preemption conviction keeps the block: `old` already
+            // holds the honest reconstruction.
+            if (preemptConviction(src, kind, "indep_split.access",
+                                  attempts))
                 break;
-            const fault::FaultKind kind =
-                equiv ? fault::FaultKind::ByzantineEquivocate
-                      : fault::FaultKind::ByzantineCorrupt;
-            injector_->recordDetected(kind);
-            srcBlame += 1.0;
-            if (attempts >= budget) {
-                // A preemption conviction keeps the block: `old`
-                // already holds the honest reconstruction.
-                if (preemptConviction(src, kind, "indep_split.access",
-                                      attempts))
-                    break;
-                onUnrecoverable(kind, src, "indep_split.access",
-                                attempts);
-                noteUnitSuspicion(src, srcBlame);
-                return degradedAppends();
-            }
-            ++attempts;
-            injector_->recordRecovered(kind, "indep_split.access", 1);
-            recordBus(SdimmCommandType::Access, src); // The re-issue.
+            onUnrecoverable(kind, src, "indep_split.access", attempts);
+            noteUnitSuspicion(src, srcBlame);
+            return std::nullopt;
         }
-        noteUnitSuspicion(src, srcBlame);
-        // A mid-access zero-survivor conviction: keep the bus shape,
-        // the data is gone.
-        if (failedStop_)
-            return degradedAppends();
+        ++attempts;
+        injector_->recordRecovered(kind, "indep_split.access", 1);
+        recordBus(SdimmCommandType::Access, src); // The re-issue.
     }
-
-    // Independent dimension: one APPEND per group (real only at the
-    // destination, and only when the block actually moved).
-    for (unsigned g = 0; g < params_.groups; ++g) {
-        if (isQuarantined(g)) {
-            // Dead group: keep the channel shape, nothing to deliver
-            // (drawGlobalLeaf() never routes a real block here).
-            padAppend(g);
-            continue;
-        }
-        const bool delivered = transmitGroupCommand(
-            SdimmCommandType::Append, g, "indep_split.append");
-        const bool real = !stays && g == dst;
-        if (real)
-            ++appendsReal_;
-        else
-            ++appendsDummy_;
-        if (delivered && real) {
-            groups_[g]->adoptBlock(addr, localLeaf(new_leaf),
-                                   write ? *new_data : old);
-        }
-    }
+    noteUnitSuspicion(src, srcBlame);
+    // A mid-access zero-survivor conviction: the data is gone.
+    if (failedStop_)
+        return std::nullopt;
     return old;
 }
 

@@ -4,8 +4,9 @@
  * partitioned by the top leaf bits across Independent groups, and
  * each group is itself a Split ORAM over several SDIMM slices.  The
  * CPU frontend (IndependentFrontend) is the pure Independent one, with
- * a Split group as its unit: it keeps the global PosMap, and moving a
- * block between groups is obfuscated by one APPEND per group.
+ * a Split group as its unit: it keeps the global PosMap and runs every
+ * access, and moving a block between groups is obfuscated by its one
+ * APPEND per group.  This engine supplies the group-level wire steps.
  */
 
 #ifndef SECUREDIMM_SDIMM_INDEP_SPLIT_ORAM_HH
@@ -35,9 +36,6 @@ class IndepSplitOram final : public IndependentFrontend
     };
 
     IndepSplitOram(const Params &params, std::uint64_t seed);
-
-    BlockData access(Addr addr, oram::OramOp op,
-                     const BlockData *new_data = nullptr) override;
 
     /** Sum of every group's accessORAM operations. */
     std::uint64_t accessCount() const override;
@@ -99,10 +97,11 @@ class IndepSplitOram final : public IndependentFrontend
     bool transmitGroupCommand(SdimmCommandType type, unsigned g,
                               const char *site);
 
-    /** The bus shape of an access that lost its data: one APPEND per
-     *  group, nothing delivered. */
-    BlockData degradedAppends();
-
+    std::optional<BlockData> fetch(unsigned g, Addr addr,
+                                   LeafId old_local, LeafId new_local,
+                                   oram::OramOp op,
+                                   const BlockData *new_data) override;
+    void padAccess(unsigned g) override;
     void sendProbe(unsigned g) override;
     std::vector<oram::StashEntry> residentBlocks(unsigned g) override;
     bool appendSlot(unsigned g, const oram::StashEntry *real) override;

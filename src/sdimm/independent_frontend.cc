@@ -76,9 +76,12 @@ IndependentFrontend::drawGlobalLeaf()
     return leaf;
 }
 
-std::pair<LeafId, LeafId>
-IndependentFrontend::beginAccess(Addr addr)
+BlockData
+IndependentFrontend::access(Addr addr, oram::OramOp op,
+                            const BlockData *new_data)
 {
+    const bool write = op == oram::OramOp::Write;
+    SD_ASSERT(!write || new_data != nullptr);
     SD_ASSERT(addr < posMap_.size());
     // Permanent faults surface here: the watchdog notices a silent
     // unit before the PosMap lookup, so a quarantine's remaps are
@@ -90,7 +93,33 @@ IndependentFrontend::beginAccess(Addr addr)
     const LeafId old_leaf = posMap_[addr];
     const LeafId new_leaf = drawGlobalLeaf();
     posMap_[addr] = new_leaf;
-    return {old_leaf, new_leaf};
+    const unsigned src = unitOf(old_leaf);
+    const bool stays = src == unitOf(new_leaf);
+
+    // A stopped protocol or a quarantined source unit still walks the
+    // full message schedule (the adversary must not learn which blocks
+    // were lost), but the data itself is gone.
+    std::optional<BlockData> old;
+    if (failedStop_ || isQuarantined(src))
+        padAccess(src);
+    else
+        old = fetch(src, addr, localLeaf(old_leaf),
+                    stays ? localLeaf(new_leaf) : invalidLeaf, op,
+                    new_data);
+    if (!old) {
+        ++degradedAccesses_;
+        if (injector_)
+            injector_->recordDegraded();
+        broadcastAppend(nullptr);
+        return BlockData{};
+    }
+
+    // Step 6: the relocation rides the one broadcast, real only when
+    // the block left its source unit.
+    const oram::StashEntry moved{addr, invalidLeaf,
+                                 write ? *new_data : *old};
+    broadcastAppend(stays ? nullptr : &moved);
+    return *old;
 }
 
 std::string
@@ -238,67 +267,68 @@ IndependentFrontend::evacuate(unsigned unit)
         std::max<std::uint64_t>(unitCapacity_, live.size());
     ++evacuationDepth_;
     SD_ASSERT(evacuationDepth_ <= units_);
-    for (std::uint64_t s = 0; s < slots; ++s) {
-        const bool have = s < live.size();
-        bool placed = false;
-        bool redo = true;
-        while (redo) {
-            const unsigned quarantinedBefore = quarantinedCount();
-            for (unsigned i = 0; i < units_; ++i) {
-                /*
-                 * Re-entrant recovery: a correlated cascade can
-                 * surface a SECOND death while this evacuation is
-                 * mid-stream.  The watchdog fires here, the new corpse
-                 * is quarantined, and its evacuation nests inside this
-                 * one (the unit is quarantined before the recursion,
-                 * so the depth is bounded by the unit count).  Blocks
-                 * this loop already re-appended onto the newly dead
-                 * unit are drained by the nested pass; blocks still
-                 * pending re-read posMap_ below, so they route around
-                 * it.
-                 */
-                if (!failedStop_ && !isQuarantined(i) &&
-                    injector_->unitDead(i)) {
-                    ++nestedEvacuations_;
-                    runWatchdog(i);
-                    quarantineOrStop(fault::FaultKind::WatchdogTimeout, i,
-                                     unitSite("watchdog", i) + ".mid_evac",
-                                     injector_->plan().watchdogMaxProbes,
-                                     true);
-                }
-                if (failedStop_ || isQuarantined(i)) {
-                    padAppend(i);
-                    continue;
-                }
-                oram::StashEntry block;
-                const oram::StashEntry *real = nullptr;
-                if (have && !placed) {
-                    const LeafId leaf = posMap_[live[s].addr];
-                    if (unitOf(leaf) == i) {
-                        block = {live[s].addr, localLeaf(leaf),
-                                 live[s].data};
-                        real = &block;
-                    }
-                }
-                if (appendSlot(i, real) && real)
-                    placed = true;
-            }
-            /*
-             * A nested evacuation (or a budget-exhaustion quarantine
-             * inside appendSlot) can redraw this slot's destination
-             * onto a unit the sweep above had ALREADY passed, silently
-             * dropping the block.  Whenever the quarantine set changed
-             * mid-sweep -- a public, fault-triggered event -- re-run
-             * the slot: an unplaced block lands on its redrawn
-             * survivor, and a placed one rides the re-run as all-dummy
-             * padding, indistinguishable on the wire.
-             */
-            redo = !failedStop_ && quarantinedCount() != quarantinedBefore;
-        }
-    }
+    for (std::uint64_t s = 0; s < slots; ++s)
+        broadcastAppend(s < live.size() ? &live[s] : nullptr);
     --evacuationDepth_;
     evacuatedBlocks_ += live.size();
     injector_->recordEvacuation(live.size(), slots * units_);
+}
+
+void
+IndependentFrontend::broadcastAppend(const oram::StashEntry *block)
+{
+    bool placed = false;
+    bool redo = true;
+    while (redo) {
+        const unsigned quarantinedBefore = quarantinedCount();
+        for (unsigned i = 0; i < units_; ++i) {
+            /*
+             * Re-entrant recovery: a correlated cascade can surface a
+             * SECOND death while an evacuation is mid-stream.  The
+             * watchdog fires here, the new corpse is quarantined, and
+             * its evacuation nests inside this one (the unit is
+             * quarantined before the recursion, so the depth is
+             * bounded by the unit count).  Blocks already re-appended
+             * onto the newly dead unit are drained by the nested pass;
+             * a pending block re-reads posMap_ below, so it routes
+             * around it.  Deaths activate only in noteAccess(), whose
+             * sweep has quarantined every dead unit before an access
+             * broadcasts, so this fires only inside evacuations.
+             */
+            if (injector_ && !failedStop_ && !isQuarantined(i) &&
+                injector_->unitDead(i)) {
+                ++nestedEvacuations_;
+                runWatchdog(i);
+                quarantineOrStop(fault::FaultKind::WatchdogTimeout, i,
+                                 unitSite("watchdog", i) + ".mid_evac",
+                                 injector_->plan().watchdogMaxProbes,
+                                 true);
+            }
+            if (failedStop_ || isQuarantined(i)) {
+                padAppend(i);
+                continue;
+            }
+            oram::StashEntry slot;
+            const oram::StashEntry *real = nullptr;
+            if (block && !placed && unitOf(posMap_[block->addr]) == i) {
+                slot = {block->addr, localLeaf(posMap_[block->addr]),
+                        block->data};
+                real = &slot;
+            }
+            if (appendSlot(i, real) && real)
+                placed = true;
+        }
+        /*
+         * A nested evacuation (or a budget-exhaustion quarantine inside
+         * appendSlot) can redraw the block's destination onto a unit
+         * the sweep above had ALREADY passed, silently dropping it.
+         * Whenever the quarantine set changed mid-sweep -- a public,
+         * fault-triggered event -- re-run the slot: an unplaced block
+         * lands on its redrawn survivor, and a placed one rides the
+         * re-run as all-dummy padding, indistinguishable on the wire.
+         */
+        redo = !failedStop_ && quarantinedCount() != quarantinedBefore;
+    }
 }
 
 void

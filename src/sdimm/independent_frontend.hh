@@ -10,17 +10,21 @@
  * and retirement sweeps, mistrust conviction, and the re-entrant,
  * dummy-padded evacuation sweep (docs/FAULTS.md).
  *
- * An engine derives from it and supplies only its wire steps: deliver
- * one APPEND slot to a unit, read a dead unit's resident blocks, and
- * send a PROBE.
+ * It also owns the access itself: every access, whatever its exit,
+ * ends in exactly one APPEND broadcast -- one slot per unit, real only
+ * at the moved block's destination -- through the same routine the
+ * evacuation sweep uses.  An engine derives from it and supplies only
+ * its wire steps: fetch a block from its source unit, pad a lost
+ * access, deliver or pad one APPEND slot, read a dead unit's resident
+ * blocks, and send a PROBE.
  */
 
 #ifndef SECUREDIMM_SDIMM_INDEPENDENT_FRONTEND_HH
 #define SECUREDIMM_SDIMM_INDEPENDENT_FRONTEND_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "fault/fault_types.hh"
@@ -40,6 +44,17 @@ class IndependentFrontend : public oram::OramEngine
     {
         return static_cast<std::uint64_t>(units_) * unitCapacity_;
     }
+
+    /**
+     * accessORAM against the distributed tree (Section III-C): run the
+     * fault sweeps, remap @p addr, fetch the block from its source
+     * unit, then broadcast one APPEND per unit (real only at the
+     * destination, and only when the block moved).  A stopped
+     * protocol, a quarantined source or a fetch that lost the block
+     * pads the ACCESS, broadcasts all-dummy APPENDs and serves zeros.
+     */
+    BlockData access(Addr addr, oram::OramOp op,
+                     const BlockData *new_data = nullptr) override;
 
     /** Current global leaf of a block. */
     LeafId leafOf(Addr addr) const { return posMap_.at(addr); }
@@ -97,27 +112,9 @@ class IndependentFrontend : public oram::OramEngine
     /** One leaf draw per block, in address order. */
     void fillPositionMap();
 
-    unsigned unitOf(LeafId global_leaf) const
-    {
-        return static_cast<unsigned>(global_leaf >> localLevels_);
-    }
-    LeafId localLeaf(LeafId global_leaf) const
-    {
-        return global_leaf & ((LeafId{1} << localLevels_) - 1);
-    }
-
-    /** Draw a global leaf whose unit is not quarantined. */
-    LeafId drawGlobalLeaf();
-
     /** Store the injector and policy and bring every unit back. */
     void armFrontend(fault::FaultInjector *inj,
                      fault::DegradationPolicy policy);
-
-    /**
-     * The frontend half of every access: run the fault sweeps, then
-     * look up @p addr's leaf and remap it.  Returns (old, new) leaf.
-     */
-    std::pair<LeafId, LeafId> beginAccess(Addr addr);
 
     /**
      * The exhausted-budget ladder for a transient @p kind fault on
@@ -157,6 +154,22 @@ class IndependentFrontend : public oram::OramEngine
     void exportFleetMetrics(util::MetricsRegistry &m,
                             const std::string &prefix) const;
 
+    /**
+     * Wire step: the ACCESS of @p addr to the in-service @p unit, at
+     * unit-local leaf @p old_local, with its retries, read-back audit
+     * and mistrust feed.  The unit keeps the block at @p new_local, or
+     * hands it back for the broadcast when that is invalidLeaf.
+     * Returns the value the access serves, or nothing when the block
+     * was lost.  May quarantine units or fail-stop the protocol.
+     */
+    virtual std::optional<BlockData>
+    fetch(unsigned unit, Addr addr, LeafId old_local, LeafId new_local,
+          oram::OramOp op, const BlockData *new_data) = 0;
+
+    /** Wire step: the ACCESS-side bus shape of an access that cannot
+     *  reach @p unit (nothing is delivered). */
+    virtual void padAccess(unsigned unit) = 0;
+
     /** Wire step: one watchdog PROBE to @p unit. */
     virtual void sendProbe(unsigned unit) = 0;
 
@@ -168,7 +181,7 @@ class IndependentFrontend : public oram::OramEngine
     virtual std::vector<oram::StashEntry> residentBlocks(unsigned unit) = 0;
 
     /**
-     * Wire step: one evacuation APPEND slot to the in-service @p unit,
+     * Wire step: one APPEND slot to the in-service @p unit,
      * carrying @p real (leaf is unit-local) or, when null, a dummy.
      * Returns true when the unit accepted the slot.  May quarantine
      * units through onUnrecoverable().
@@ -180,14 +193,22 @@ class IndependentFrontend : public oram::OramEngine
     virtual void padAppend(unsigned unit) = 0;
 
     Rng rng_;
-    std::vector<LeafId> posMap_;
     fault::FaultInjector *injector_ = nullptr;
-    fault::DegradationPolicy policy_ =
-        fault::DegradationPolicy::RetryThenStop;
     bool failedStop_ = false;
-    std::uint64_t degradedAccesses_ = 0;
 
   private:
+    unsigned unitOf(LeafId global_leaf) const
+    {
+        return static_cast<unsigned>(global_leaf >> localLevels_);
+    }
+    LeafId localLeaf(LeafId global_leaf) const
+    {
+        return global_leaf & ((LeafId{1} << localLevels_) - 1);
+    }
+
+    /** Draw a global leaf whose unit is not quarantined. */
+    LeafId drawGlobalLeaf();
+
     /** "<what>.<unit kind><unit>", e.g. "watchdog.sdimm3". */
     std::string unitSite(const char *what, unsigned unit) const;
 
@@ -240,6 +261,22 @@ class IndependentFrontend : public oram::OramEngine
      */
     void evacuate(unsigned unit);
 
+    /**
+     * The one APPEND broadcast: one slot to every unit, in unit order,
+     * carrying @p block to the unit its PosMap entry names or, when
+     * null, all dummies.  Out-of-service units get padAppend().  The
+     * entry is re-read per unit (the block's own leaf is ignored): a
+     * conviction or budget exhaustion during the access, or inside
+     * this sweep, may have evacuated the planned destination, and the
+     * real APPEND must follow the block.  The slot is re-run while the
+     * quarantine set changes under it, so a destination redrawn onto a
+     * unit the sweep already passed still receives the block.
+     */
+    void broadcastAppend(const oram::StashEntry *block);
+
+    std::vector<LeafId> posMap_;
+    fault::DegradationPolicy policy_ =
+        fault::DegradationPolicy::RetryThenStop;
     const char *unitKind_;
     const char *quarantinedMetric_;
     unsigned units_;
@@ -251,6 +288,7 @@ class IndependentFrontend : public oram::OramEngine
     std::uint64_t nestedEvacuations_ = 0;
     std::uint64_t retiredUnits_ = 0;
     std::uint64_t convictedUnits_ = 0;
+    std::uint64_t degradedAccesses_ = 0;
     unsigned evacuationDepth_ = 0;
 };
 

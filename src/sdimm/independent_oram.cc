@@ -55,24 +55,18 @@ IndependentOram::appendSlot(unsigned sdimm, const oram::StashEntry *real)
         app.localLeaf = real->leaf;
         app.data = real->data;
     }
-    return sendAppend(sdimm, app);
-}
-
-void
-IndependentOram::padAppend(unsigned sdimm)
-{
-    recordBus(SdimmCommandType::Append, sdimm, appendBodyBytes);
-}
-
-bool
-IndependentOram::sendAppend(unsigned sdimm, const AppendRequest &app)
-{
     return transmitUplink(
         sdimm, SdimmCommandType::Append,
         [&] { return buffers_[sdimm]->cpuLink().seal(0x03, packAppend(app)); },
         [&](const SealedMessage &m) {
             return buffers_[sdimm]->handleAppend(m);
         });
+}
+
+void
+IndependentOram::padAppend(unsigned sdimm)
+{
+    recordBus(SdimmCommandType::Append, sdimm, appendBodyBytes);
 }
 
 bool
@@ -123,48 +117,28 @@ IndependentOram::transmitUplink(
     }
 }
 
-BlockData
-IndependentOram::access(Addr addr, oram::OramOp op,
-                        const BlockData *new_data)
+void
+IndependentOram::padAccess(unsigned sdimm)
 {
-    const bool write = op == oram::OramOp::Write;
-    SD_ASSERT(!write || new_data != nullptr);
+    recordBus(SdimmCommandType::Access, sdimm, accessBodyBytes);
+    recordBus(SdimmCommandType::Probe, sdimm, 0);
+    recordBus(SdimmCommandType::FetchResult, sdimm, responseBodyBytes);
+}
 
-    const auto [old_leaf, new_leaf] = beginAccess(addr);
-    const unsigned src = unitOf(old_leaf);
-    const unsigned dst = unitOf(new_leaf);
-    const bool stays = src == dst;
-
-    // A stopped protocol or a quarantined source SDIMM still walks
-    // the full message schedule (the adversary must not learn which
-    // blocks were lost), but the data itself is gone: serve zeros.
-    if (failedStop_ || isQuarantined(src)) {
-        ++degradedAccesses_;
-        if (injector_)
-            injector_->recordDegraded();
-        recordBus(SdimmCommandType::Access, src, accessBodyBytes);
-        recordBus(SdimmCommandType::Probe, src, 0);
-        recordBus(SdimmCommandType::FetchResult, src,
-                  responseBodyBytes);
-        for (unsigned i = 0; i < params_.numSdimms; ++i) {
-            // All-dummy: nothing real survives.
-            if (failedStop_ || isQuarantined(i))
-                padAppend(i);
-            else
-                appendSlot(i, nullptr);
-        }
-        return BlockData{};
-    }
-
+std::optional<BlockData>
+IndependentOram::fetch(unsigned src, Addr addr, LeafId old_local,
+                       LeafId new_local, oram::OramOp op,
+                       const BlockData *new_data)
+{
     // Step 1-2: sealed ACCESS to the source SDIMM (a read still
     // carries one -- dummy -- data block so the operation type is
     // hidden; the fixed message size realizes that).
     AccessRequest req;
     req.addr = addr;
-    req.localLeaf = localLeaf(old_leaf);
-    req.newLocalLeaf = stays ? localLeaf(new_leaf) : invalidLeaf;
-    req.write = write;
-    if (write)
+    req.localLeaf = old_local;
+    req.newLocalLeaf = new_local;
+    req.write = op == oram::OramOp::Write;
+    if (req.write)
         req.data = *new_data;
 
     // Steps 3-5 happen inside the SDIMM; the CPU polls (PROBE) and
@@ -180,7 +154,7 @@ IndependentOram::access(Addr addr, oram::OramOp op,
             return resp_msg.has_value();
         });
     if (!sent)
-        return BlockData{};
+        return std::nullopt;
     recordBus(SdimmCommandType::Probe, src, 0);
 
     // Downlink: FETCH_RESULT with bounded re-FETCH on MAC mismatch
@@ -262,7 +236,7 @@ IndependentOram::access(Addr addr, oram::OramOp op,
                 }
                 onUnrecoverable(kind, src, "downlink.FETCH_RESULT",
                                 attempts);
-                return BlockData{};
+                return std::nullopt;
             }
             ++attempts;
             injector_->recordRecovered(kind, "downlink.FETCH_RESULT",
@@ -301,43 +275,11 @@ IndependentOram::access(Addr addr, oram::OramOp op,
         noteUnitSuspicion(src, srcBlame);
     }
 
-    // The value returned to the LLC (pre-write content).
-    BlockData result{};
-    if (!resp->dummy)
-        result = resp->data;
-    if (write && resp->dummy) {
-        // Local write: the SDIMM kept the (updated) block; the old
-        // value is not needed by the caller in this protocol.
-        result = BlockData{};
-    }
-
-    // Step 6: one APPEND to every SDIMM; only the destination's is
-    // real (and only if the block actually moved).  The destination is
-    // re-read from the posMap rather than the pre-downlink draw: a
-    // mid-access conviction (e.g. the read-back audit convicting a
-    // third unit that happened to be this block's planned
-    // destination) evacuates that unit and remaps the posMap, and the
-    // real APPEND must follow the block.
-    const LeafId out_leaf = posMap_[addr];
-    const unsigned out_dst = unitOf(out_leaf);
-    for (unsigned i = 0; i < params_.numSdimms; ++i) {
-        AppendRequest app;
-        app.real = !stays && i == out_dst;
-        if (app.real) {
-            app.addr = addr;
-            app.localLeaf = localLeaf(out_leaf);
-            app.data = write ? *new_data : resp->data;
-        }
-        if (isQuarantined(i)) {
-            // Dead SDIMM: keep the channel shape, nothing to deliver
-            // (drawGlobalLeaf() never routes a real block here).
-            padAppend(i);
-            continue;
-        }
-        sendAppend(i, app);
-    }
-
-    return result;
+    // The value served: a write whose block stays local gets only a
+    // dummy response back.
+    if (resp->dummy)
+        return BlockData{};
+    return resp->data;
 }
 
 std::uint64_t

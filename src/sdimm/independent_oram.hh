@@ -3,10 +3,11 @@
  * Functional Independent ORAM (Section III-C): the address space is
  * partitioned across SDIMMs by the top bits of the (global) leaf ID;
  * each SDIMM runs a complete local Path ORAM.  The CPU keeps the
- * PosMap and the fault policy (IndependentFrontend); per access it
- * sends one ACCESS to the leaf-determined SDIMM, polls with PROBE,
- * FETCHes the result, and obfuscates the block's relocation with one
- * APPEND to *every* SDIMM (exactly one carries the real block).
+ * PosMap, the fault policy and the access itself (IndependentFrontend,
+ * whose broadcast obfuscates the block's relocation with one APPEND to
+ * *every* SDIMM); this engine supplies the sealed wire steps: one
+ * ACCESS to the leaf-determined SDIMM, a PROBE poll, the FETCH of the
+ * result, and each APPEND.
  */
 
 #ifndef SECUREDIMM_SDIMM_INDEPENDENT_ORAM_HH
@@ -39,10 +40,6 @@ class IndependentOram final : public IndependentFrontend
     };
 
     IndependentOram(const Params &params, std::uint64_t seed);
-
-    /** accessORAM against the distributed tree. */
-    BlockData access(Addr addr, oram::OramOp op,
-                     const BlockData *new_data = nullptr) override;
 
     /** Sum of every SDIMM's accessORAM operations. */
     std::uint64_t accessCount() const override;
@@ -110,9 +107,11 @@ class IndependentOram final : public IndependentFrontend
                         const std::function<bool(const SealedMessage &)>
                             &deliver);
 
-    /** One sealed APPEND to @p sdimm through transmitUplink(). */
-    bool sendAppend(unsigned sdimm, const AppendRequest &app);
-
+    std::optional<BlockData> fetch(unsigned sdimm, Addr addr,
+                                   LeafId old_local, LeafId new_local,
+                                   oram::OramOp op,
+                                   const BlockData *new_data) override;
+    void padAccess(unsigned sdimm) override;
     void sendProbe(unsigned sdimm) override;
     std::vector<oram::StashEntry> residentBlocks(unsigned sdimm) override;
     bool appendSlot(unsigned sdimm, const oram::StashEntry *real) override;

@@ -12,7 +12,9 @@
  * slot's per-unit APPEND sweep can redraw that slot's destination
  * onto a unit the sweep had already passed, which silently dropped
  * the block until the slot-re-run fix.  It fires across many write
- * orders because the loss was order-dependent.
+ * orders because the loss was order-dependent.  The
+ * AccessBroadcastFollowsRedrawnDestination regression pins the same
+ * redraw inside an access's own APPEND broadcast.
  */
 
 #include <gtest/gtest.h>
@@ -47,6 +49,9 @@ valueBlock(std::uint64_t b)
 
 using Engine = std::unique_ptr<sdimm::IndependentFrontend>;
 
+/** Levels of every unit's tree: a global leaf's unit is leaf >> 6. */
+constexpr unsigned kUnitLevels = 6;
+
 /**
  * Both engines that run the Independent frontend, over @p units units
  * whose trees have 6 levels: SDIMMs for Independent, 2-slice Split
@@ -60,7 +65,7 @@ const std::pair<const char *, Engine (*)(unsigned, std::uint64_t)>
         {"Independent",
          [](unsigned units, std::uint64_t seed) -> Engine {
              sdimm::IndependentOram::Params p;
-             p.perSdimm.levels = 6;
+             p.perSdimm.levels = kUnitLevels;
              p.perSdimm.stashCapacity = 200;
              p.numSdimms = units;
              return std::make_unique<sdimm::IndependentOram>(p, seed);
@@ -68,7 +73,7 @@ const std::pair<const char *, Engine (*)(unsigned, std::uint64_t)>
         {"INDEP-SPLIT",
          [](unsigned units, std::uint64_t seed) -> Engine {
              sdimm::IndepSplitOram::Params p;
-             p.perGroupTree.levels = 6;
+             p.perGroupTree.levels = kUnitLevels;
              p.perGroupTree.stashCapacity = 200;
              p.groups = units;
              p.slicesPerGroup = 2;
@@ -195,6 +200,69 @@ TEST(ChaosRecovery, MidSweepRedrawRegression)
                 << "data lost with write order seed " << order_seed;
             expectLedgerIdentity(inj);
         }
+    }
+}
+
+/** The blocks resident in @p unit, read over the maintenance path. */
+std::vector<oram::StashEntry>
+residentIn(sdimm::IndependentFrontend &o, unsigned unit)
+{
+    if (auto *ind = dynamic_cast<sdimm::IndependentOram *>(&o))
+        return ind->buffer(unit).residentBlocks();
+    return dynamic_cast<sdimm::IndepSplitOram &>(o).group(unit)
+        .residentBlocks();
+}
+
+TEST(ChaosRecovery, AccessBroadcastFollowsRedrawnDestination)
+{
+    // Regression for the per-access APPEND broadcast: with a zero
+    // retry budget every link drop quarantines a unit and evacuates it
+    // in the middle of an access, which can redraw the moving block's
+    // destination.  After every write, the block must be resident in
+    // the unit its PosMap entry names -- unless the write's own
+    // downlink dropped it, which no retry can undo.
+    for (const auto &[name, make] : kEngines) {
+        SCOPED_TRACE(name);
+        std::uint64_t checked = 0;
+        for (std::uint64_t seed = 0; seed < 40; ++seed) {
+            fault::FaultPlan plan;
+            plan.linkDropRate = 0.004;
+            plan.maxRetries = 0;
+            plan.seed = 1000 + seed;
+            fault::FaultInjector inj(plan);
+            const Engine o = make(4, 500 + seed);
+            const std::uint64_t n = 64;
+            writeShuffled(*o, n, seed); // every block exists first
+            o->setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
+
+            Rng rng(9000 + seed);
+            for (int i = 0; i < 400; ++i) {
+                const Addr a = rng.nextBelow(n);
+                const BlockData d = valueBlock(n + i);
+                const std::size_t before = inj.events().size();
+                o->access(a, oram::OramOp::Write, &d);
+                if (o->failedStop())
+                    break; // zero survivors: nowhere left to live
+                bool downlink_lost = false;
+                for (std::size_t k = before; k < inj.events().size(); ++k)
+                    downlink_lost |=
+                        !inj.events()[k].recovered &&
+                        inj.events()[k].site == "downlink.FETCH_RESULT";
+                if (downlink_lost)
+                    continue;
+                ++checked;
+                const auto unit =
+                    static_cast<unsigned>(o->leafOf(a) >> kUnitLevels);
+                const auto resident = residentIn(*o, unit);
+                EXPECT_TRUE(std::any_of(resident.begin(), resident.end(),
+                                        [&](const oram::StashEntry &e) {
+                                            return e.addr == a;
+                                        }))
+                    << "seed " << seed << " write " << i << ": block " << a
+                    << " not resident in unit " << unit;
+            }
+        }
+        EXPECT_GT(checked, 2000u);
     }
 }
 

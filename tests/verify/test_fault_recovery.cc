@@ -18,7 +18,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/secure_memory_system.hh"
 #include "fault/fault_injector.hh"
@@ -186,34 +189,60 @@ TEST(FaultRecovery, IndepSplitCompletes10kAccessCampaign)
 
 TEST(FaultRecovery, RetryThenStopFailsStopOnExhaustedBudget)
 {
+    // Both engines of the Independent protocol, two units each.
     sdimm::IndependentOram::Params ip;
     ip.perSdimm.levels = 4;
     ip.perSdimm.stashCapacity = 150;
     ip.numSdimms = 2;
-    sdimm::IndependentOram o(ip, 7);
+    sdimm::IndepSplitOram::Params gp;
+    gp.perGroupTree.levels = 4;
+    gp.perGroupTree.stashCapacity = 150;
+    gp.groups = 2;
+    gp.slicesPerGroup = 2;
+    const std::pair<const char *,
+                    std::unique_ptr<sdimm::IndependentFrontend>>
+        engines[] = {
+            {"Independent", std::make_unique<sdimm::IndependentOram>(ip, 7)},
+            {"INDEP-SPLIT", std::make_unique<sdimm::IndepSplitOram>(gp, 7)},
+        };
 
     fault::FaultPlan hostile; // Every frame corrupted: nothing gets
     hostile.linkCorruptRate = 1.0; // through, the budget must blow.
     hostile.maxRetries = 2;
     hostile.seed = 3;
-    fault::FaultInjector inj(hostile);
-    o.setFaultInjector(&inj, fault::DegradationPolicy::RetryThenStop);
+    for (const auto &[name, o] : engines) {
+        SCOPED_TRACE(name);
+        fault::FaultInjector inj(hostile);
+        o->setFaultInjector(&inj, fault::DegradationPolicy::RetryThenStop);
+        std::size_t bus_events = 0;
+        std::vector<unsigned> appends(2, 0);
+        o->attachObserver([&](TraceEventKind kind, std::uint64_t v) {
+            ++bus_events;
+            if (kind == TraceEventKind::ShortCmd &&
+                v >> 8 == static_cast<std::uint64_t>(
+                              sdimm::SdimmCommandType::Append))
+                ++appends[v & 0xff];
+        });
 
-    const BlockData zero{};
-    const BlockData first = o.access(0, oram::OramOp::Read, nullptr);
-    EXPECT_EQ(first, zero);
-    EXPECT_TRUE(o.failedStop());
-    EXPECT_FALSE(o.integrityOk());
-    EXPECT_GE(inj.unrecoveredTotal(), 1u);
-    EXPECT_EQ(inj.detectedTotal(), inj.injectedTotal());
+        const BlockData zero{};
+        const BlockData first = o->access(0, oram::OramOp::Read, nullptr);
+        EXPECT_EQ(first, zero);
+        EXPECT_TRUE(o->failedStop());
+        EXPECT_FALSE(o->integrityOk());
+        EXPECT_GE(inj.unrecoveredTotal(), 1u);
+        EXPECT_EQ(inj.detectedTotal(), inj.injectedTotal());
+        // The access whose ACCESS exhausted its budget still ends in
+        // the one broadcast: exactly one APPEND per unit.
+        EXPECT_EQ(appends, std::vector<unsigned>(2, 1u));
 
-    // A stopped system still walks the full (shaped) schedule and
-    // serves zeros -- it must not crash or leak which block was lost.
-    std::size_t bus_events = 0;
-    o.attachObserver([&](TraceEventKind, std::uint64_t) { ++bus_events; });
-    const BlockData later = o.access(1, oram::OramOp::Read, nullptr);
-    EXPECT_EQ(later, zero);
-    EXPECT_GT(bus_events, 0u);
+        // A stopped system still walks the full (shaped) schedule and
+        // serves zeros -- it must not crash or leak which block was
+        // lost.
+        bus_events = 0;
+        const BlockData later = o->access(1, oram::OramOp::Read, nullptr);
+        EXPECT_EQ(later, zero);
+        EXPECT_GT(bus_events, 0u);
+    }
 }
 
 TEST(FaultRecovery, DegradedPolicyQuarantinesAndContinues)
