@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/simulator.hh"
 
 namespace secdimm::core
@@ -54,6 +56,79 @@ TEST(Simulator, DeterministicForSeed)
     EXPECT_EQ(a.core.cycles, b.core.cycles);
     EXPECT_EQ(a.offDimmLines, b.offDimmLines);
     EXPECT_DOUBLE_EQ(a.energy.totalNj(), b.energy.totalNj());
+}
+
+/** The timing-model counters the pinned runs below compare. */
+struct PinnedCounters
+{
+    const char *label;
+    std::uint64_t cycles;
+    std::uint64_t accessOrams;
+    std::uint64_t offDimmLines;
+    std::uint64_t probes;
+};
+
+SimResult
+pinnedRun(const SystemConfig &cfg)
+{
+    SimLengths l;
+    l.warmupRecords = 50;
+    l.measureRecords = 80;
+    return runWorkload(cfg, *trace::findProfile("mcf"), l, 1);
+}
+
+void
+expectPinned(const SimResult &r, const PinnedCounters &want)
+{
+    EXPECT_EQ(r.metrics.counter("core.cycles"), want.cycles) << want.label;
+    EXPECT_EQ(r.metrics.counter("core.access_orams"), want.accessOrams)
+        << want.label;
+    EXPECT_EQ(r.metrics.counter("core.off_dimm_lines"), want.offDimmLines)
+        << want.label;
+    EXPECT_EQ(r.metrics.counter("core.probes"), want.probes) << want.label;
+}
+
+TEST(Simulator, TimingModelPinned)
+{
+    // Exact simulated counters for fixed seeds.  A refactor of the
+    // timing layer must leave every figure bit-identical; a change
+    // here is a change to the model and to EXPERIMENTS.md.
+    const PinnedCounters designs[] = {
+        {"NonSecure", 12918, 0, 80, 0},
+        {"PathORAM", 30703, 80, 8800, 0},
+        {"Freecursive", 115707, 334, 36740, 0},
+        {"INDEP-2", 97226, 375, 1816, 8762},
+        {"SPLIT-2", 94648, 334, 5386, 0},
+        {"INDEP-4", 72294, 377, 2745, 5585},
+        {"SPLIT-4", 67603, 334, 5386, 0},
+        {"INDEP-SPLIT", 59784, 375, 6715, 0},
+    };
+    const DesignPoint points[] = {
+        DesignPoint::NonSecure, DesignPoint::PathOram,
+        DesignPoint::Freecursive, DesignPoint::Indep2,
+        DesignPoint::Split2,    DesignPoint::Indep4,
+        DesignPoint::Split4,    DesignPoint::IndepSplit,
+    };
+    for (std::size_t i = 0; i < std::size(points); ++i) {
+        EXPECT_STREQ(designName(points[i]), designs[i].label);
+        expectPinned(pinnedRun(tinyConfig(points[i])), designs[i]);
+    }
+
+    // The full-power layouts of the SDIMM engines.
+    SystemConfig indep_full = tinyConfig(DesignPoint::Indep2);
+    indep_full.lowPower = false;
+    expectPinned(pinnedRun(indep_full),
+                 {"INDEP-2 lowPower=0", 103275, 377, 1816, 9062});
+    SystemConfig split_full = tinyConfig(DesignPoint::Split2);
+    split_full.lowPower = false;
+    expectPinned(pinnedRun(split_full),
+                 {"SPLIT-2 lowPower=0", 95121, 334, 5386, 0});
+
+    SystemConfig dying = tinyConfig(DesignPoint::Indep2);
+    dying.faultPlan = fault::FaultPlan::hardDeath(1, 50, 7);
+    const SimResult died = pinnedRun(dying);
+    EXPECT_EQ(died.metrics.counter("fault.quarantined_sdimms"), 1u);
+    expectPinned(died, {"INDEP-2 hardDeath", 273321, 368, 24600, 16453});
 }
 
 TEST(Simulator, OramMuchSlowerThanNonSecure)
