@@ -10,24 +10,9 @@ namespace secdimm::oram
 namespace
 {
 
-/** Completion-id kinds (encoded in the top bits of DRAM request ids). */
-constexpr std::uint64_t kindShift = 62;
-constexpr std::uint64_t kindPlain = 0;
-constexpr std::uint64_t kindData = 1;
-constexpr std::uint64_t kindWrite = 2;
-constexpr std::uint64_t kindMeta = 3;
-
-std::uint64_t
-makeId(std::uint64_t kind)
-{
-    return kind << kindShift;
-}
-
-std::uint64_t
-idKind(std::uint64_t id)
-{
-    return id >> kindShift;
-}
+/** Marks path-stream request ids; plain accesses use their sequence
+ *  number, which never reaches this bit. */
+constexpr std::uint64_t streamIdBit = std::uint64_t{1} << 63;
 
 } // namespace
 
@@ -42,10 +27,16 @@ FreecursiveBackend::FreecursiveBackend(const OramParams &oram,
       sys_("freecursive", timing, geom, dram::MapPolicy::RowRankBankCol),
       rng_(seed)
 {
-    sys_.setCompletionCallback(
-        [this](const dram::DramCompletion &c) { onDramDone(c); });
-    stagedPerCh_.resize(sys_.channelCount());
-    blockFetchCycles_ = timing.cl + timing.tBURST + 2;
+    shares_.reserve(sys_.channelCount());
+    for (unsigned c = 0; c < sys_.channelCount(); ++c) {
+        shares_.push_back(ChannelShare{
+            PathStream(sys_.channel(c), streamIdBit,
+                       /*hold_data_pass=*/false),
+            {},
+            {}});
+        sys_.channel(c).setCompletionCallback(
+            [this, c](const dram::DramCompletion &d) { onDramDone(c, d); });
+    }
 }
 
 void
@@ -58,29 +49,6 @@ bool
 FreecursiveBackend::canAccept() const
 {
     return jobs_.size() < jobCapacity_;
-}
-
-Addr
-FreecursiveBackend::lineToDramBlock(Addr line) const
-{
-    // The tree occupies lines [0, totalLines); larger configurations
-    // wrap (timing-only aliasing, see DESIGN.md).
-    return line % sys_.blockCount();
-}
-
-void
-FreecursiveBackend::stageLine(Addr line, Tick at, std::uint64_t kind)
-{
-    const Addr block = lineToDramBlock(line);
-    const unsigned ch = sys_.channelOf(block);
-    const bool write = kind == kindWrite;
-    stagedPerCh_[ch][write ? 1 : 0].push_back(
-        StagedLine{block, at, kind});
-    ++stagedTotal_;
-    if (kind == kindMeta)
-        ++stagedMetaReads_;
-    else if (kind == kindData)
-        ++stagedDataReads_;
 }
 
 void
@@ -113,30 +81,41 @@ FreecursiveBackend::startNextOp(Tick now)
     job->opIssued = true;
     opJobId_ = job->id;
     opInFlight_ = true;
-    responseSent_ = false;
-    opStartAt_ = std::max(now, job->readyAt);
+    const Tick start = std::max(now, job->readyAt);
     ++traffic_.accessOrams;
 
-    opLeaf_ = rng_.nextBelow(oram_.numLeaves());
-    std::vector<Addr> meta, data;
-    layout_.pathLinesPhased(opLeaf_, oram_.cachedLevels,
-                            oram_.metadataLines, meta, data);
-    lastReadDone_ = opStartAt_;
-    lastMetaDone_ = opStartAt_;
-    for (Addr line : meta)
-        stageLine(line, opStartAt_, kindMeta);
-    for (Addr line : data)
-        stageLine(line, opStartAt_, kindData);
-    traffic_.channelLines += meta.size() + data.size();
+    // The tree occupies lines [0, totalLines); larger configurations
+    // wrap (timing-only aliasing, see DESIGN.md).
+    pathMeta_.clear();
+    pathData_.clear();
+    layout_.pathLinesPhased(rng_.nextBelow(oram_.numLeaves()),
+                            oram_.cachedLevels, oram_.metadataLines,
+                            pathMeta_, pathData_);
+    for (auto &sh : shares_) {
+        sh.meta.clear();
+        sh.data.clear();
+    }
+    for (Addr line : pathMeta_) {
+        const Addr block = line % sys_.blockCount();
+        shares_[sys_.channelOf(block)].meta.push_back(
+            sys_.localBlockOf(block));
+    }
+    for (Addr line : pathData_) {
+        const Addr block = line % sys_.blockCount();
+        shares_[sys_.channelOf(block)].data.push_back(
+            sys_.localBlockOf(block));
+    }
+    for (auto &sh : shares_)
+        sh.stream.stageReads(sh.meta, sh.data, start);
+    traffic_.channelLines += pathMeta_.size() + pathData_.size();
 }
 
 void
 FreecursiveBackend::respondOp(Tick avail)
 {
-    // The metadata pass identified the block; one row-hit fetch and a
-    // decrypt later it is available -- this is what unblocks the LLC
-    // (or the next recursion level), while the rest of the path
-    // streams in behind.
+    // The CPU-side controller finds the block only once the whole
+    // path is in its stash: @p avail is a decrypt after the last
+    // read.  This unblocks the LLC (or the next recursion level).
     Job *job = nullptr;
     for (auto &j : jobs_) {
         if (j.id == opJobId_) {
@@ -167,14 +146,9 @@ FreecursiveBackend::finishOpReads(Tick reads_done)
 {
     // Path fully read: stage the write-back and free the controller.
     const Tick wb_at = reads_done + oram_.encLatency;
-    std::vector<Addr> meta, data;
-    layout_.pathLinesPhased(opLeaf_, oram_.cachedLevels,
-                            oram_.metadataLines, meta, data);
-    for (Addr line : data)
-        stageLine(line, wb_at, kindWrite);
-    for (Addr line : meta)
-        stageLine(line, wb_at, kindWrite);
-    traffic_.channelLines += meta.size() + data.size();
+    for (auto &sh : shares_)
+        sh.stream.stageWriteBack(sh.meta, sh.data, wb_at);
+    traffic_.channelLines += pathMeta_.size() + pathData_.size();
 
     opInFlight_ = false;
     startNextOp(reads_done);
@@ -188,7 +162,7 @@ FreecursiveBackend::accessPlain(std::uint64_t id, Addr byte_addr,
     const Addr block = (byte_addr / blockBytes) % sys_.blockCount();
     const std::uint64_t seq = nextPlainSeq_++;
     plainIds_.emplace(seq, id);
-    sys_.enqueue(makeId(kindPlain) | seq, block, write, now);
+    sys_.enqueue(seq, block, write, now);
 }
 
 void
@@ -205,12 +179,11 @@ FreecursiveBackend::canAcceptPlain(Addr byte_addr, bool write) const
 }
 
 void
-FreecursiveBackend::onDramDone(const dram::DramCompletion &c)
+FreecursiveBackend::onDramDone(unsigned channel,
+                               const dram::DramCompletion &c)
 {
-    const std::uint64_t kind = idKind(c.id);
-    if (kind == kindPlain) {
-        const std::uint64_t seq = c.id & ((1ULL << kindShift) - 1);
-        auto it = plainIds_.find(seq);
+    if ((c.id & streamIdBit) == 0) {
+        auto it = plainIds_.find(c.id);
         SD_ASSERT(it != plainIds_.end());
         const std::uint64_t caller_id = it->second;
         plainIds_.erase(it);
@@ -219,30 +192,20 @@ FreecursiveBackend::onDramDone(const dram::DramCompletion &c)
         pump();
         return;
     }
-    if (kind == kindWrite) {
-        SD_ASSERT(outstandingWrites_ > 0);
-        --outstandingWrites_;
+    if (shares_[channel].stream.complete(c) == PathStream::Line::Write) {
         pump();
         return;
     }
-
-    SD_ASSERT(outstandingReads_ > 0);
-    --outstandingReads_;
-    lastReadDone_ = std::max(lastReadDone_, c.doneAt);
-    if (kind == kindMeta) {
-        SD_ASSERT(outstandingMetaReads_ > 0);
-        --outstandingMetaReads_;
-        lastMetaDone_ = std::max(lastMetaDone_, c.doneAt);
-    }
-    if (opInFlight_ && outstandingReads_ == 0 && stagedMetaReads_ == 0 &&
-        stagedDataReads_ == 0) {
-        // The CPU-side controller finds the block only once the whole
-        // path is in the stash; respond, then write back.
-        if (!responseSent_) {
-            responseSent_ = true;
-            respondOp(lastReadDone_ + oram_.encLatency);
-        }
-        finishOpReads(lastReadDone_);
+    if (opInFlight_ &&
+        std::all_of(shares_.begin(), shares_.end(),
+                    [](const ChannelShare &sh) {
+                        return sh.stream.readsDone();
+                    })) {
+        Tick reads_done = 0;
+        for (const auto &sh : shares_)
+            reads_done = std::max(reads_done, sh.stream.lastReadDone());
+        respondOp(reads_done + oram_.encLatency);
+        finishOpReads(reads_done);
     }
     pump();
 }
@@ -250,39 +213,8 @@ FreecursiveBackend::onDramDone(const dram::DramCompletion &c)
 void
 FreecursiveBackend::pump()
 {
-    if (stagedTotal_ == 0)
-        return;
-    for (unsigned c = 0; c < sys_.channelCount(); ++c) {
-        auto &ch = sys_.channel(c);
-
-        auto &rq = stagedPerCh_[c][0];
-        while (!rq.empty() && ch.canEnqueue(false)) {
-            const StagedLine &s = rq.front();
-            ch.enqueue(makeId(s.kind), sys_.localBlockOf(s.line), false,
-                       s.at);
-            ++outstandingReads_;
-            if (s.kind == kindMeta) {
-                SD_ASSERT(stagedMetaReads_ > 0);
-                --stagedMetaReads_;
-                ++outstandingMetaReads_;
-            } else {
-                SD_ASSERT(stagedDataReads_ > 0);
-                --stagedDataReads_;
-            }
-            rq.pop_front();
-            --stagedTotal_;
-        }
-
-        auto &wq = stagedPerCh_[c][1];
-        while (!wq.empty() && ch.canEnqueue(true)) {
-            const StagedLine s = wq.front();
-            wq.pop_front();
-            --stagedTotal_;
-            ch.enqueue(makeId(kindWrite), sys_.localBlockOf(s.line),
-                       true, s.at);
-            ++outstandingWrites_;
-        }
-    }
+    for (auto &sh : shares_)
+        sh.stream.pump();
 }
 
 Tick
@@ -301,8 +233,11 @@ FreecursiveBackend::advanceTo(Tick now)
 bool
 FreecursiveBackend::idle() const
 {
-    return jobs_.empty() && !opInFlight_ && stagedTotal_ == 0 &&
-           outstandingReads_ == 0 && outstandingWrites_ == 0 &&
+    return jobs_.empty() && !opInFlight_ &&
+           std::all_of(shares_.begin(), shares_.end(),
+                       [](const ChannelShare &sh) {
+                           return sh.stream.idle();
+                       }) &&
            sys_.idle();
 }
 

@@ -13,13 +13,13 @@
 #ifndef SECUREDIMM_ORAM_FREECURSIVE_BACKEND_HH
 #define SECUREDIMM_ORAM_FREECURSIVE_BACKEND_HH
 
-#include <array>
 #include <deque>
 #include <unordered_map>
 #include <vector>
 
 #include "dram/dram_system.hh"
 #include "oram/oram_params.hh"
+#include "oram/path_stream.hh"
 #include "oram/recursion.hh"
 #include "oram/tree_layout.hh"
 #include "trace/memory_backend.hh"
@@ -80,20 +80,20 @@ class FreecursiveBackend : public MemoryBackend
         bool opIssued = false;
     };
 
-    struct StagedLine
+    /** One CPU channel's path stream and the in-flight op's lines
+     *  on that channel (channel-local blocks). */
+    struct ChannelShare
     {
-        Addr line;
-        Tick at;
-        std::uint64_t kind;
+        PathStream stream;
+        std::vector<Addr> meta;
+        std::vector<Addr> data;
     };
 
-    void onDramDone(const dram::DramCompletion &c);
+    void onDramDone(unsigned channel, const dram::DramCompletion &c);
     void startNextOp(Tick now);
     void respondOp(Tick avail);
     void finishOpReads(Tick reads_done);
     void pump();
-
-    Addr lineToDramBlock(Addr line) const;
 
     OramParams oram_;
     TreeLayout layout_;
@@ -110,26 +110,11 @@ class FreecursiveBackend : public MemoryBackend
     static constexpr std::size_t jobCapacity_ = 8;
 
     bool opInFlight_ = false;
-    bool responseSent_ = false;
-    Tick opStartAt_ = 0;
-    LeafId opLeaf_ = 0;
     std::uint64_t opJobId_ = 0;
-    Cycles blockFetchCycles_ = 17;
-    /**
-     * Lines awaiting DRAM queue space, separated per channel and
-     * read/write so pump() only touches deques that can drain
-     * (a full-queue head blocks only its own deque).
-     */
-    std::vector<std::array<std::deque<StagedLine>, 2>> stagedPerCh_;
-    std::size_t stagedTotal_ = 0;
-    void stageLine(Addr line, Tick at, std::uint64_t kind);
-    std::uint64_t outstandingReads_ = 0;
-    std::uint64_t outstandingMetaReads_ = 0;
-    std::size_t stagedMetaReads_ = 0;
-    std::size_t stagedDataReads_ = 0;
-    std::uint64_t outstandingWrites_ = 0;
-    Tick lastReadDone_ = 0;
-    Tick lastMetaDone_ = 0;
+    std::vector<ChannelShare> shares_;
+    /** Scratch for the op's path lines (global line numbers). */
+    std::vector<Addr> pathMeta_;
+    std::vector<Addr> pathData_;
 
     OramTrafficStats traffic_;
 };

@@ -3,19 +3,9 @@
 #include <algorithm>
 
 #include "fault/fault_injector.hh"
-#include "util/logging.hh"
 
 namespace secdimm::sdimm
 {
-
-namespace
-{
-
-/** Read-kind encodings in the low id bits. */
-constexpr std::uint64_t idData = 0;
-constexpr std::uint64_t idMeta = 1;
-
-} // namespace
 
 PathExecutor::PathExecutor(const std::string &name,
                            const oram::OramParams &params,
@@ -24,14 +14,13 @@ PathExecutor::PathExecutor(const std::string &name,
                            std::uint64_t seed)
     : params_(params),
       layout_(params.levels, params.linesPerBucket()),
-      lowPower_(low_power),
+      channel_(std::make_unique<dram::DramChannel>(
+          name, timing, geom,
+          low_power ? dram::MapPolicy::RankRowBankCol
+                    : dram::MapPolicy::RowRankBankCol)),
+      stream_(*channel_, 0, /*hold_data_pass=*/false),
       rng_(seed)
 {
-    const dram::MapPolicy policy = low_power
-                                       ? dram::MapPolicy::RankRowBankCol
-                                       : dram::MapPolicy::RowRankBankCol;
-    channel_ = std::make_unique<dram::DramChannel>(name, timing, geom,
-                                                   policy);
     if (low_power) {
         const Addr region_lines =
             channel_->addressMap().blockCount() / geom.ranksPerChannel;
@@ -43,10 +32,6 @@ PathExecutor::PathExecutor(const std::string &name,
     }
     channel_->setCompletionCallback(
         [this](const dram::DramCompletion &c) { onDramDone(c); });
-
-    // On-demand fetch of the identified block's line: its bucket row
-    // was just opened by the metadata read, so a row-hit CAS.
-    blockFetchCycles_ = timing.cl + timing.tBURST + 2;
 }
 
 void
@@ -62,22 +47,7 @@ PathExecutor::submitOp(std::uint64_t tag, Tick ready_at)
     ops_.push_back(ExecOp{tag, ready_at});
     queueDepth_.sample(ops_.size());
     tryStart();
-    pump();
-}
-
-void
-PathExecutor::buildPath(std::vector<Addr> &meta,
-                        std::vector<Addr> &data)
-{
-    opLeaf_ = rng_.nextBelow(params_.numLeaves());
-    if (lowPower_) {
-        lowPowerLayout_->pathLinesPhased(
-            opLeaf_, params_.cachedLevels, params_.metadataLines, meta,
-            data);
-    } else {
-        layout_.pathLinesPhased(opLeaf_, params_.cachedLevels,
-                                params_.metadataLines, meta, data);
-    }
+    stream_.pump();
 }
 
 void
@@ -86,7 +56,6 @@ PathExecutor::tryStart()
     if (opInFlight_ || ops_.empty())
         return;
     opInFlight_ = true;
-    responseSent_ = false;
     ++opsExecuted_;
     Tick start = std::max(ops_.front().readyAt, nextOpEarliest_);
     if (injector_) {
@@ -101,117 +70,48 @@ PathExecutor::tryStart()
         }
     }
 
-    std::vector<Addr> meta, data;
-    buildPath(meta, data);
-    lastReadDone_ = start;
-    lastMetaDone_ = start;
-
-    // Metadata pass first: it identifies the requested block and
-    // gates the early response; the data pass follows into the rows
-    // the metadata pass opened.
-    for (Addr line : meta)
-        staged_[0].push_back(StagedLine{line, start, false});
-    stagedMetaReads_ = meta.size();
-    for (Addr line : data)
-        staged_[0].push_back(StagedLine{line, start, false});
-    stagedDataReads_ = data.size();
-    stagedTotal_ += meta.size() + data.size();
+    const LeafId leaf = rng_.nextBelow(params_.numLeaves());
+    pathMeta_.clear();
+    pathData_.clear();
+    if (lowPowerLayout_) {
+        lowPowerLayout_->pathLinesPhased(leaf, params_.cachedLevels,
+                                         params_.metadataLines, pathMeta_,
+                                         pathData_);
+    } else {
+        layout_.pathLinesPhased(leaf, params_.cachedLevels,
+                                params_.metadataLines, pathMeta_,
+                                pathData_);
+    }
+    // Metadata pass first; the data pass queues right behind it and
+    // issues as the read queue has room (only Split slices hold it
+    // until the metadata pass completes).
+    stream_.stageReads(pathMeta_, pathData_, start);
 }
 
 void
 PathExecutor::onDramDone(const dram::DramCompletion &c)
 {
-    if (!c.write) {
-        SD_ASSERT(outstandingReads_ > 0);
-        --outstandingReads_;
-        lastReadDone_ = std::max(lastReadDone_, c.doneAt);
-        if (c.id == idMeta) {
-            SD_ASSERT(outstandingMetaReads_ > 0);
-            --outstandingMetaReads_;
-            lastMetaDone_ = std::max(lastMetaDone_, c.doneAt);
-        }
-        if (opInFlight_ && outstandingReads_ == 0 &&
-            stagedMetaReads_ == 0 && stagedDataReads_ == 0) {
-            // Whole path read: the block is only guaranteed found
-            // once every bucket is in the local stash, so the
-            // Independent protocol's response fires HERE -- this is
-            // the protocol's inherent "high latency, high
-            // parallelism" trade-off (Section III-D intro), in
-            // contrast to Split's early metadata-driven response.
-            const Tick avail = lastReadDone_ + params_.encLatency;
-            if (!responseSent_) {
-                responseSent_ = true;
-                if (onOpDone_)
-                    onOpDone_(ops_.front().tag, avail);
-            }
+    if (stream_.complete(c) != oram::PathStream::Line::Write &&
+        opInFlight_ && stream_.readsDone()) {
+        // Whole path read: the block is only guaranteed found once
+        // every bucket is in the local stash, so the Independent
+        // protocol's response fires HERE -- this is the protocol's
+        // inherent "high latency, high parallelism" trade-off
+        // (Section III-D intro), in contrast to Split's early
+        // metadata-driven response.
+        const Tick avail = stream_.lastReadDone() + params_.encLatency;
+        if (onOpDone_)
+            onOpDone_(ops_.front().tag, avail);
 
-            // Compose and stage the write-back, and free the engine
-            // for the next operation.
-            const Tick wb_at = avail;
-            std::vector<Addr> meta, data;
-            if (lowPower_) {
-                lowPowerLayout_->pathLinesPhased(
-                    opLeaf_, params_.cachedLevels,
-                    params_.metadataLines, meta, data);
-            } else {
-                layout_.pathLinesPhased(opLeaf_, params_.cachedLevels,
-                                        params_.metadataLines, meta,
-                                        data);
-            }
-            for (Addr line : data)
-                staged_[1].push_back(StagedLine{line, wb_at, true});
-            for (Addr line : meta)
-                staged_[1].push_back(StagedLine{line, wb_at, true});
-            stagedTotal_ += meta.size() + data.size();
-
-            SD_ASSERT(responseSent_);
-            ops_.pop_front();
-            opInFlight_ = false;
-            nextOpEarliest_ = lastReadDone_;
-            tryStart();
-        }
-    } else {
-        SD_ASSERT(outstandingWrites_ > 0);
-        --outstandingWrites_;
+        // Stage the write-back, and free the engine for the next
+        // operation.
+        stream_.stageWriteBack(pathMeta_, pathData_, avail);
+        ops_.pop_front();
+        opInFlight_ = false;
+        nextOpEarliest_ = stream_.lastReadDone();
+        tryStart();
     }
-    pump();
-}
-
-void
-PathExecutor::pump()
-{
-    if (stagedTotal_ == 0)
-        return;
-    const Addr block_count = channel_->addressMap().blockCount();
-
-    // Reads: metadata lines first; data lines wait until the whole
-    // metadata pass has completed (two-pass read).
-    auto &rq = staged_[0];
-    while (!rq.empty() && channel_->canEnqueue(false)) {
-        const bool is_meta = stagedMetaReads_ > 0;
-        const StagedLine s = rq.front();
-        rq.pop_front();
-        --stagedTotal_;
-        channel_->enqueue(is_meta ? idMeta : idData,
-                          s.line % block_count, false, s.at);
-        ++outstandingReads_;
-        if (is_meta) {
-            --stagedMetaReads_;
-            ++outstandingMetaReads_;
-        } else {
-            SD_ASSERT(stagedDataReads_ > 0);
-            --stagedDataReads_;
-        }
-    }
-
-    auto &wq = staged_[1];
-    while (!wq.empty() && channel_->canEnqueue(true)) {
-        const StagedLine s = wq.front();
-        wq.pop_front();
-        --stagedTotal_;
-        channel_->enqueue(2, s.line % block_count, true, s.at);
-        ++outstandingWrites_;
-    }
+    stream_.pump();
 }
 
 Tick
@@ -224,14 +124,13 @@ void
 PathExecutor::advanceTo(Tick now)
 {
     channel_->advanceTo(now);
-    pump();
+    stream_.pump();
 }
 
 bool
 PathExecutor::idle() const
 {
-    return ops_.empty() && !opInFlight_ && stagedTotal_ == 0 &&
-           outstandingReads_ == 0 && outstandingWrites_ == 0 &&
+    return ops_.empty() && !opInFlight_ && stream_.idle() &&
            channel_->idle();
 }
 

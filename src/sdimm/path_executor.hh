@@ -10,7 +10,6 @@
 #ifndef SECUREDIMM_SDIMM_PATH_EXECUTOR_HH
 #define SECUREDIMM_SDIMM_PATH_EXECUTOR_HH
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -20,6 +19,7 @@
 
 #include "dram/channel.hh"
 #include "oram/oram_params.hh"
+#include "oram/path_stream.hh"
 #include "oram/tree_layout.hh"
 #include "sdimm/low_power.hh"
 #include "trace/memory_backend.hh"
@@ -54,15 +54,7 @@ class PathExecutor
     /** Queue one accessORAM; it may start at or after @p ready_at. */
     void submitOp(std::uint64_t tag, Tick ready_at);
 
-    std::size_t queuedOps() const { return ops_.size(); }
-    bool busy() const { return opInFlight_; }
     std::uint64_t opsExecuted() const { return opsExecuted_; }
-
-    /** Op-queue depth observed at each submit. */
-    const util::LogHistogram &queueDepthHistogram() const
-    {
-        return queueDepth_;
-    }
 
     /** Export ops-executed + queue-depth under @p prefix; the
      *  internal DRAM channel is exported separately ("dram.*"). */
@@ -80,7 +72,6 @@ class PathExecutor
 
     dram::DramChannel &channel() { return *channel_; }
     const dram::DramChannel &channel() const { return *channel_; }
-    bool lowPower() const { return lowPower_; }
 
     /**
      * Arm fault injection (nullptr disarms): op starts may be stalled
@@ -97,42 +88,23 @@ class PathExecutor
         Tick readyAt;
     };
 
-    struct StagedLine
-    {
-        Addr line;
-        Tick at;
-        bool write;
-    };
-
     void onDramDone(const dram::DramCompletion &c);
     void tryStart();
-    void pump();
-    void buildPath(std::vector<Addr> &meta, std::vector<Addr> &data);
 
     oram::OramParams params_;
     oram::TreeLayout layout_;
     std::optional<LowPowerLayout> lowPowerLayout_;
-    bool lowPower_;
     std::unique_ptr<dram::DramChannel> channel_;
+    oram::PathStream stream_;
     Rng rng_;
     OpDoneFn onOpDone_;
 
     std::deque<ExecOp> ops_;
     bool opInFlight_ = false;
     Tick nextOpEarliest_ = 0;
-    /** Staged lines per kind (0 = read, 1 = write); front-blocking. */
-    std::array<std::deque<StagedLine>, 2> staged_;
-    std::size_t stagedTotal_ = 0;
-    std::size_t stagedMetaReads_ = 0;
-    std::size_t stagedDataReads_ = 0;
-    std::uint64_t outstandingReads_ = 0;
-    std::uint64_t outstandingMetaReads_ = 0;
-    std::uint64_t outstandingWrites_ = 0;
-    Tick lastReadDone_ = 0;
-    Tick lastMetaDone_ = 0;
-    bool responseSent_ = false;
-    Cycles blockFetchCycles_ = 17;
-    LeafId opLeaf_ = 0;
+    /** The in-flight op's path lines, read and then written back. */
+    std::vector<Addr> pathMeta_;
+    std::vector<Addr> pathData_;
     std::uint64_t opsExecuted_ = 0;
     util::LogHistogram queueDepth_;
     fault::FaultInjector *injector_ = nullptr;

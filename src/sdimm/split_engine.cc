@@ -7,13 +7,6 @@
 namespace secdimm::sdimm
 {
 
-namespace
-{
-
-constexpr std::uint64_t metaFlag = std::uint64_t{1} << 63;
-
-} // namespace
-
 SplitGroupEngine::SplitGroupEngine(const std::string &name,
                                    const oram::OramParams &tree,
                                    unsigned slices,
@@ -23,8 +16,8 @@ SplitGroupEngine::SplitGroupEngine(const std::string &name,
                                    bool low_power, std::uint64_t seed)
     : tree_(tree),
       dataLines_(std::max(1u, tree.bucketBlocks / slices)),
-      lowPower_(low_power),
-      rng_(seed)
+      rng_(seed),
+      blockFetchCycles_(timing.cl + timing.tBURST + 2)
 {
     SD_ASSERT(slices >= 1);
     SD_ASSERT(buses.size() == slices);
@@ -36,20 +29,22 @@ SplitGroupEngine::SplitGroupEngine(const std::string &name,
     if (!low_power)
         layout_.emplace(tree.levels, dataLines_ + 1);
 
-    slices_.resize(slices);
+    slices_.reserve(slices);
     for (unsigned i = 0; i < slices; ++i) {
-        Slice &sl = slices_[i];
-        sl.channel = std::make_unique<dram::DramChannel>(
+        auto channel = std::make_unique<dram::DramChannel>(
             name + ".slice" + std::to_string(i), timing, geom,
             low_power ? dram::MapPolicy::RankRowBankCol
                       : dram::MapPolicy::RowRankBankCol);
-        sl.bus = buses[i];
         if (low_power)
-            sl.channel->setIdlePowerDown(2 * timing.tXPDLL);
-        sl.channel->setCompletionCallback(
+            channel->setIdlePowerDown(2 * timing.tXPDLL);
+        channel->setCompletionCallback(
             [this, i](const dram::DramCompletion &c) {
                 onDramDone(i, c);
             });
+        // The slice's metadata share goes to the CPU before its data
+        // pass leaves DRAM, so the data reads wait for it.
+        oram::PathStream stream(*channel, 0, /*hold_data_pass=*/true);
+        slices_.push_back(Slice{std::move(channel), stream, buses[i]});
     }
 
     if (low_power) {
@@ -59,8 +54,6 @@ SplitGroupEngine::SplitGroupEngine(const std::string &name,
         lowPowerLayout_.emplace(slice_params, geom.ranksPerChannel,
                                 region_lines);
     }
-
-    blockFetchCycles_ = timing.cl + timing.tBURST + 2;
 }
 
 std::uint64_t
@@ -73,19 +66,6 @@ SplitGroupEngine::listBytesPerSlice() const
         8ULL * tree_.bucketBlocks + 8 + 2ULL * tree_.bucketBlocks;
     return divCeil(per_bucket * tree_.dramLevels(),
                    static_cast<std::uint64_t>(slices_.size()));
-}
-
-void
-SplitGroupEngine::buildSlicePath(std::vector<Addr> &meta,
-                                 std::vector<Addr> &data) const
-{
-    if (lowPower_) {
-        lowPowerLayout_->pathLinesPhased(opLeaf_, tree_.cachedLevels, 1,
-                                         meta, data);
-    } else {
-        layout_->pathLinesPhased(opLeaf_, tree_.cachedLevels, 1, meta,
-                                 data);
-    }
 }
 
 void
@@ -105,26 +85,22 @@ SplitGroupEngine::tryStart()
     responseSent_ = false;
     ++opsExecuted_;
     const Tick start = std::max(ops_.front().readyAt, groupFreeAt_);
-    opLeaf_ = rng_.nextBelow(tree_.numLeaves());
-
-    std::vector<Addr> meta, data;
-    buildSlicePath(meta, data);
+    const LeafId leaf = rng_.nextBelow(tree_.numLeaves());
+    pathMeta_.clear();
+    pathData_.clear();
+    if (lowPowerLayout_) {
+        lowPowerLayout_->pathLinesPhased(leaf, tree_.cachedLevels, 1,
+                                         pathMeta_, pathData_);
+    } else {
+        layout_->pathLinesPhased(leaf, tree_.cachedLevels, 1, pathMeta_,
+                                 pathData_);
+    }
 
     for (auto &sl : slices_) {
         sl.bus->shortCommand(start); // FETCH_DATA.
         sl.metaAtCpu = start;
-        sl.lastReadDone = start;
-        for (Addr line : meta) {
-            sl.staged[0].push_back(StagedLine{line, start, false, true});
-            ++sl.stagedMetaReads;
-        }
-        for (Addr line : data) {
-            sl.staged[0].push_back(
-                StagedLine{line, start, false, false});
-            ++sl.stagedDataReads;
-        }
-        sl.stagedTotal += meta.size() + data.size();
-        pump(sl);
+        sl.stream.stageReads(pathMeta_, pathData_, start);
+        sl.stream.pump();
     }
 }
 
@@ -132,31 +108,22 @@ void
 SplitGroupEngine::onDramDone(unsigned slice, const dram::DramCompletion &c)
 {
     Slice &sl = slices_[slice];
-    if (c.write) {
-        SD_ASSERT(sl.outstandingWrites > 0);
-        --sl.outstandingWrites;
-    } else {
-        SD_ASSERT(sl.outstandingReads > 0);
-        --sl.outstandingReads;
-        sl.lastReadDone = std::max(sl.lastReadDone, c.doneAt);
-        if (c.id & metaFlag) {
-            SD_ASSERT(sl.outstandingMetaReads > 0);
-            --sl.outstandingMetaReads;
-            // Relay this metadata share to the CPU: each slice holds
-            // 1/S of the bucket's (tags, leaves, counter) bytes --
-            // compact 4-byte tags and leaves as in hardware ORAM
-            // controllers -- so a burst-chopped transaction suffices.
-            const std::uint64_t share_bytes = divCeil(
-                8ULL * tree_.bucketBlocks + 8,
-                static_cast<std::uint64_t>(slices_.size()));
-            sl.metaAtCpu = std::max(
-                sl.metaAtCpu,
-                sl.bus->transferBytes(c.doneAt, share_bytes));
-            maybeRespond();
-        }
-        maybeFinishReads();
+    const oram::PathStream::Line kind = sl.stream.complete(c);
+    if (kind == oram::PathStream::Line::Meta) {
+        // Relay this metadata share to the CPU: each slice holds 1/S
+        // of the bucket's (tags, leaves, counter) bytes -- compact
+        // 4-byte tags and leaves as in hardware ORAM controllers --
+        // so a burst-chopped transaction suffices.
+        const std::uint64_t share_bytes =
+            divCeil(8ULL * tree_.bucketBlocks + 8,
+                    static_cast<std::uint64_t>(slices_.size()));
+        sl.metaAtCpu = std::max(
+            sl.metaAtCpu, sl.bus->transferBytes(c.doneAt, share_bytes));
+        maybeRespond();
     }
-    pump(sl);
+    if (kind != oram::PathStream::Line::Write)
+        maybeFinishReads();
+    sl.stream.pump();
 }
 
 void
@@ -165,7 +132,7 @@ SplitGroupEngine::maybeRespond()
     if (!opInFlight_ || responseSent_)
         return;
     for (const auto &sl : slices_) {
-        if (sl.stagedMetaReads != 0 || sl.outstandingMetaReads != 0)
+        if (!sl.stream.metaDone())
             return;
     }
     responseSent_ = true;
@@ -210,76 +177,27 @@ SplitGroupEngine::maybeFinishReads()
     // Only READ state gates the op: write-backs of earlier ops may
     // still be staged behind a full write queue, and they drain on
     // their own (write completions never re-evaluate this check).
+    Tick reads_done = 0;
     for (const auto &sl : slices_) {
-        if (sl.stagedMetaReads != 0 || sl.stagedDataReads != 0 ||
-            sl.outstandingReads != 0) {
+        if (!sl.stream.readsDone())
             return;
-        }
+        reads_done = std::max(reads_done, sl.stream.lastReadDone());
     }
     SD_ASSERT(responseSent_);
 
-    Tick reads_done = 0;
-    for (const auto &sl : slices_)
-        reads_done = std::max(reads_done, sl.lastReadDone);
-
     // Local write-back of the path (data + metadata shares) once the
     // eviction list has arrived and every piece is in the stash.
-    std::vector<Addr> meta, data;
-    buildSlicePath(meta, data);
     const Tick wb_at =
         std::max(listDoneAt_, reads_done) + tree_.encLatency;
     for (auto &sl : slices_) {
-        for (Addr line : data)
-            sl.staged[1].push_back(StagedLine{line, wb_at, true, false});
-        for (Addr line : meta)
-            sl.staged[1].push_back(StagedLine{line, wb_at, true, false});
-        sl.stagedTotal += meta.size() + data.size();
-        pump(sl);
+        sl.stream.stageWriteBack(pathMeta_, pathData_, wb_at);
+        sl.stream.pump();
     }
 
     ops_.pop_front();
     opInFlight_ = false;
     groupFreeAt_ = reads_done;
     tryStart();
-}
-
-void
-SplitGroupEngine::pump(Slice &sl)
-{
-    if (sl.stagedTotal == 0)
-        return;
-    const Addr block_count = sl.channel->addressMap().blockCount();
-
-    // Reads: metadata pass strictly precedes the data pass.
-    auto &rq = sl.staged[0];
-    while (!rq.empty() && sl.channel->canEnqueue(false)) {
-        const StagedLine &front = rq.front();
-        if (!front.meta && sl.outstandingMetaReads > 0)
-            break;
-        const StagedLine s = front;
-        rq.pop_front();
-        --sl.stagedTotal;
-        sl.channel->enqueue(s.meta ? metaFlag : 0,
-                            s.line % block_count, false, s.at);
-        ++sl.outstandingReads;
-        if (s.meta) {
-            SD_ASSERT(sl.stagedMetaReads > 0);
-            --sl.stagedMetaReads;
-            ++sl.outstandingMetaReads;
-        } else {
-            SD_ASSERT(sl.stagedDataReads > 0);
-            --sl.stagedDataReads;
-        }
-    }
-
-    auto &wq = sl.staged[1];
-    while (!wq.empty() && sl.channel->canEnqueue(true)) {
-        const StagedLine s = wq.front();
-        wq.pop_front();
-        --sl.stagedTotal;
-        sl.channel->enqueue(0, s.line % block_count, true, s.at);
-        ++sl.outstandingWrites;
-    }
 }
 
 Tick
@@ -296,7 +214,7 @@ SplitGroupEngine::advanceTo(Tick now)
 {
     for (auto &sl : slices_) {
         sl.channel->advanceTo(now);
-        pump(sl);
+        sl.stream.pump();
     }
 }
 
@@ -306,10 +224,8 @@ SplitGroupEngine::idle() const
     if (!ops_.empty() || opInFlight_)
         return false;
     for (const auto &sl : slices_) {
-        if (sl.stagedTotal != 0 || sl.outstandingReads != 0 ||
-            sl.outstandingWrites != 0 || !sl.channel->idle()) {
+        if (!sl.stream.idle() || !sl.channel->idle())
             return false;
-        }
     }
     return true;
 }

@@ -12,7 +12,6 @@
 #ifndef SECUREDIMM_SDIMM_SPLIT_ENGINE_HH
 #define SECUREDIMM_SDIMM_SPLIT_ENGINE_HH
 
-#include <array>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -22,6 +21,7 @@
 
 #include "dram/channel.hh"
 #include "oram/oram_params.hh"
+#include "oram/path_stream.hh"
 #include "oram/tree_layout.hh"
 #include "sdimm/link_bus.hh"
 #include "sdimm/low_power.hh"
@@ -89,27 +89,11 @@ class SplitGroupEngine
     }
 
   private:
-    struct StagedLine
-    {
-        Addr line;
-        Tick at;
-        bool write;
-        bool meta;
-    };
-
     struct Slice
     {
         std::unique_ptr<dram::DramChannel> channel;
+        oram::PathStream stream;
         LinkBus *bus = nullptr;
-        /** Staged lines per kind (0 = read, 1 = write). */
-        std::array<std::deque<StagedLine>, 2> staged;
-        std::size_t stagedTotal = 0;
-        std::size_t stagedMetaReads = 0;
-        std::size_t stagedDataReads = 0;
-        std::uint64_t outstandingReads = 0;
-        std::uint64_t outstandingMetaReads = 0;
-        std::uint64_t outstandingWrites = 0;
-        Tick lastReadDone = 0;
         Tick metaAtCpu = 0;
     };
 
@@ -123,15 +107,11 @@ class SplitGroupEngine
     void tryStart();
     void maybeRespond();
     void maybeFinishReads();
-    void pump(Slice &sl);
-    void buildSlicePath(std::vector<Addr> &meta,
-                        std::vector<Addr> &data) const;
 
     oram::OramParams tree_;
     unsigned dataLines_;
     std::optional<oram::TreeLayout> layout_;
     std::optional<LowPowerLayout> lowPowerLayout_;
-    bool lowPower_;
     Rng rng_;
     OpDoneFn onOpDone_;
 
@@ -141,8 +121,11 @@ class SplitGroupEngine
     bool responseSent_ = false;
     Tick groupFreeAt_ = 0;
     Tick listDoneAt_ = 0;
-    Cycles blockFetchCycles_ = 17;
-    LeafId opLeaf_ = 0;
+    Cycles blockFetchCycles_;
+    /** The in-flight op's slice path lines (the same on every
+     *  slice), read and then written back. */
+    std::vector<Addr> pathMeta_;
+    std::vector<Addr> pathData_;
     std::uint64_t opsExecuted_ = 0;
     util::LogHistogram queueDepth_;
 };

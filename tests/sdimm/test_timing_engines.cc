@@ -116,8 +116,9 @@ TEST(PathExecutor, OpsCompleteInSubmissionOrder)
     ASSERT_EQ(h.done.size(), 5u);
     for (std::uint64_t i = 0; i < 5; ++i) {
         EXPECT_EQ(h.done[i].first, i + 1);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GT(h.done[i].second, h.done[i - 1].second);
+        }
     }
     EXPECT_EQ(h.exec.opsExecuted(), 5u);
 }
