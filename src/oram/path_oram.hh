@@ -8,6 +8,13 @@
  * expected freshness counter for every bucket (standing in for the
  * PMMAC counter chain of Freecursive [4]), so both tampering and
  * rollback/replay are detected.
+ *
+ * ORAM cache: the top OramParams::cachedLevels levels live as
+ * plaintext bucket images in controller memory (the paper's ~64 KB
+ * on-chip cache; Path ORAM's treetop caching).  They never reach the
+ * BucketStore, so they cost no crypto, fire no observer event and
+ * roll no fault: the channel shows only the uncached suffix of each
+ * path.
  */
 
 #ifndef SECUREDIMM_ORAM_PATH_ORAM_HH
@@ -112,6 +119,14 @@ class PathOram final : public OramEngine
     /** Physical tree layout (verify audits map seq <-> position). */
     const TreeLayout &layout() const { return layout_; }
 
+    /**
+     * The bucket at @p pos, wherever it lives: a cached level's
+     * trusted image (always authentic) or the store's decrypted,
+     * MAC-checked copy.  The whole-tree walkers (audits, evacuation)
+     * read through this so they see blocks in cached levels too.
+     */
+    BucketReadResult readBucketAt(const BucketPos &pos) const;
+
     /** Controller stash (verify audits walk its entries). */
     const Stash &stash() const { return stash_; }
 
@@ -178,18 +193,38 @@ class PathOram final : public OramEngine
                          Update &&update);
 
     /**
-     * Read one path into the stash; verifies integrity.  All buckets
-     * of the path go through BucketStore::readBuckets (one batched
-     * MAC pass) into pathImages_, and the stash takes the valid slots
-     * straight out of those images; a bucket that fails falls back to
-     * per-bucket detect-and-retry so the fault ledger semantics are
-     * unchanged.
+     * Read one path into the stash; verifies integrity.  The cached
+     * levels are copied from the trusted images; the rest go through
+     * BucketStore::readBuckets (one batched MAC pass) into
+     * pathImages_, and the stash takes the valid slots straight out
+     * of those images.
      */
     void readPath(LeafId leaf);
 
+    /**
+     * Whether the store bucket @p seq, read into @p image with MAC
+     * verdict @p authentic, is authentic and fresh.  With a fault
+     * injector a failing bucket gets per-bucket detect-and-retry, so
+     * the fault ledger semantics are those of a single-bucket read.
+     */
+    bool verifyBucket(std::uint64_t seq, bool authentic,
+                      std::uint8_t *image);
+
     /** Greedily write the stash back onto one path: Stash::fillPath
-     *  into pathImages_, then one batched BucketStore::writeBuckets. */
+     *  into pathImages_, one batched BucketStore::writeBuckets of the
+     *  uncached levels, and a copy of the cached ones into trusted
+     *  memory. */
     void writePath(LeafId leaf);
+
+    /** Trusted image of a bucket in a cached level. */
+    std::uint8_t *cachedImage(const BucketPos &pos)
+    {
+        return cached_.data() + bucketSeqBfs(pos) * store_.imageBytes();
+    }
+    const std::uint8_t *cachedImage(const BucketPos &pos) const
+    {
+        return cached_.data() + bucketSeqBfs(pos) * store_.imageBytes();
+    }
 
     OramParams params_;
     TreeLayout layout_;
@@ -200,12 +235,16 @@ class PathOram final : public OramEngine
     std::vector<LeafId> posMap_;
     /** Controller-side mirror of bucket counters (replay detection). */
     std::vector<std::uint64_t> expectedCounter_;
+    /** Plaintext images of the 2^cachedLevels - 1 cached buckets, in
+     *  level order (bucketSeqBfs). */
+    std::vector<std::uint8_t> cached_;
 
     PathOramStats stats_;
     fault::FaultInjector *injector_ = nullptr;
 
     /** Per-path scratch sized once (no allocation on the hot path):
-     *  the path's bucket seqs, its plaintext images, its MAC flags. */
+     *  the uncached buckets' seqs, the whole path's plaintext images
+     *  (root first on reads, leaf first on writes), its MAC flags. */
     std::vector<std::uint64_t> pathSeqs_;
     std::vector<std::uint8_t> pathImages_;
     std::array<bool, 64> pathOk_{};

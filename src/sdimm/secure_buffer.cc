@@ -274,9 +274,8 @@ SecureBuffer::residentBlocks() const
     for (unsigned level = 0; level <= p.levels; ++level) {
         const std::uint64_t width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < width; ++index) {
-            const std::uint64_t seq =
-                oram_->layout().bucketSeq({level, index});
-            oram::BucketReadResult r = oram_->store().readBucket(seq);
+            const oram::BucketPos pos{level, index};
+            oram::BucketReadResult r = oram_->readBucketAt(pos);
             unsigned attempts = 0;
             while (!r.authentic && injector_ &&
                    attempts < injector_->maxRetries()) {
@@ -284,7 +283,7 @@ SecureBuffer::residentBlocks() const
                 injector_->recordRecovered(fault::FaultKind::DramBitFlip,
                                            "evacuate.read_bucket", 1);
                 ++attempts;
-                r = oram_->store().readBucket(seq);
+                r = oram_->readBucketAt(pos);
             }
             if (!r.authentic) {
                 if (injector_) {

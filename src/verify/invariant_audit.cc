@@ -79,11 +79,10 @@ walkPathOram(const oram::PathOram &o, bool check_posmap,
         const std::uint64_t width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < width; ++index) {
             const oram::BucketPos pos{level, index};
-            const std::uint64_t seq = o.layout().bucketSeq(pos);
-            const oram::BucketReadResult br = o.store().readBucket(seq);
+            const oram::BucketReadResult br = o.readBucketAt(pos);
             {
                 std::ostringstream os;
-                os << label << ": bucket " << seq
+                os << label << ": bucket " << o.layout().bucketSeq(pos)
                    << " failed authentication";
                 r.check(br.authentic, os.str());
             }

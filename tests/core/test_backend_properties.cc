@@ -123,8 +123,9 @@ TEST_P(BackendContract, DeterministicPerSeed)
     };
     EXPECT_EQ(run(7), run(7));
     // Different seeds shuffle leaves, so ORAM designs diverge.
-    if (GetParam() != DesignPoint::NonSecure)
+    if (GetParam() != DesignPoint::NonSecure) {
         EXPECT_NE(run(7), run(8));
+    }
 }
 
 TEST_P(BackendContract, IdleBackendHasNoEvents)
@@ -140,8 +141,10 @@ TEST_P(BackendContract, BackpressureEventuallyClears)
     auto backend = buildBackend(config(), 4);
     backend->setCompletionCallback([](std::uint64_t, Tick) {});
     unsigned admitted = 0;
-    while (backend->canAccept() && admitted < 200)
-        backend->access(++admitted, admitted * 64 * 31, false, 0);
+    while (backend->canAccept() && admitted < 200) {
+        ++admitted;
+        backend->access(admitted, admitted * 64 * 31, false, 0);
+    }
     while (!backend->idle()) {
         const Tick next = backend->nextEventAt();
         ASSERT_NE(next, tickNever);
