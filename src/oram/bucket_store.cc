@@ -11,7 +11,7 @@ namespace secdimm::oram
 BucketStore::BucketStore(std::uint64_t num_buckets, unsigned z,
                          const crypto::Aes128Key &enc_key,
                          const crypto::Aes128Key &mac_key,
-                         std::uint64_t nonce_salt)
+                         std::uint64_t nonce_salt, bool write_dummies)
     : z_(z),
       img_(Bucket::imageBytes(z)),
       cipher_(enc_key),
@@ -21,6 +21,8 @@ BucketStore::BucketStore(std::uint64_t num_buckets, unsigned z,
       counters_(num_buckets, 0),
       macs_(num_buckets, 0)
 {
+    if (!write_dummies)
+        return;
     // Initialize every bucket to an all-dummy image so the tree is
     // well-formed (and indistinguishable) from the first access.
     Bucket empty(z_);

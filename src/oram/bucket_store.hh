@@ -45,11 +45,15 @@ class BucketStore
      * @param mac_key     AES key for PMMAC
      * @param nonce_salt  distinguishes trees sharing a key (e.g.
      *                    Split ORAM slice id)
+     * @param write_dummies write every bucket's all-dummy image
+     *                    (counter 1); false leaves every bucket
+     *                    unwritten (counter 0, not authentic) for the
+     *                    owner to write the ones it keeps here
      */
     BucketStore(std::uint64_t num_buckets, unsigned z,
                 const crypto::Aes128Key &enc_key,
                 const crypto::Aes128Key &mac_key,
-                std::uint64_t nonce_salt = 0);
+                std::uint64_t nonce_salt = 0, bool write_dummies = true);
 
     /** Encrypt, MAC, and store @p bucket; bumps its counter. */
     void writeBucket(std::uint64_t seq, const Bucket &bucket);
