@@ -61,30 +61,24 @@ clientLoop(ShardedSecureMemory &mem, unsigned client,
     const std::uint64_t cap = mem.capacityBlocks();
     const std::uint64_t stripe = cap / 8 ? cap / 8 : 1;
     const Addr base = (client % 8) * stripe;
-    std::vector<std::future<void>> writes;
-    std::vector<std::future<BlockData>> reads;
+    std::vector<std::future<BlockData>> window;
     for (std::uint64_t i = 0; i < ops; ++i) {
         const Addr block = base + rng.nextBelow(stripe);
         if (rng.nextBool(0.5)) {
             BlockData d{};
             d[0] = static_cast<std::uint8_t>(i);
-            writes.push_back(mem.submitWrite(block, d));
+            window.push_back(mem.submitWrite(block, d));
         } else {
-            reads.push_back(mem.submitRead(block));
+            window.push_back(mem.submitRead(block));
         }
         // Cap the in-flight window so futures don't pile up unboundedly.
-        if (writes.size() + reads.size() >= 32) {
-            for (auto &f : writes)
+        if (window.size() >= 32) {
+            for (auto &f : window)
                 f.get();
-            for (auto &f : reads)
-                f.get();
-            writes.clear();
-            reads.clear();
+            window.clear();
         }
     }
-    for (auto &f : writes)
-        f.get();
-    for (auto &f : reads)
+    for (auto &f : window)
         f.get();
 }
 

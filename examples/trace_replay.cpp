@@ -221,29 +221,20 @@ replaySharded(const std::string &label, trace::RecordSource &gen,
                 static_cast<unsigned long long>(accesses));
 
     const std::uint64_t cap = mem.capacityBlocks();
-    std::vector<std::future<BlockData>> reads;
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> pending;
     std::uint64_t shard_failures = 0;
     // With a fault plan armed a shard can fail-stop mid-replay; its
     // requests then resolve with the typed error, which the replay
     // absorbs and counts instead of crashing.
     const auto settle = [&] {
-        for (auto &f : reads) {
+        for (auto &f : pending) {
             try {
                 f.get();
             } catch (const serve::ShardFailedError &) {
                 ++shard_failures;
             }
         }
-        for (auto &f : writes) {
-            try {
-                f.get();
-            } catch (const serve::ShardFailedError &) {
-                ++shard_failures;
-            }
-        }
-        reads.clear();
-        writes.clear();
+        pending.clear();
     };
     const auto t0 = std::chrono::steady_clock::now();
     for (std::uint64_t i = 0; i < accesses; ++i) {
@@ -252,11 +243,11 @@ replaySharded(const std::string &label, trace::RecordSource &gen,
         if (rec.write) {
             BlockData d{};
             d[0] = static_cast<std::uint8_t>(i);
-            writes.push_back(mem.submitWrite(block, d));
+            pending.push_back(mem.submitWrite(block, d));
         } else {
-            reads.push_back(mem.submitRead(block));
+            pending.push_back(mem.submitRead(block));
         }
-        if (reads.size() + writes.size() >= 64)
+        if (pending.size() >= 64)
             settle();
     }
     settle();

@@ -187,9 +187,8 @@ ObliviousKVStore::decodeRecord(const std::vector<BlockData> &blocks) const
     return std::make_pair(std::move(key), std::move(value));
 }
 
-template <typename T>
-T
-ObliviousKVStore::awaitFuture(std::future<T> &f, Addr block)
+BlockData
+ObliviousKVStore::awaitFuture(std::future<BlockData> &f, Addr block)
 {
     if (opDeadline_.count() > 0 &&
         f.wait_for(opDeadline_) == std::future_status::timeout)
@@ -275,8 +274,11 @@ ObliviousKVStore::runOps(std::vector<PlannedOp> &ops)
         return;
     }
 
-    kv_.incCounter("kv.batches");
-    kv_.sampleHistogram("kv.batch_size", ops.size());
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        kv_.incCounter("kv.batches");
+        kv_.histogram("kv.batch_size").sample(ops.size());
+    }
 
     // Ordered rounds: a key repeated inside one batch runs in a later
     // round, so same-key ops apply in submission order.
@@ -362,6 +364,8 @@ ObliviousKVStore::commitChunk(std::vector<PlannedOp *> &chunk)
         }
         if (!op->hit && !op->insert)
             kv_.incCounter("kv.dummy_ops");
+        if (op->mismatch)
+            kv_.incCounter("kv.key_mismatches");
         kv_.incCounter(op->hit ? "kv.hits" : "kv.misses");
         kv_.incCounter("kv.blocks_read", blocksPerSlot_);
         kv_.incCounter("kv.blocks_written", blocksPerSlot_);
@@ -412,7 +416,7 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
                 if (!rec || rec->first != op->key) {
                     // Corrupt record (e.g. byzantine damage): count
                     // it, serve a miss, but keep the access sequence.
-                    kv_.incCounter("kv.key_mismatches");
+                    op->mismatch = true;
                 } else {
                     op->found = true;
                     if (op->kind == OpKind::Get)
@@ -434,7 +438,7 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
     // commit, then report any error.
     std::exception_ptr error;
     try {
-        std::vector<std::future<void>> writes;
+        std::vector<std::future<BlockData>> writes;
         writes.reserve(chunk.size() * blocksPerSlot_);
         for (std::size_t i = 0; i < chunk.size(); ++i)
             for (unsigned b = 0; b < blocksPerSlot_; ++b) {
@@ -471,7 +475,7 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
     // FAIL control for the trace/schedule checkers.
     std::lock_guard<std::mutex> lk(mu_);
     kv_.incCounter("kv.batches");
-    kv_.sampleHistogram("kv.batch_size", ops.size());
+    kv_.histogram("kv.batch_size").sample(ops.size());
 
     for (PlannedOp &op : ops) {
         auto it = leakyIndex_.find(op.key);

@@ -231,6 +231,7 @@ class ObliviousKVStore
         bool hit = false;
         bool insert = false; ///< Put creating a new live key.
         bool full = false;   ///< Insert rejected: dummy + throw.
+        bool mismatch = false; ///< Hit slot held another key's record.
         std::uint64_t slot = 0; ///< Read, then written, by this op.
 
         std::optional<std::string> result;
@@ -271,8 +272,7 @@ class ObliviousKVStore
     std::optional<std::pair<std::string, std::string>>
     decodeRecord(const std::vector<BlockData> &blocks) const;
 
-    template <typename T>
-    T awaitFuture(std::future<T> &f, Addr block);
+    BlockData awaitFuture(std::future<BlockData> &f, Addr block);
 
     /** Bytes of record header: u16 key length + u32 value length. */
     static constexpr std::size_t headerBytes = 6;

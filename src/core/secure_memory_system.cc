@@ -168,10 +168,10 @@ SecureMemorySystem::readBlock(Addr block_index)
     return accessBlock(block_index, oram::OramOp::Read, nullptr);
 }
 
-void
+BlockData
 SecureMemorySystem::writeBlock(Addr block_index, const BlockData &data)
 {
-    accessBlock(block_index, oram::OramOp::Write, &data);
+    return accessBlock(block_index, oram::OramOp::Write, &data);
 }
 
 void

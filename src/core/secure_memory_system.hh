@@ -95,8 +95,8 @@ class SecureMemorySystem
     /** Read one 64-byte block. */
     BlockData readBlock(Addr block_index);
 
-    /** Write one 64-byte block. */
-    void writeBlock(Addr block_index, const BlockData &data);
+    /** Write one 64-byte block; returns its contents before the write. */
+    BlockData writeBlock(Addr block_index, const BlockData &data);
 
     /** Byte-granular read (spans blocks as needed). */
     void read(Addr byte_addr, void *out, std::size_t len);

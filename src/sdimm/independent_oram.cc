@@ -275,10 +275,6 @@ IndependentOram::fetch(unsigned src, Addr addr, LeafId old_local,
         noteUnitSuspicion(src, srcBlame);
     }
 
-    // The value served: a write whose block stays local gets only a
-    // dummy response back.
-    if (resp->dummy)
-        return BlockData{};
     return resp->data;
 }
 

@@ -179,13 +179,11 @@ SecureBuffer::handleAccess(const SealedMessage &msg)
         req.write ? oram::OramOp::Write : oram::OramOp::Read,
         req.write ? &req.data : nullptr);
 
-    if (keep && req.write) {
-        // Block stays local after a write: nothing useful to return.
-        resp.dummy = true;
-    } else {
-        resp.data = req.write ? req.data : old;
-        resp.dummy = false;
-    }
+    // The response carries the accessORAM result, the block's
+    // pre-write content; `dummy` marks a write whose block stays
+    // local, so the CPU has nothing to relocate.
+    resp.data = old;
+    resp.dummy = keep && req.write;
 
     lastResponsePlain_ = packResponse(resp);
     haveLastResponse_ = true;

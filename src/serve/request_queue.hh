@@ -10,9 +10,12 @@
  * round trip over a whole batch.
  *
  * The queue also keeps its own observability counters (depth
- * high-water, producer stalls, nanoseconds spent stalled) because the
- * interesting congestion events happen under the queue's own lock,
- * where the service cannot see them.
+ * high-water, producer stalls, nanoseconds spent stalled, the depth
+ * each accepted push finds, the size of each delivered batch) because
+ * the interesting congestion events happen under the queue's own
+ * lock, where the service cannot see them.  They are taken under that
+ * lock, so every accepted push and every delivered batch counts
+ * exactly once.
  */
 
 #ifndef SECUREDIMM_SERVE_REQUEST_QUEUE_HH
@@ -24,6 +27,8 @@
 #include <deque>
 #include <mutex>
 #include <vector>
+
+#include "util/metrics.hh"
 
 namespace secdimm::serve
 {
@@ -62,6 +67,7 @@ class BoundedMpscQueue
         }
         if (closed_)
             return false;
+        depth_.sample(q_.size());
         q_.push_back(std::move(item));
         if (q_.size() > highWater_)
             highWater_ = q_.size();
@@ -88,6 +94,8 @@ class BoundedMpscQueue
             q_.pop_front();
             ++n;
         }
+        if (n > 0)
+            batch_.sample(n);
         lk.unlock();
         if (n > 0)
             notFull_.notify_all();
@@ -146,6 +154,22 @@ class BoundedMpscQueue
         return stallNs_;
     }
 
+    /** Queue depth each accepted push found, one sample per push. */
+    util::LogHistogram
+    depthHistogram() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return depth_;
+    }
+
+    /** Size of each batch popBatch delivered, one sample per batch. */
+    util::LogHistogram
+    batchHistogram() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return batch_;
+    }
+
   private:
     mutable std::mutex mu_;
     std::condition_variable notFull_;
@@ -156,6 +180,8 @@ class BoundedMpscQueue
     std::size_t highWater_ = 0;
     std::uint64_t pushStalls_ = 0;
     std::uint64_t stallNs_ = 0;
+    util::LogHistogram depth_;
+    util::LogHistogram batch_;
 };
 
 } // namespace secdimm::serve

@@ -1,6 +1,7 @@
 #include "serve/sharded_memory.hh"
 
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -53,10 +54,6 @@ ShardedSecureMemory::ShardedSecureMemory(const Options &options)
             i == 0 ? local : std::min(min_local_blocks, local);
         queues_.push_back(std::make_unique<BoundedMpscQueue<Request>>(
             options.queueCapacity));
-        const std::string s = "serve.s" + std::to_string(i);
-        accessesName_.push_back(s + ".accesses");
-        batchSizeName_.push_back(s + ".batch_size");
-        queueDepthName_.push_back(s + ".queue_depth");
     }
     // Uniform interleaving: every shard must be able to hold block
     // indices 0..min-1, so the global space is min * N blocks.
@@ -85,6 +82,12 @@ ShardedSecureMemory::workerLoop(unsigned shard)
     std::vector<Request> batch;
     batch.reserve(maxBatch_);
     bool failed = false;
+    // One error object for every request of a failed shard.  The
+    // worker holds it until it exits, so a client's catch never races
+    // with the object's release (the exception's reference count is
+    // invisible to ThreadSanitizer).
+    const std::exception_ptr shardFailed =
+        std::make_exception_ptr(ShardFailedError(shard));
     for (;;) {
         batch.clear();
         const std::size_t n = q.popBatch(batch, maxBatch_);
@@ -113,11 +116,9 @@ ShardedSecureMemory::workerLoop(unsigned shard)
                     // A cover write (no payload) is served as a read
                     // access: the ORAM rewrites the block in place, and
                     // every protocol makes a read look like a write.
-                    BlockData d{};
-                    if (r.data)
-                        mem.writeBlock(r.local, *r.data);
-                    else
-                        d = mem.readBlock(r.local);
+                    const BlockData prior =
+                        r.data ? mem.writeBlock(r.local, *r.data)
+                               : mem.readBlock(r.local);
                     failed = !mem.integrityOk();
                     if (!failed) {
                         // Record before the client is released: its
@@ -127,27 +128,16 @@ ShardedSecureMemory::workerLoop(unsigned shard)
                         // protocol access, so it records nothing.
                         if (rec != nullptr)
                             rec->record(shard, r.write);
-                        if (r.write)
-                            r.writeDone.set_value();
-                        else
-                            r.readDone.set_value(d);
+                        r.done.set_value(prior);
                     }
                 } catch (...) {
                     failed = true;
                 }
             }
-            if (failed) {
-                auto err = std::make_exception_ptr(
-                    ShardFailedError(shard));
-                if (r.write)
-                    r.writeDone.set_exception(err);
-                else
-                    r.readDone.set_exception(err);
-            }
+            if (failed)
+                r.done.set_exception(shardFailed);
         }
         publishHealth(shard, failed);
-        live_.incCounter(accessesName_[shard], n);
-        live_.sampleHistogram(batchSizeName_[shard], n);
         noteCompleted(n);
     }
 }
@@ -171,16 +161,6 @@ ShardedSecureMemory::publishHealth(unsigned shard, bool failed)
 }
 
 void
-ShardedSecureMemory::noteSubmitted(unsigned shard)
-{
-    inflight_.fetch_add(1, std::memory_order_relaxed);
-    // Depth at submission time: an approximation (other producers
-    // race), but the histogram only needs the distribution shape.
-    live_.sampleHistogram(queueDepthName_[shard],
-                          queues_[shard]->size());
-}
-
-void
 ShardedSecureMemory::noteCompleted(std::size_t n)
 {
     if (inflight_.fetch_sub(n, std::memory_order_acq_rel) ==
@@ -191,7 +171,8 @@ ShardedSecureMemory::noteCompleted(std::size_t n)
 }
 
 std::future<BlockData>
-ShardedSecureMemory::submitRead(Addr block_index)
+ShardedSecureMemory::submit(Addr block_index, bool write,
+                            std::optional<BlockData> data)
 {
     if (block_index >= capacityBlocks_) {
         fatal("ShardedSecureMemory: block %llu out of range "
@@ -199,43 +180,31 @@ ShardedSecureMemory::submitRead(Addr block_index)
               static_cast<unsigned long long>(block_index),
               static_cast<unsigned long long>(capacityBlocks_));
     }
-    const unsigned shard = shardOf(block_index);
     Request r;
     r.local = localBlock(block_index);
-    r.write = false;
-    std::future<BlockData> f = r.readDone.get_future();
-    noteSubmitted(shard);
-    if (!queues_[shard]->push(std::move(r))) {
+    r.write = write;
+    r.data = std::move(data);
+    std::future<BlockData> f = r.done.get_future();
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    if (!queues_[shardOf(block_index)]->push(std::move(r))) {
         noteCompleted(1);
         throw std::runtime_error(
-            "ShardedSecureMemory: submitRead after shutdown");
+            "ShardedSecureMemory: request submitted after shutdown");
     }
     return f;
 }
 
-std::future<void>
+std::future<BlockData>
+ShardedSecureMemory::submitRead(Addr block_index)
+{
+    return submit(block_index, false, std::nullopt);
+}
+
+std::future<BlockData>
 ShardedSecureMemory::submitWrite(Addr block_index,
                                  const std::optional<BlockData> &data)
 {
-    if (block_index >= capacityBlocks_) {
-        fatal("ShardedSecureMemory: block %llu out of range "
-              "(capacity %llu blocks)",
-              static_cast<unsigned long long>(block_index),
-              static_cast<unsigned long long>(capacityBlocks_));
-    }
-    const unsigned shard = shardOf(block_index);
-    Request r;
-    r.local = localBlock(block_index);
-    r.write = true;
-    r.data = data;
-    std::future<void> f = r.writeDone.get_future();
-    noteSubmitted(shard);
-    if (!queues_[shard]->push(std::move(r))) {
-        noteCompleted(1);
-        throw std::runtime_error(
-            "ShardedSecureMemory: submitWrite after shutdown");
-    }
-    return f;
+    return submit(block_index, true, data);
 }
 
 BlockData
@@ -248,27 +217,6 @@ void
 ShardedSecureMemory::writeBlock(Addr block_index, const BlockData &data)
 {
     submitWrite(block_index, data).get();
-}
-
-BlockData
-ShardedSecureMemory::readBlockFor(Addr block_index,
-                                  std::chrono::milliseconds deadline)
-{
-    std::future<BlockData> f = submitRead(block_index);
-    if (f.wait_for(deadline) != std::future_status::ready)
-        throw RequestTimeoutError(shardOf(block_index), deadline);
-    return f.get();
-}
-
-void
-ShardedSecureMemory::writeBlockFor(Addr block_index,
-                                   const BlockData &data,
-                                   std::chrono::milliseconds deadline)
-{
-    std::future<void> f = submitWrite(block_index, data);
-    if (f.wait_for(deadline) != std::future_status::ready)
-        throw RequestTimeoutError(shardOf(block_index), deadline);
-    f.get();
 }
 
 void
@@ -305,7 +253,7 @@ ShardedSecureMemory::write(Addr byte_addr, const void *data,
                            std::size_t len)
 {
     const std::uint8_t *src = static_cast<const std::uint8_t *>(data);
-    std::vector<std::future<void>> done;
+    std::vector<std::future<BlockData>> done;
     while (len > 0) {
         const Addr block = byte_addr / blockBytes;
         const std::size_t off = byte_addr % blockBytes;
@@ -372,13 +320,12 @@ ShardedSecureMemory::metrics()
     unsigned byzShards = 0;
     for (unsigned i = 0; i < numShards_; ++i) {
         const std::string s = "serve.s" + std::to_string(i);
-        const std::uint64_t acc = live_.counter(accessesName_[i]);
+        const util::LogHistogram batches = queues_[i]->batchHistogram();
+        const auto acc = static_cast<std::uint64_t>(batches.sum());
         total += acc;
-        out.setCounter(accessesName_[i], acc);
-        if (const auto *h = live_.findHistogram(batchSizeName_[i]))
-            out.histogram(batchSizeName_[i]).merge(*h);
-        if (const auto *h = live_.findHistogram(queueDepthName_[i]))
-            out.histogram(queueDepthName_[i]).merge(*h);
+        out.setCounter(s + ".accesses", acc);
+        out.histogram(s + ".batch_size") = batches;
+        out.histogram(s + ".queue_depth") = queues_[i]->depthHistogram();
         out.setGauge(s + ".queue_high_water",
                      static_cast<double>(queues_[i]->highWater()));
         out.setCounter(s + ".enqueue_stalls",

@@ -20,10 +20,16 @@
  *    different shards, so multi-block spans fan out in parallel);
  *  - asynchronous futures: submitRead/submitWrite enqueue and return
  *    immediately (or block briefly on a full queue -- that is the
- *    backpressure), completing on the shard worker.
+ *    backpressure).  Both return a future of the block's contents
+ *    before the access, resolved once by the shard worker.
  *
  * Batching: each worker drains up to Options::maxBatch requests per
- * wakeup; maxBatch == 1 disables batching.  See docs/SHARDING.md.
+ * wakeup; maxBatch == 1 disables batching.
+ *
+ * The shards share nothing mutable: the per-shard request queues are
+ * the only cross-thread structures, and the serve.* counters live in
+ * them, under the lock every request already takes.  See
+ * docs/SHARDING.md.
  */
 
 #ifndef SECUREDIMM_SERVE_SHARDED_MEMORY_HH
@@ -81,11 +87,11 @@ class ShardFailedError : public std::runtime_error
 
 /**
  * Typed per-request deadline error: the caller bounded its wait
- * (readBlockFor/writeBlockFor) and the shard worker did not complete
- * the request in time.  Unlike ShardFailedError this says nothing
- * about the shard's health -- the request is still queued and WILL
- * complete (accepted work is never dropped); only the caller's wait
- * was cut short.
+ * (app::ObliviousKVStore::Options::opDeadline) and the shard worker
+ * did not complete the request in time.  Unlike ShardFailedError this
+ * says nothing about the shard's health -- the request is still
+ * queued and WILL complete (accepted work is never dropped); only the
+ * caller's wait was cut short.
  */
 class RequestTimeoutError : public std::runtime_error
 {
@@ -178,30 +184,22 @@ class ShardedSecureMemory
     shardOptions(const Options &options, unsigned i);
 
     /* ---- asynchronous API ---------------------------------------- */
-    /** Enqueue a block read; the future resolves on the shard worker.
-     *  Blocks only while the target shard's queue is full. */
+    /** Enqueue a block read; the future resolves on the shard worker
+     *  with the block's contents.  Blocks only while the target
+     *  shard's queue is full. */
     std::future<BlockData> submitRead(Addr block_index);
 
-    /** Enqueue a block write; the future resolves once durable in the
-     *  shard's ORAM.  Without @p data it is a cover write: one ORAM
-     *  access that rewrites the block in place, which the channel and
-     *  the schedule cannot tell from a write with data. */
-    std::future<void> submitWrite(Addr block_index,
-                                  const std::optional<BlockData> &data);
+    /** Enqueue a block write; the future resolves, with the block's
+     *  contents from before the write, once the write is durable in
+     *  the shard's ORAM.  Without @p data it is a cover write: one
+     *  ORAM access that rewrites the block in place, which the
+     *  channel and the schedule cannot tell from a write with data. */
+    std::future<BlockData> submitWrite(Addr block_index,
+                                       const std::optional<BlockData> &data);
 
     /* ---- synchronous facade -------------------------------------- */
     BlockData readBlock(Addr block_index);
     void writeBlock(Addr block_index, const BlockData &data);
-
-    /** readBlock with a bounded wait: throws RequestTimeoutError if
-     *  the shard worker has not completed the request within
-     *  @p deadline.  The request itself is NOT cancelled. */
-    BlockData readBlockFor(Addr block_index,
-                           std::chrono::milliseconds deadline);
-
-    /** writeBlock with a bounded wait (see readBlockFor). */
-    void writeBlockFor(Addr block_index, const BlockData &data,
-                       std::chrono::milliseconds deadline);
 
     /** Byte-granular read; spans blocks (and therefore shards) as
      *  needed, fanning the per-block reads out concurrently. */
@@ -230,12 +228,12 @@ class ShardedSecureMemory
 
     /* ---- introspection ------------------------------------------- */
     /**
-     * Aggregated snapshot: `serve.*` service counters (per-shard
-     * access counts, batch-size and queue-depth histograms, queue
-     * high-water, producer stalls) plus the merge of every shard's
-     * SecureMemorySystem registry (counters add, histograms merge;
-     * see docs/METRICS.md).  Drains first, so it must not race with
-     * active producers.
+     * Aggregated snapshot: `serve.*` service counters, read from the
+     * shard queues (per-shard access counts, batch-size and
+     * queue-depth histograms, queue high-water, producer stalls)
+     * plus the merge of every shard's SecureMemorySystem registry
+     * (counters add, histograms merge; see docs/METRICS.md).  Drains
+     * first, so it must not race with active producers.
      */
     util::MetricsRegistry metrics();
 
@@ -295,13 +293,13 @@ class ShardedSecureMemory
     {
         Addr local = 0;
         bool write = false;
-        std::optional<BlockData> data; ///< nullopt: cover write.
-        std::promise<BlockData> readDone;
-        std::promise<void> writeDone;
+        std::optional<BlockData> data; ///< nullopt: read or cover write.
+        std::promise<BlockData> done;  ///< Contents before the access.
     };
 
+    std::future<BlockData> submit(Addr block_index, bool write,
+                                  std::optional<BlockData> data);
     void workerLoop(unsigned shard);
-    void noteSubmitted(unsigned shard);
     void noteCompleted(std::size_t n);
 
     /** Re-derive and publish shard @p shard's health gauge. */
@@ -317,15 +315,6 @@ class ShardedSecureMemory
     /** Worker-published ShardHealth per shard (atomics are not
      *  movable, hence the unique_ptr array). */
     std::unique_ptr<std::atomic<int>[]> health_;
-
-    /** serve.sN.* metric names, precomputed per shard. */
-    std::vector<std::string> accessesName_;
-    std::vector<std::string> batchSizeName_;
-    std::vector<std::string> queueDepthName_;
-
-    /** Shared worker-written registry -- the thread-safe path of
-     *  util::MetricsRegistry is load-bearing here. */
-    util::MetricsRegistry live_;
 
     std::atomic<std::uint64_t> inflight_{0};
     std::mutex idleMu_;

@@ -87,46 +87,6 @@ LogHistogram::restore(std::vector<std::uint64_t> buckets,
 
 /* ----------------------------- registry --------------------------- */
 
-MetricsRegistry::MetricsRegistry(const MetricsRegistry &other)
-{
-    std::lock_guard<std::mutex> lk(other.mu_);
-    counters_ = other.counters_;
-    gauges_ = other.gauges_;
-    histograms_ = other.histograms_;
-}
-
-MetricsRegistry::MetricsRegistry(MetricsRegistry &&other) noexcept
-{
-    std::lock_guard<std::mutex> lk(other.mu_);
-    counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
-}
-
-MetricsRegistry &
-MetricsRegistry::operator=(const MetricsRegistry &other)
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lk(mu_, other.mu_);
-    counters_ = other.counters_;
-    gauges_ = other.gauges_;
-    histograms_ = other.histograms_;
-    return *this;
-}
-
-MetricsRegistry &
-MetricsRegistry::operator=(MetricsRegistry &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    std::scoped_lock lk(mu_, other.mu_);
-    counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
-    return *this;
-}
-
 void
 MetricsRegistry::checkKind(const std::string &name, int kind) const
 {
@@ -141,7 +101,6 @@ MetricsRegistry::checkKind(const std::string &name, int kind) const
 void
 MetricsRegistry::incCounter(const std::string &name, std::uint64_t n)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     checkKind(name, 0);
     counters_[name] += n;
 }
@@ -149,7 +108,6 @@ MetricsRegistry::incCounter(const std::string &name, std::uint64_t n)
 void
 MetricsRegistry::setCounter(const std::string &name, std::uint64_t v)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     checkKind(name, 0);
     counters_[name] = v;
 }
@@ -157,7 +115,6 @@ MetricsRegistry::setCounter(const std::string &name, std::uint64_t v)
 std::uint64_t
 MetricsRegistry::counter(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = counters_.find(name);
     return it == counters_.end() ? 0 : it->second;
 }
@@ -165,7 +122,6 @@ MetricsRegistry::counter(const std::string &name) const
 void
 MetricsRegistry::setGauge(const std::string &name, double v)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     checkKind(name, 1);
     gauges_[name] = v;
 }
@@ -173,7 +129,6 @@ MetricsRegistry::setGauge(const std::string &name, double v)
 double
 MetricsRegistry::gauge(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = gauges_.find(name);
     return it == gauges_.end() ? 0.0 : it->second;
 }
@@ -181,24 +136,13 @@ MetricsRegistry::gauge(const std::string &name) const
 LogHistogram &
 MetricsRegistry::histogram(const std::string &name)
 {
-    std::lock_guard<std::mutex> lk(mu_);
     checkKind(name, 2);
     return histograms_[name];
-}
-
-void
-MetricsRegistry::sampleHistogram(const std::string &name,
-                                 std::uint64_t v)
-{
-    std::lock_guard<std::mutex> lk(mu_);
-    checkKind(name, 2);
-    histograms_[name].sample(v);
 }
 
 const LogHistogram *
 MetricsRegistry::findHistogram(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     auto it = histograms_.find(name);
     return it == histograms_.end() ? nullptr : &it->second;
 }
@@ -206,7 +150,6 @@ MetricsRegistry::findHistogram(const std::string &name) const
 bool
 MetricsRegistry::has(const std::string &name) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return counters_.count(name) || gauges_.count(name) ||
            histograms_.count(name);
 }
@@ -214,7 +157,6 @@ MetricsRegistry::has(const std::string &name) const
 std::vector<std::string>
 MetricsRegistry::names() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     std::vector<std::string> out;
     out.reserve(counters_.size() + gauges_.size() + histograms_.size());
     for (const auto &kv : counters_)
@@ -232,7 +174,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
 {
     if (this == &other)
         return;
-    std::scoped_lock lk(mu_, other.mu_);
     for (const auto &kv : other.counters_) {
         checkKind(kv.first, 0);
         counters_[kv.first] += kv.second;
@@ -250,7 +191,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
 void
 MetricsRegistry::reset()
 {
-    std::lock_guard<std::mutex> lk(mu_);
     counters_.clear();
     gauges_.clear();
     histograms_.clear();
@@ -259,7 +199,6 @@ MetricsRegistry::reset()
 bool
 MetricsRegistry::empty() const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
@@ -318,7 +257,6 @@ writeObject(JsonWriter &w, int level, const Map &map, Fn &&value_fn)
 std::string
 MetricsRegistry::toJson(int indent) const
 {
-    std::lock_guard<std::mutex> lk(mu_);
     JsonWriter w(indent);
     w.out += '{';
     w.newline(1);

@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,24 +70,12 @@ class LogHistogram
  * counts; gauges are point-in-time doubles (rates, averages, energy);
  * histograms are LogHistograms of repeated samples.
  *
- * Thread safety: every named operation (incCounter, setGauge,
- * sampleHistogram, counter, merge, toJson, ...) is internally
- * mutex-guarded, so N worker threads may export into one shared
- * registry (the src/serve shards do).  The two escape hatches are
- * histogram(), whose returned reference may only be sampled while no
- * other thread touches the registry, and the raw counters() /
- * gauges() / histograms() map accessors, which likewise require the
- * registry to be quiescent.
+ * A plain value type with no internal locking: an owner that shares
+ * one across threads guards it with its own lock.
  */
 class MetricsRegistry
 {
   public:
-    MetricsRegistry() = default;
-    MetricsRegistry(const MetricsRegistry &other);
-    MetricsRegistry(MetricsRegistry &&other) noexcept;
-    MetricsRegistry &operator=(const MetricsRegistry &other);
-    MetricsRegistry &operator=(MetricsRegistry &&other) noexcept;
-
     /* --- counters ------------------------------------------------ */
     void incCounter(const std::string &name, std::uint64_t n = 1);
     void setCounter(const std::string &name, std::uint64_t v);
@@ -99,16 +86,9 @@ class MetricsRegistry
     double gauge(const std::string &name) const;
 
     /* --- histograms ---------------------------------------------- */
-    /**
-     * Get-or-create; throws std::logic_error on kind collision.
-     * The reference is stable, but sampling through it is NOT
-     * synchronized -- concurrent writers use sampleHistogram().
-     */
+    /** Get-or-create; throws std::logic_error on kind collision. */
     LogHistogram &histogram(const std::string &name);
     const LogHistogram *findHistogram(const std::string &name) const;
-
-    /** Record one sample under the registry lock (get-or-create). */
-    void sampleHistogram(const std::string &name, std::uint64_t v);
 
     bool has(const std::string &name) const;
 
@@ -147,11 +127,9 @@ class MetricsRegistry
     static std::optional<MetricsRegistry> fromJson(const std::string &text);
 
   private:
-    /** Throws std::logic_error if @p name exists under another kind.
-     *  Caller holds mu_. */
+    /** Throws std::logic_error if @p name exists under another kind. */
     void checkKind(const std::string &name, int kind) const;
 
-    mutable std::mutex mu_;
     std::map<std::string, std::uint64_t> counters_;
     std::map<std::string, double> gauges_;
     std::map<std::string, LogHistogram> histograms_;

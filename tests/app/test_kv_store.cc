@@ -226,12 +226,30 @@ TEST(KvStore, RequestTimeoutPropagates)
     ObliviousKVStore store(opt);
 
     store.service().holdWorkers(true);
-    EXPECT_THROW((void)store.get("victim"), serve::RequestTimeoutError);
+    bool timed_out = false;
+    try {
+        (void)store.get("victim");
+    } catch (const serve::RequestTimeoutError &e) {
+        timed_out = true;
+        // The op waits first on block 0 of its slot, which every
+        // slot places on shard 0.
+        EXPECT_EQ(e.shard(), 0u);
+        EXPECT_NE(std::string(e.what()).find("1 ms"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(timed_out);
 
     store.service().holdWorkers(false);
     store.drain();
+    const util::MetricsRegistry m = store.metrics();
     // The op timed out before its writes: no get was committed.
-    EXPECT_EQ(store.metrics().counter("kv.gets"), 0u);
+    EXPECT_EQ(m.counter("kv.gets"), 0u);
+    // Accepted work is never dropped: the timed-out op's reads were
+    // still served once the workers were released.
+    EXPECT_EQ(m.counter("serve.requests"), store.blocksPerSlot());
+    for (unsigned s = 0; s < store.service().numShards(); ++s)
+        EXPECT_EQ(store.service().shardHealth(s),
+                  serve::ShardHealth::Healthy);
 }
 
 TEST(KvStore, ShardFailedPropagatesAndStoreStaysUp)

@@ -91,7 +91,7 @@ runWorkload(const ShardedSecureMemory::Options &opt,
     BlockData d{};
     d[0] = 0x5a;
     std::vector<std::future<BlockData>> reads;
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> writes;
     for (std::size_t idx : submit_order) {
         const Addr block = region_offset + ops[idx].base;
         if (ops[idx].write)

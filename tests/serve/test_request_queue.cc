@@ -2,7 +2,9 @@
  * @file
  * BoundedMpscQueue unit tests: FIFO order, batch pop bounds, the
  * blocking backpressure path, close semantics (accepted items still
- * drain, later pushes are rejected), and the congestion counters.
+ * drain, later pushes are rejected), and the congestion counters,
+ * including the depth and batch-size histograms taken under the
+ * queue's lock.
  */
 
 #include <gtest/gtest.h>
@@ -142,6 +144,51 @@ TEST(BoundedMpscQueue, CloseWhileProducersBlockedOnFullQueue)
     EXPECT_EQ(out, (std::vector<int>{100, 101}));
     EXPECT_EQ(q.popBatch(out, 10), 0u);
     EXPECT_FALSE(q.push(7));
+}
+
+TEST(BoundedMpscQueue, EveryAcceptedPushSamplesTheDepthItFound)
+{
+    BoundedMpscQueue<int> q(8);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(q.push(i)); // Finds depths 0, 1, 2.
+    std::vector<int> out;
+    ASSERT_EQ(q.popBatch(out, 2), 2u);
+    ASSERT_TRUE(q.push(3)); // Finds depth 1.
+    const util::LogHistogram h = q.depthHistogram();
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_EQ(h.sum(), 0.0 + 1 + 2 + 1);
+    EXPECT_EQ(h.max(), 2u);
+}
+
+TEST(BoundedMpscQueue, EveryDeliveredBatchSamplesItsSize)
+{
+    BoundedMpscQueue<int> q(16);
+    for (int i = 0; i < 11; ++i)
+        ASSERT_TRUE(q.push(i));
+    std::vector<int> out;
+    std::size_t delivered = 0, batches = 0;
+    while (delivered < 11) {
+        delivered += q.popBatch(out, 4); // Batches of 4, 4, 3.
+        ++batches;
+    }
+    const util::LogHistogram h = q.batchHistogram();
+    EXPECT_EQ(h.count(), batches);
+    EXPECT_EQ(h.sum(), static_cast<double>(delivered));
+    EXPECT_EQ(h.max(), 4u);
+    q.close();
+    EXPECT_EQ(q.popBatch(out, 4), 0u); // The empty close signal...
+    EXPECT_EQ(q.batchHistogram().count(), batches); // ...is no batch.
+}
+
+TEST(BoundedMpscQueue, PushAfterCloseCountsNothing)
+{
+    BoundedMpscQueue<int> q(4);
+    ASSERT_TRUE(q.push(1));
+    q.close();
+    EXPECT_FALSE(q.push(2));
+    EXPECT_EQ(q.depthHistogram().count(), 1u);
+    EXPECT_EQ(q.highWater(), 1u);
+    EXPECT_EQ(q.pushStalls(), 0u);
 }
 
 } // namespace

@@ -60,7 +60,7 @@ TEST(ShardFailure, DeadShardResolvesTypedErrorsAndDrains)
 
     // Interleave both shards; every shard-1 future must resolve (not
     // hang) and, once the shard is dead, resolve ShardFailedError.
-    std::vector<std::future<void>> live, dead;
+    std::vector<std::future<BlockData>> live, dead;
     for (std::uint64_t i = 0; i < 64; ++i) {
         live.push_back(mem.submitWrite(2 * i, stamp(i)));     // shard 0
         dead.push_back(mem.submitWrite(2 * i + 1, stamp(i))); // shard 1

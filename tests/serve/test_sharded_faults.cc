@@ -81,7 +81,7 @@ TEST(ShardedFaults, AsyncBatchesRecoverTransientFaults)
     // per-shard FIFO means the read observes exactly the writes
     // enqueued before it, regardless of what lands on the block later.
     std::vector<std::pair<std::uint64_t, std::future<BlockData>>> reads;
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> writes;
     for (std::size_t i = 0; i < 600; ++i) {
         const Addr a = rng.nextBelow(cap);
         if (rng.nextBool(0.5)) {
@@ -140,7 +140,7 @@ TEST(ShardedFaults, MergedMetricsAggregateFaultCounters)
 
 TEST(ShardedFaults, ShutdownCompletesFaultyInflightWork)
 {
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> writes;
     std::vector<std::future<BlockData>> reads;
     {
         ShardedSecureMemory mem(faultyOptions(4, 34));

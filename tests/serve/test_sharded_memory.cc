@@ -1,7 +1,8 @@
 /**
  * @file
  * ShardedSecureMemory semantics: topology/capacity, read-your-writes
- * through the sync facade and the future API, cross-shard
+ * through the sync facade and the future API, the prior contents
+ * every write future resolves with, cross-shard
  * byte-granular ops that straddle shard boundaries, backpressure
  * bounds, shutdown with in-flight requests, and the aggregated
  * serve.* metrics snapshot.
@@ -9,9 +10,9 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <future>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,7 +77,7 @@ TEST(ShardedMemory, ReadYourWritesSyncFacade)
 TEST(ShardedMemory, FutureApiResolvesInOrderPerShard)
 {
     ShardedSecureMemory mem(smallOptions(2));
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> writes;
     for (Addr a = 0; a < 16; ++a) {
         BlockData d{};
         d[1] = static_cast<std::uint8_t>(a * 3);
@@ -172,7 +173,7 @@ TEST(ShardedMemory, BackpressureBoundsQueueDepth)
     opt.queueCapacity = 4;
     opt.maxBatch = 2;
     ShardedSecureMemory mem(opt);
-    std::vector<std::future<void>> fs;
+    std::vector<std::future<BlockData>> fs;
     for (Addr a = 0; a < 64; ++a)
         fs.push_back(mem.submitWrite(a % mem.capacityBlocks(), BlockData{}));
     for (auto &f : fs)
@@ -190,7 +191,7 @@ TEST(ShardedMemory, BackpressureBoundsQueueDepth)
 
 TEST(ShardedMemory, ShutdownWithInflightCompletesEverything)
 {
-    std::vector<std::future<void>> writes;
+    std::vector<std::future<BlockData>> writes;
     std::vector<std::future<BlockData>> reads;
     {
         ShardedSecureMemory mem(smallOptions(4));
@@ -228,6 +229,14 @@ TEST(ShardedMemory, MetricsAggregateAcrossShards)
         per_shard_sum += m.counter(p + ".accesses");
         EXPECT_GT(m.counter(p + ".accesses"), 0u)
             << "interleaving left shard " << s << " idle";
+        // One depth sample per request routed to the shard, taken
+        // under the queue lock, so the count is exact.
+        unsigned routed = 0;
+        for (Addr a = 0; a < kOps; ++a)
+            routed += mem.shardOf(a % mem.capacityBlocks()) == s;
+        const auto *depth = m.findHistogram(p + ".queue_depth");
+        ASSERT_NE(depth, nullptr);
+        EXPECT_EQ(depth->count(), routed) << "shard " << s;
     }
     EXPECT_EQ(per_shard_sum, kOps);
     // Merged shard registries: core.accesses sums every shard's
@@ -237,49 +246,38 @@ TEST(ShardedMemory, MetricsAggregateAcrossShards)
     EXPECT_EQ(mem.accessCount(), m.counter("core.accesses"));
 }
 
-TEST(ShardedMemory, DeadlineExpiryThrowsTypedTimeout)
+TEST(ShardedMemory, WriteFuturesResolveWithPriorContents)
 {
-    // Bury the timed request behind a backlog on its shard, bound the
-    // wait at zero: the typed timeout must fire, name the shard, and
-    // leave the request running -- accepted work is never dropped, so
-    // the same block reads back fine after a drain.
-    ShardedSecureMemory::Options opt = smallOptions(2);
-    opt.queueCapacity = 256;
-    opt.maxBatch = 1;
-    ShardedSecureMemory mem(opt);
-    BlockData d{};
-    d[3] = 99;
-    mem.writeBlock(0, d);
-    mem.drain();
-
-    std::vector<std::future<BlockData>> backlog;
-    for (unsigned i = 0; i < 200; ++i)
-        backlog.push_back(mem.submitRead(0));
-    bool timed_out = false;
-    try {
-        mem.readBlockFor(0, std::chrono::milliseconds(0));
-    } catch (const RequestTimeoutError &e) {
-        timed_out = true;
-        EXPECT_EQ(e.shard(), 0u);
-        EXPECT_NE(std::string(e.what()).find("0 ms"),
-                  std::string::npos);
+    for (auto proto : {core::SecureMemorySystem::Protocol::PathOram,
+                       core::SecureMemorySystem::Protocol::Freecursive,
+                       core::SecureMemorySystem::Protocol::Independent,
+                       core::SecureMemorySystem::Protocol::Split,
+                       core::SecureMemorySystem::Protocol::IndepSplit}) {
+        SCOPED_TRACE(static_cast<int>(proto));
+        ShardedSecureMemory mem(smallOptions(2, proto));
+        BlockData prior{}; // A never-written block reads as zeros.
+        // Several rewrites, so the unit designs see the block both
+        // stay in its unit and move to another.
+        for (std::uint8_t v = 1; v <= 8; ++v) {
+            BlockData next{};
+            next[0] = v;
+            EXPECT_EQ(mem.submitWrite(5, next).get(), prior) << int(v);
+            prior = next;
+        }
+        EXPECT_EQ(mem.readBlock(5), prior);
+        EXPECT_TRUE(mem.integrityOk());
     }
-    EXPECT_TRUE(timed_out);
-    for (auto &f : backlog)
-        EXPECT_EQ(f.get()[3], 99);
-    // The timed-out request still completed; the shard is healthy.
-    mem.drain();
-    EXPECT_EQ(mem.shardHealth(0), ShardHealth::Healthy);
-    EXPECT_EQ(mem.readBlockFor(0, std::chrono::seconds(10))[3], 99);
 }
 
-TEST(ShardedMemory, GenerousDeadlineBehavesLikeSyncFacade)
+TEST(ShardedMemory, CoverWriteResolvesWithCurrentContentsUnchanged)
 {
     ShardedSecureMemory mem(smallOptions(2));
     BlockData d{};
-    d[1] = 7;
-    mem.writeBlockFor(3, d, std::chrono::seconds(10));
-    EXPECT_EQ(mem.readBlockFor(3, std::chrono::seconds(10))[1], 7);
+    d[9] = 0x5a;
+    mem.writeBlock(6, d);
+    EXPECT_EQ(mem.submitWrite(6, std::nullopt).get(), d);
+    EXPECT_EQ(mem.readBlock(6), d);
+    EXPECT_EQ(mem.metrics().counter("serve.requests"), 3u);
 }
 
 TEST(ShardedMemory, SingleShardDegeneratesToPlainSystem)

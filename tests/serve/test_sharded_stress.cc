@@ -104,7 +104,7 @@ TEST(ShardedStress, PipelinedAsyncWindowsAcrossClients)
         clients.emplace_back([&mem, c] {
             // Keep a window of futures in flight, exercising the
             // backpressure path (windows exceed queueCapacity).
-            std::vector<std::future<void>> window;
+            std::vector<std::future<BlockData>> window;
             for (unsigned i = 0; i < kOpsPerClient; ++i) {
                 BlockData d{};
                 d[0] = static_cast<std::uint8_t>(c);
@@ -141,7 +141,7 @@ TEST(ShardedStress, ShutdownRacesWithActiveClients)
     std::atomic<unsigned> rejected{0};
     for (unsigned c = 0; c < kClients; ++c) {
         clients.emplace_back([&mem, &rejected, c] {
-            std::vector<std::future<void>> fs;
+            std::vector<std::future<BlockData>> fs;
             for (unsigned i = 0; i < kOpsPerClient; ++i) {
                 try {
                     fs.push_back(
