@@ -19,12 +19,18 @@ namespace
 {
 
 /**
- * PathOram: top tree levels kept in trusted memory (the paper's ORAM
- * cache; the timing layer's SystemConfig::cachedLevels).  Capped at
- * half the tree's levels, so at least half of every path stays in
- * DRAM.
+ * PathOram and Split: top tree levels kept in trusted memory (the
+ * paper's ORAM cache; the timing layer's SystemConfig::cachedLevels).
+ * Capped at half the tree's levels, so at least half of every path
+ * stays in DRAM.
  */
-constexpr unsigned kPathOramCachedLevels = 7;
+constexpr unsigned kOramCacheLevels = 7;
+
+unsigned
+oramCacheLevels(unsigned levels)
+{
+    return std::min(kOramCacheLevels, (levels + 1) / 2);
+}
 
 } // namespace
 
@@ -43,8 +49,7 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
       case Protocol::PathOram: {
         params.levels =
             oram::levelsForCapacity(want_blocks, params.bucketBlocks);
-        params.cachedLevels =
-            std::min(kPathOramCachedLevels, (params.levels + 1) / 2);
+        params.cachedLevels = oramCacheLevels(params.levels);
         auto o = std::make_unique<oram::PathOram>(
             params, crypto::makeKey(0xdeed, options.seed),
             crypto::makeKey(0xfeed, options.seed * 3 + 1),
@@ -90,6 +95,7 @@ SecureMemorySystem::SecureMemorySystem(const Options &options)
         SD_ASSERT(blockBytes % options_.numSdimms == 0);
         params.levels =
             oram::levelsForCapacity(want_blocks, params.bucketBlocks);
+        params.cachedLevels = oramCacheLevels(params.levels);
         sdimm::SplitOram::Params sp;
         sp.tree = params;
         sp.slices = options_.numSdimms;

@@ -56,10 +56,7 @@ unpackAccess(const std::vector<std::uint8_t> &b)
 std::vector<std::uint8_t>
 packResponse(const AccessResponse &r)
 {
-    std::vector<std::uint8_t> b(responseBodyBytes);
-    std::memcpy(b.data(), r.data.data(), blockBytes);
-    b[blockBytes] = r.dummy ? 1 : 0;
-    return b;
+    return {r.data.begin(), r.data.end()};
 }
 
 std::optional<AccessResponse>
@@ -69,7 +66,6 @@ unpackResponse(const std::vector<std::uint8_t> &b)
         return std::nullopt;
     AccessResponse r;
     std::memcpy(r.data.data(), b.data(), blockBytes);
-    r.dummy = b[blockBytes] != 0;
     return r;
 }
 
@@ -173,17 +169,14 @@ SecureBuffer::handleAccess(const SealedMessage &msg)
     while (!xfer_.empty())
         serviceTransferQueue();
 
-    const bool keep = req.newLocalLeaf != invalidLeaf;
     const BlockData old = oram_->accessExplicit(
         req.addr, req.localLeaf, req.newLocalLeaf,
         req.write ? oram::OramOp::Write : oram::OramOp::Read,
         req.write ? &req.data : nullptr);
 
     // The response carries the accessORAM result, the block's
-    // pre-write content; `dummy` marks a write whose block stays
-    // local, so the CPU has nothing to relocate.
+    // pre-write content.
     resp.data = old;
-    resp.dummy = keep && req.write;
 
     lastResponsePlain_ = packResponse(resp);
     haveLastResponse_ = true;

@@ -25,7 +25,7 @@ namespace secdimm::sdimm
 
 /** Fixed wire sizes of the Independent-protocol messages. */
 inline constexpr std::size_t accessBodyBytes = 8 + 8 + 8 + 1 + blockBytes;
-inline constexpr std::size_t responseBodyBytes = blockBytes + 1;
+inline constexpr std::size_t responseBodyBytes = blockBytes;
 inline constexpr std::size_t appendBodyBytes = 1 + 8 + 8 + blockBytes;
 
 /** Plaintext content of an ACCESS message. */
@@ -39,11 +39,11 @@ struct AccessRequest
     BlockData data{};
 };
 
-/** Plaintext content of the buffer's response. */
+/** Plaintext content of the buffer's response: the block's pre-write
+ *  content. */
 struct AccessResponse
 {
     BlockData data{};
-    bool dummy = false;
 };
 
 /** Plaintext content of an APPEND message. */

@@ -54,11 +54,14 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
       mac_(crypto::makeKey(0x3ac5 ^ seed, 0x91b2 ^ (seed << 2))),
       rng_(seed),
       slices_(params.slices),
+      cached_(((std::uint64_t{1} << params.tree.cachedLevels) - 1) *
+              params.tree.bucketBlocks),
       posMap_(params.tree.capacityBlocks()),
       shadow_(params.tree.stashCapacity)
 {
     SD_ASSERT(params_.slices >= 1);
     SD_ASSERT(blockBytes % params_.slices == 0);
+    SD_ASSERT(params_.tree.cachedLevels <= params_.tree.levels + 1);
     const unsigned s = params_.slices;
     const unsigned z = params_.tree.bucketBlocks;
     const std::uint64_t buckets = params_.tree.numBuckets();
@@ -84,8 +87,22 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
     scratch_.image.resize(imageBytes_);
     scratch_.ok.reset(new bool[std::size_t{params_.tree.levels + 1} * s]);
 
-    // Initialize every bucket empty.
+    // Seal every uncached bucket empty (counter 1); the cached ones
+    // start as empty trusted slots and are never sealed.  The walk
+    // goes in arena order, skipping the cached seqs: a walk in level
+    // order would stride across the whole arena once per level.
+    std::vector<std::uint64_t> cached_seqs;
+    for (unsigned level = 0; level < params_.tree.cachedLevels; ++level) {
+        for (std::uint64_t i = 0; i < (std::uint64_t{1} << level); ++i)
+            cached_seqs.push_back(layout_.bucketSeq({level, i}));
+    }
+    std::sort(cached_seqs.begin(), cached_seqs.end());
+    auto next_cached = cached_seqs.begin();
     for (std::uint64_t seq = 0; seq < buckets; ++seq) {
+        if (next_cached != cached_seqs.end() && *next_cached == seq) {
+            ++next_cached;
+            continue;
+        }
         scratch_.meta.assign(z, MetaSlot{});
         sealMeta(seq, 1);
         for (unsigned slot = 0; slot < z; ++slot) {
@@ -226,6 +243,15 @@ SplitOram::openPiece(const ShadowEntry &e) const
                      e.srcCounter);
 }
 
+BlockData
+SplitOram::fetchStash(const ShadowEntry &e)
+{
+    transferChannel(blockBytes, "split.fetch_stash");
+    const BlockData data = openPiece(e);
+    freeSlots_.push_back(e.stashIdx);
+    return data;
+}
+
 void
 SplitOram::sealMeta(std::uint64_t seq, std::uint64_t counter)
 {
@@ -280,8 +306,24 @@ SplitOram::readPath(LeafId leaf)
     expected.clear();
     fetched.clear();
     for (unsigned level = 0; level <= params_.tree.levels; ++level) {
-        const std::uint64_t seq = layout_.bucketSeq(
-            oram::pathBucket(leaf, level, params_.tree.levels));
+        const oram::BucketPos pos =
+            oram::pathBucket(leaf, level, params_.tree.levels);
+        if (level < params_.tree.cachedLevels) {
+            // Cached bucket: its blocks are already at the CPU.
+            const CachedSlot *bucket = cachedBucket(pos);
+            for (unsigned slot = 0; slot < z; ++slot) {
+                const CachedSlot &c = bucket[slot];
+                if (c.addr != invalidAddr &&
+                    !shadow_.put({.addr = c.addr, .leaf = c.leaf,
+                                  .cpuResident = true, .data = c.data})) {
+                    panic("split shadow stash overflow: capacity %u "
+                          "exceeded",
+                          shadow_.capacity());
+                }
+            }
+            continue;
+        }
+        const std::uint64_t seq = layout_.bucketSeq(pos);
 
         // Each SDIMM verifies its slice MAC (FETCH_DATA step).  With
         // an injector armed the fetched image may carry a transient
@@ -351,8 +393,23 @@ SplitOram::writePath(LeafId leaf)
     // CPU: the stash's greedy rule picks each bucket's blocks.
     shadow_.evict(leaf, L, z, [&](unsigned level,
                                   std::span<const ShadowEntry *const> fill) {
-        const std::uint64_t seq =
-            layout_.bucketSeq(oram::pathBucket(leaf, level, L));
+        const oram::BucketPos pos = oram::pathBucket(leaf, level, L);
+        if (level < params_.tree.cachedLevels) {
+            // Cached bucket: the CPU keeps the plaintext, pulling in a
+            // piece-resident block first.
+            CachedSlot *bucket = cachedBucket(pos);
+            for (unsigned slot = 0; slot < z; ++slot) {
+                if (slot >= fill.size()) {
+                    bucket[slot] = CachedSlot{};
+                    continue;
+                }
+                const ShadowEntry &e = *fill[slot];
+                bucket[slot] = {e.addr, e.leaf,
+                                e.cpuResident ? e.data : fetchStash(e)};
+            }
+            return;
+        }
+        const std::uint64_t seq = layout_.bucketSeq(pos);
         scratch_.seqs.push_back(seq);
         const std::uint64_t new_ctr = slices_[0].counter[seq] + 1;
 
@@ -402,7 +459,7 @@ SplitOram::writePath(LeafId leaf)
         }
     });
 
-    // Fresh slice MACs for the whole path.
+    // Fresh slice MACs for the path's uncached buckets.
     tagSlices(scratch_.seqs.data(), scratch_.seqs.size());
 }
 
@@ -440,9 +497,7 @@ SplitOram::accessExplicit(Addr addr, LeafId old_leaf, LeafId new_leaf,
     BlockData old_value{};
     if (e != nullptr) {
         if (!e->cpuResident) {
-            transferChannel(blockBytes, "split.fetch_stash");
-            e->data = openPiece(*e);
-            freeSlots_.push_back(e->stashIdx);
+            e->data = fetchStash(*e);
             e->cpuResident = true;
         }
         old_value = e->data;
@@ -503,31 +558,26 @@ SplitOram::auditInvariants(bool check_posmap,
 
     const unsigned z = params_.tree.bucketBlocks;
     const unsigned L = params_.tree.levels;
+    const unsigned k = params_.tree.cachedLevels;
     const unsigned cap = params_.tree.stashCapacity;
     const std::uint64_t buckets = params_.tree.numBuckets();
 
-    // 1. Per-slice storage shape, replicated counters, slice MACs.
+    // 1. Storage shape: per-slice arenas and arrays, the cached slots.
     for (unsigned j = 0; j < params_.slices; ++j) {
         const Slice &sl = slices_[j];
         check(sl.arena.size() == pieceOff(cap) &&
                   sl.counter.size() == buckets && sl.mac.size() == buckets,
               "slice ", j, ": storage not sized to ", buckets,
               " buckets and ", cap, " stash slots");
-        for (std::uint64_t seq = 0; seq < buckets; ++seq) {
-            check(sl.counter[seq] == slices_[0].counter[seq], "bucket ",
-                  seq, ": slice ", j, " counter diverges from slice 0");
-            const crypto::PmmacItem it = sliceItem(j, seq);
-            check(mac_.verify(it.id, it.counter, it.data, it.len,
-                              sl.mac[seq]),
-                  "bucket ", seq, ": slice ", j,
-                  " MAC mismatch (tampered or stale)");
-        }
     }
+    check(cached_.size() == ((std::uint64_t{1} << k) - 1) * z,
+          "cached slots not sized to ", k, " levels");
 
-    // 2. Decrypt every bucket's metadata and check placement: a real
-    //    block stored at (level, index) must have a leaf whose path
-    //    passes through that bucket, and no address may appear twice
-    //    (tree or shadow stash).
+    // 2. Walk every bucket.  An uncached one has replicated counters
+    //    and valid slice MACs; a cached one was never sealed into any
+    //    slice.  Placement: a real block stored at (level, index)
+    //    must have a leaf whose path passes through that bucket, and
+    //    no address may appear twice (tree or shadow stash).
     std::unordered_set<Addr> seen;
     std::vector<MetaSlot> meta(z);
     for (unsigned level = 0; level <= L; ++level) {
@@ -535,7 +585,29 @@ SplitOram::auditInvariants(bool check_posmap,
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const oram::BucketPos pos{level, index};
             const std::uint64_t seq = layout_.bucketSeq(pos);
-            decodeMeta(seq, meta.data());
+            for (unsigned j = 0; j < params_.slices; ++j) {
+                const Slice &sl = slices_[j];
+                if (level < k) {
+                    check(sl.counter[seq] == 0, "cached bucket ", seq,
+                          ": sealed into slice ", j);
+                    continue;
+                }
+                check(sl.counter[seq] == slices_[0].counter[seq],
+                      "bucket ", seq, ": slice ", j,
+                      " counter diverges from slice 0");
+                const crypto::PmmacItem it = sliceItem(j, seq);
+                check(mac_.verify(it.id, it.counter, it.data, it.len,
+                                  sl.mac[seq]),
+                      "bucket ", seq, ": slice ", j,
+                      " MAC mismatch (tampered or stale)");
+            }
+            if (level < k) {
+                const CachedSlot *bucket = cachedBucket(pos);
+                for (unsigned slot = 0; slot < z; ++slot)
+                    meta[slot] = {bucket[slot].addr, bucket[slot].leaf};
+            } else {
+                decodeMeta(seq, meta.data());
+            }
             for (unsigned slot = 0; slot < z; ++slot) {
                 const auto [a, l] = meta[slot];
                 if (a == invalidAddr)
@@ -600,6 +672,8 @@ SplitOram::tamperSlice(unsigned slice, std::uint64_t bucket_seq,
 {
     SD_ASSERT(bucket_seq < params_.tree.numBuckets() &&
               slot < params_.tree.bucketBlocks && byte_index < shareBytes_);
+    // Only a cached bucket is never sealed.
+    SD_ASSERT(slices_.at(slice).counter[bucket_seq] != 0);
     slices_.at(slice).arena[dataOff(bucket_seq, slot) + byte_index] ^=
         0x01;
 }
@@ -608,9 +682,13 @@ std::vector<oram::StashEntry>
 SplitOram::residentBlocks() const
 {
     std::vector<oram::StashEntry> out;
+    for (const CachedSlot &c : cached_) {
+        if (c.addr != invalidAddr)
+            out.push_back({c.addr, c.leaf, c.data});
+    }
     std::vector<MetaSlot> meta(params_.tree.bucketBlocks);
     const unsigned L = params_.tree.levels;
-    for (unsigned level = 0; level <= L; ++level) {
+    for (unsigned level = params_.tree.cachedLevels; level <= L; ++level) {
         const std::uint64_t level_width = std::uint64_t{1} << level;
         for (std::uint64_t index = 0; index < level_width; ++index) {
             const std::uint64_t seq =

@@ -28,6 +28,17 @@
  * image where it lies: one Pmmac::tagBatch per path write and one
  * Pmmac::verifyBatch per path read.
  *
+ * ORAM cache: the top OramParams::cachedLevels levels never reach the
+ * SDIMMs.  The CPU holds both slices of each of their buckets as
+ * plaintext slots {addr, leaf, data} in one trusted array (level
+ * order, bucketSeqBfs), as oram::PathOram keeps its cached levels.
+ * A path read moves their blocks straight into the shadow stash as
+ * CPU-resident entries; slice-MAC checks, metadata decoding, piece
+ * moves and channel charges cover levels k..L only.  A piece-resident
+ * block evicted into a cached bucket is first pulled to the CPU
+ * (FETCH_STASH, charged to the channel).  The arenas never hold a
+ * cached bucket: its slice images stay unsealed, counter 0.
+ *
  * DESIGN.md substitution note: bucket counters are replicated per
  * slice instead of bit-split, letting each SDIMM verify its slice MAC
  * at read time.  Wire sizes are modeled as if split (the timing layer
@@ -150,7 +161,15 @@ class SplitOram final : public oram::OramEngine
     }
     unsigned slices() const { return params_.slices; }
 
-    /** Tamper with one slice's stored share (integrity tests). */
+    /** Slice @p slice's stored counter of bucket @p seq (0: never
+     *  sealed, as every cached bucket stays). */
+    std::uint64_t sliceCounter(unsigned slice, std::uint64_t seq) const
+    {
+        return slices_.at(slice).counter.at(seq);
+    }
+
+    /** Tamper with one slice's stored share (integrity tests).  A
+     *  cached bucket has no stored share: asserts. */
     void tamperSlice(unsigned slice, std::uint64_t bucket_seq,
                      unsigned slot, std::size_t byte_index);
 
@@ -195,8 +214,9 @@ class SplitOram final : public oram::OramEngine
                     std::uint64_t *checks_run = nullptr) const;
 
     /**
-     * Every live block in this group with its leaf -- decrypted tree
-     * slots plus the shadow stash (CPU- or piece-resident).
+     * Every live block in this group with its leaf -- cached slots,
+     * decrypted tree slots and the shadow stash (CPU- or
+     * piece-resident).
      * Maintenance-path read used by INDEP-SPLIT group evacuation after
      * a quarantine (the raw slice shares are still readable even when
      * the group's protocol engines are dead, docs/FAULTS.md) and by
@@ -218,6 +238,8 @@ class SplitOram final : public oram::OramEngine
                    static_cast<double>(shadow_.size()));
         m.setCounter(prefix + ".channel_bytes", stats_.channelBytes);
         m.setCounter(prefix + ".local_bytes", stats_.localBytes);
+        m.setGauge(prefix + ".cached_levels",
+                   static_cast<double>(params_.tree.cachedLevels));
     }
 
     /** Fold this group's crypto work into @p t (crypto.* metrics). */
@@ -235,6 +257,14 @@ class SplitOram final : public oram::OramEngine
         std::vector<std::uint8_t> arena;
         std::vector<std::uint64_t> counter; ///< [bucket], replicated.
         std::vector<crypto::Tag64> mac;     ///< [bucket] slice MAC.
+    };
+
+    /** One slot of a cached bucket, held in plaintext at the CPU. */
+    struct CachedSlot
+    {
+        Addr addr = invalidAddr;
+        LeafId leaf = invalidLeaf;
+        BlockData data{};
     };
 
     /** One metadata slot as encrypted: 16 bytes, no padding. */
@@ -303,6 +333,23 @@ class SplitOram final : public oram::OramEngine
                         std::uint64_t counter) const;
     BlockData openPiece(const ShadowEntry &e) const;
 
+    /**
+     * FETCH_STASH: pull piece-resident @p e to the CPU (channel
+     * charge), free its piece slot and return its plaintext.
+     */
+    BlockData fetchStash(const ShadowEntry &e);
+
+    /** The Z trusted slots of cached bucket @p pos. */
+    CachedSlot *cachedBucket(const oram::BucketPos &pos)
+    {
+        return cached_.data() +
+               oram::bucketSeqBfs(pos) * params_.tree.bucketBlocks;
+    }
+    const CachedSlot *cachedBucket(const oram::BucketPos &pos) const
+    {
+        return const_cast<SplitOram *>(this)->cachedBucket(pos);
+    }
+
     /** Encrypt scratch_.meta / scratch_.block into every slice. */
     void sealMeta(std::uint64_t seq, std::uint64_t counter);
     void sealBlock(std::uint64_t seq, unsigned slot,
@@ -330,6 +377,8 @@ class SplitOram final : public oram::OramEngine
     std::size_t imageBytes_;     ///< One bucket's slice image.
 
     std::vector<Slice> slices_;
+    /** The (2^cachedLevels - 1) * Z slots of the cached buckets. */
+    std::vector<CachedSlot> cached_;
     std::vector<LeafId> posMap_;
     ShadowStash shadow_;
     /** Free piece-stash slots, the same in every slice (LIFO). */

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "core/secure_memory_system.hh"
 
@@ -162,6 +163,33 @@ TEST(SecureMemorySystem, SplitWithFourSlices)
     char got[sizeof(msg)];
     mem.read(0, got, sizeof(got));
     EXPECT_EQ(std::memcmp(got, msg, sizeof(msg)), 0);
+}
+
+TEST(SecureMemorySystem, PathOramAndSplitCacheTheirTopLevels)
+{
+    // The ORAM cache: 7 top levels, capped at half the tree's levels.
+    // 64 KiB is a 10-level tree (cap 5), 4 MiB a 16-level one (7).
+    // The other protocols keep every level in DRAM.
+    const std::pair<std::uint64_t, double> cases[] = {{64 << 10, 5.0},
+                                                      {4 << 20, 7.0}};
+    for (const auto &[capacity, cached] : cases) {
+        EXPECT_EQ(SecureMemorySystem(opts(Protocol::PathOram, capacity))
+                      .metrics()
+                      .gauge("oram.data.cached_levels"),
+                  cached);
+        EXPECT_EQ(SecureMemorySystem(opts(Protocol::Split, capacity))
+                      .metrics()
+                      .gauge("sdimm.split.cached_levels"),
+                  cached);
+    }
+    EXPECT_EQ(SecureMemorySystem(opts(Protocol::Independent))
+                  .metrics()
+                  .gauge("sdimm.buf0.oram.cached_levels"),
+              0.0);
+    EXPECT_EQ(SecureMemorySystem(opts(Protocol::IndepSplit))
+                  .metrics()
+                  .gauge("sdimm.indep_split.g0.cached_levels"),
+              0.0);
 }
 
 } // namespace

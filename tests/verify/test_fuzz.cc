@@ -288,9 +288,13 @@ TEST(MessageRegression, WrongSizeBodiesYieldNullopt)
             sdimm::unpackAccess(std::vector<std::uint8_t>(n)).has_value())
             << n;
     }
-    EXPECT_FALSE(sdimm::unpackResponse(
-                     std::vector<std::uint8_t>(responseBodyBytes - 1))
-                     .has_value());
+    EXPECT_EQ(responseBodyBytes, blockBytes);
+    for (const std::size_t n :
+         {responseBodyBytes - 1, responseBodyBytes + 1}) {
+        EXPECT_FALSE(
+            sdimm::unpackResponse(std::vector<std::uint8_t>(n)).has_value())
+            << n;
+    }
     EXPECT_FALSE(sdimm::unpackAppend(
                      std::vector<std::uint8_t>(appendBodyBytes + 7))
                      .has_value());
@@ -323,6 +327,13 @@ TEST(MessageRegression, PackUnpackRoundTrip)
     EXPECT_EQ(parsed->newLocalLeaf, req.newLocalLeaf);
     EXPECT_EQ(parsed->write, req.write);
     EXPECT_EQ(parsed->data, req.data);
+
+    sdimm::AccessResponse resp;
+    resp.data[1] = 0x3c;
+    resp.data[62] = 0xc3;
+    const auto got = sdimm::unpackResponse(sdimm::packResponse(resp));
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->data, resp.data);
 }
 
 } // namespace
