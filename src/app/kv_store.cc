@@ -187,14 +187,18 @@ ObliviousKVStore::decodeRecord(const std::vector<BlockData> &blocks) const
     return std::make_pair(std::move(key), std::move(value));
 }
 
-BlockData
-ObliviousKVStore::awaitFuture(std::future<BlockData> &f, Addr block)
+std::vector<BlockData>
+ObliviousKVStore::runSlot(std::uint64_t slot, unsigned blocks,
+                          const std::vector<BlockData> *payload)
 {
-    if (opDeadline_.count() > 0 &&
-        f.wait_for(opDeadline_) == std::future_status::timeout)
-        throw serve::RequestTimeoutError(mem_->shardOf(block),
-                                         opDeadline_);
-    return f.get();
+    std::vector<serve::BlockRequest> reqs(blocks);
+    for (unsigned b = 0; b < blocks; ++b) {
+        reqs[b].block = blockOf(slot, b);
+        reqs[b].write = payload != nullptr;
+        if (payload != nullptr)
+            reqs[b].data = (*payload)[b];
+    }
+    return mem_->submitGroup(std::move(reqs))->wait(opDeadline_);
 }
 
 /* ---- public API ---------------------------------------------------- */
@@ -393,24 +397,25 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
         planChunk(chunk, lk);
     }
 
-    // Phase R: fan every op's slot reads out, then await.  An error
-    // here has written nothing, so the chunk commits nothing.
+    // Phase R: every op's slot reads as one group.  An error here has
+    // written nothing, so the chunk commits nothing.
     // Phase W payloads: a record, an empty record, or nullopt for a
     // cover write that the shard rewrites in place.
     std::vector<std::optional<std::vector<BlockData>>> payloads(
         chunk.size());
     try {
-        std::vector<std::future<BlockData>> reads;
+        std::vector<serve::BlockRequest> reads;
         reads.reserve(chunk.size() * blocksPerSlot_);
         for (PlannedOp *op : chunk)
             for (unsigned b = 0; b < blocksPerSlot_; ++b)
-                reads.push_back(mem_->submitRead(blockOf(op->slot, b)));
-        std::size_t r = 0;
+                reads.push_back({blockOf(op->slot, b), false, std::nullopt});
+        const std::vector<BlockData> got =
+            mem_->submitGroup(std::move(reads))->wait(opDeadline_);
         for (std::size_t i = 0; i < chunk.size(); ++i) {
             PlannedOp *op = chunk[i];
-            std::vector<BlockData> blocks(blocksPerSlot_);
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++r)
-                blocks[b] = awaitFuture(reads[r], blockOf(op->slot, b));
+            const auto first = got.begin() + i * blocksPerSlot_;
+            const std::vector<BlockData> blocks(first,
+                                                first + blocksPerSlot_);
             if (op->hit) {
                 auto rec = decodeRecord(blocks);
                 if (!rec || rec->first != op->key) {
@@ -434,11 +439,11 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
     }
 
     // Phase W: every op writes exactly blocksPerSlot_ blocks of the
-    // slot it read.  Once they are submitted the op has taken effect:
-    // commit, then report any error.
+    // slot it read, as one group.  Once they are submitted the op has
+    // taken effect: commit, then report any error.
     std::exception_ptr error;
     try {
-        std::vector<std::future<BlockData>> writes;
+        std::vector<serve::BlockRequest> writes;
         writes.reserve(chunk.size() * blocksPerSlot_);
         for (std::size_t i = 0; i < chunk.size(); ++i)
             for (unsigned b = 0; b < blocksPerSlot_; ++b) {
@@ -446,12 +451,9 @@ ObliviousKVStore::runChunk(std::vector<PlannedOp *> &chunk)
                 if (payloads[i])
                     data = (*payloads[i])[b];
                 writes.push_back(
-                    mem_->submitWrite(blockOf(chunk[i]->slot, b), data));
+                    {blockOf(chunk[i]->slot, b), true, std::move(data)});
             }
-        std::size_t w = 0;
-        for (PlannedOp *op : chunk)
-            for (unsigned b = 0; b < blocksPerSlot_; ++b, ++w)
-                awaitFuture(writes[w], blockOf(op->slot, b));
+        mem_->submitGroup(std::move(writes))->wait(opDeadline_);
     } catch (...) {
         error = std::current_exception();
     }
@@ -486,11 +488,8 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
             kv_.incCounter("kv.gets");
             if (!op.hit)
                 break; // Miss: zero accesses -- the leak.
-            std::vector<BlockData> blocks(it->second.blocks);
-            for (unsigned b = 0; b < it->second.blocks; ++b) {
-                auto f = mem_->submitRead(blockOf(it->second.slot, b));
-                blocks[b] = awaitFuture(f, blockOf(it->second.slot, b));
-            }
+            std::vector<BlockData> blocks =
+                runSlot(it->second.slot, it->second.blocks, nullptr);
             kv_.incCounter("kv.blocks_read", it->second.blocks);
             std::vector<BlockData> padded = blocks;
             padded.resize(blocksPerSlot_);
@@ -517,10 +516,7 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
                  blockBytes - 1) /
                 blockBytes);
             const auto payload = encodeRecord(op.key, op.value);
-            for (unsigned b = 0; b < used; ++b) {
-                auto f = mem_->submitWrite(blockOf(slot, b), payload[b]);
-                awaitFuture(f, blockOf(slot, b));
-            }
+            runSlot(slot, used, &payload);
             kv_.incCounter("kv.blocks_written", used);
             kv_.incCounter(op.hit ? "kv.updates" : "kv.inserts");
             leakyIndex_[op.key] = LeakyEntry{slot, used};

@@ -37,7 +37,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -146,11 +145,14 @@ class ObliviousKVStore
          *  by the usual per-component derivation). */
         std::uint64_t seed = 1;
 
-        /** Per-block-request wait bound; 0 = unbounded.  On expiry
-         *  the op throws serve::RequestTimeoutError.  Expiry in the
-         *  read phase leaves the op without effect (nothing written,
-         *  nothing committed); expiry in the write phase comes after
-         *  every write was submitted, so the op commits first and the
+        /** Per-block-request wait bound; 0 = unbounded.  Each phase
+         *  waits on its requests as one group, and times out once the
+         *  bound passes with none of them completing; the op then
+         *  throws serve::RequestTimeoutError naming the shard of the
+         *  first request still incomplete.  Expiry in the read phase
+         *  leaves the op without effect (nothing written, nothing
+         *  committed); expiry in the write phase comes after every
+         *  write was submitted, so the op commits first and the
          *  queued writes still land before any later op on the slot. */
         std::chrono::milliseconds opDeadline{0};
     };
@@ -272,7 +274,11 @@ class ObliviousKVStore
     std::optional<std::pair<std::string, std::string>>
     decodeRecord(const std::vector<BlockData> &blocks) const;
 
-    BlockData awaitFuture(std::future<BlockData> &f, Addr block);
+    /** Leaky control I/O: read (@p payload null) or write the first
+     *  @p blocks blocks of @p slot as one group, bounded by
+     *  opDeadline_. */
+    std::vector<BlockData> runSlot(std::uint64_t slot, unsigned blocks,
+                                   const std::vector<BlockData> *payload);
 
     /** Bytes of record header: u16 key length + u32 value length. */
     static constexpr std::size_t headerBytes = 6;

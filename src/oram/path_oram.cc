@@ -29,15 +29,22 @@ PathOram::PathOram(const OramParams &params,
     pathSeqs_.reserve(params_.levels + 1);
     // Every bucket starts as the all-dummy image: the uncached levels
     // written once to the store (counter 1), the cached ones in
-    // trusted memory, never in the store.
+    // trusted memory, never in the store.  The store walk goes in
+    // arena order, skipping the cached seqs: a walk in level order
+    // would stride across the whole arena once per level.
     const Bucket empty(params_.bucketBlocks);
     for (std::size_t off = 0; off < cached_.size();
          off += store_.imageBytes())
         empty.toImageInto(cached_.data() + off);
-    for (unsigned level = params_.cachedLevels; level <= params_.levels;
-         ++level) {
-        for (std::uint64_t i = 0; i < (std::uint64_t{1} << level); ++i)
-            store_.writeBucket(layout_.bucketSeq({level, i}), empty);
+    const std::vector<std::uint64_t> cached_seqs =
+        layout_.seqsAbove(params_.cachedLevels);
+    auto next_cached = cached_seqs.begin();
+    for (std::uint64_t seq = 0; seq < layout_.numBuckets(); ++seq) {
+        if (next_cached != cached_seqs.end() && *next_cached == seq) {
+            ++next_cached;
+            continue;
+        }
+        store_.writeBucket(seq, empty);
     }
     for (auto &leaf : posMap_)
         leaf = rng_.nextBelow(params_.numLeaves());

@@ -1,5 +1,7 @@
 #include "oram/tree_layout.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 
 namespace secdimm::oram
@@ -43,6 +45,18 @@ TreeLayout::bucketSeq(const BucketPos &b) const
     const std::uint64_t local =
         ((std::uint64_t{1} << depth) - 1) + local_in_level;
     return superBase_[super] + root * superSize_[super] + local;
+}
+
+std::vector<std::uint64_t>
+TreeLayout::seqsAbove(unsigned levels) const
+{
+    std::vector<std::uint64_t> seqs;
+    for (unsigned level = 0; level < levels; ++level) {
+        for (std::uint64_t i = 0; i < (std::uint64_t{1} << level); ++i)
+            seqs.push_back(bucketSeq({level, i}));
+    }
+    std::sort(seqs.begin(), seqs.end());
+    return seqs;
 }
 
 void

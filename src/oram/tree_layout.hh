@@ -82,6 +82,12 @@ class TreeLayout
     unsigned subtreeLevels() const { return subtreeLevels_; }
     std::uint64_t numBuckets() const { return totalBuckets_; }
 
+    /** Packed sequence numbers of every bucket in levels
+     *  [0, @p levels), ascending: the ORAM cache's buckets, so a
+     *  constructor can skip them while it walks the store in arena
+     *  order. */
+    std::vector<std::uint64_t> seqsAbove(unsigned levels) const;
+
     /**
      * Append the line addresses of every bucket on the path to
      * @p leaf, for levels [first_level, L], to @p out.

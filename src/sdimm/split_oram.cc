@@ -91,12 +91,8 @@ SplitOram::SplitOram(const Params &params, std::uint64_t seed)
     // start as empty trusted slots and are never sealed.  The walk
     // goes in arena order, skipping the cached seqs: a walk in level
     // order would stride across the whole arena once per level.
-    std::vector<std::uint64_t> cached_seqs;
-    for (unsigned level = 0; level < params_.tree.cachedLevels; ++level) {
-        for (std::uint64_t i = 0; i < (std::uint64_t{1} << level); ++i)
-            cached_seqs.push_back(layout_.bucketSeq({level, i}));
-    }
-    std::sort(cached_seqs.begin(), cached_seqs.end());
+    const std::vector<std::uint64_t> cached_seqs =
+        layout_.seqsAbove(params_.tree.cachedLevels);
     auto next_cached = cached_seqs.begin();
     for (std::uint64_t seq = 0; seq < buckets; ++seq) {
         if (next_cached != cached_seqs.end() && *next_cached == seq) {

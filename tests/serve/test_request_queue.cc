@@ -2,14 +2,16 @@
  * @file
  * BoundedMpscQueue unit tests: FIFO order, batch pop bounds, the
  * blocking backpressure path, close semantics (accepted items still
- * drain, later pushes are rejected), and the congestion counters,
+ * drain, later pushes are rejected), the congestion counters,
  * including the depth and batch-size histograms taken under the
- * queue's lock.
+ * queue's lock, ready() for polling consumers, and the spinner cap
+ * of spinUntil.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -189,6 +191,44 @@ TEST(BoundedMpscQueue, PushAfterCloseCountsNothing)
     EXPECT_EQ(q.depthHistogram().count(), 1u);
     EXPECT_EQ(q.highWater(), 1u);
     EXPECT_EQ(q.pushStalls(), 0u);
+}
+
+TEST(BoundedMpscQueue, ReadyTracksItemsAndClose)
+{
+    BoundedMpscQueue<int> q(4);
+    EXPECT_FALSE(q.ready());
+    ASSERT_TRUE(q.push(1));
+    EXPECT_TRUE(q.ready());
+    std::vector<int> out;
+    q.popBatch(out, 4);
+    EXPECT_FALSE(q.ready());
+    q.close();
+    EXPECT_TRUE(q.ready()); // popBatch would return 0 at once.
+}
+
+TEST(SpinUntil, ReturnsOnceReadyWithinItsBound)
+{
+    std::atomic<bool> flag{false};
+    std::thread setter([&] { flag.store(true); });
+    const bool ok =
+        spinUntil(std::chrono::seconds(10), [&] { return flag.load(); });
+    setter.join();
+    // With no spare CPU the caller parks at once instead.
+    if (spinCap() > 0) {
+        EXPECT_TRUE(ok);
+    }
+    EXPECT_TRUE(spinUntil(std::chrono::seconds(0), [] { return true; }));
+}
+
+TEST(SpinUntil, ParksAtOnceWhenBusyThreadsFillTheSpareCpus)
+{
+    // Busy workers and spinners count alike.
+    busyThreads.fetch_add(spinCap());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(spinUntil(std::chrono::seconds(10), [] { return false; }));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+    busyThreads.fetch_sub(spinCap());
+    EXPECT_EQ(busyThreads.load(), 0u);
 }
 
 } // namespace

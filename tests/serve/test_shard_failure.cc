@@ -85,6 +85,33 @@ TEST(ShardFailure, DeadShardResolvesTypedErrorsAndDrains)
     EXPECT_EQ(mem.readBlock(0), stamp(0));
 }
 
+TEST(ShardFailure, GroupSpanningDeadShardResolvesTyped)
+{
+    ShardedSecureMemory mem(halfDeadOptions(5));
+    // Each group spans both shards; once shard 1 is dead, every
+    // group resolves with its typed error -- never hangs -- and a
+    // group on shard 0 alone still succeeds.
+    unsigned typed = 0;
+    for (std::uint64_t round = 0; round < 16; ++round) {
+        std::vector<BlockRequest> reqs;
+        for (std::uint64_t i = 0; i < 8; ++i)
+            reqs.push_back({i, true, stamp(round * 8 + i)});
+        try {
+            mem.submitGroup(reqs)->wait();
+        } catch (const ShardFailedError &e) {
+            EXPECT_EQ(e.shard(), 1u);
+            ++typed;
+        }
+    }
+    EXPECT_GT(typed, 0u) << "the lethal plan never fired";
+    ASSERT_EQ(mem.shardHealth(1), ShardHealth::Failed);
+    std::vector<BlockRequest> live = {{0, false, std::nullopt},
+                                      {2, false, std::nullopt}};
+    const std::vector<BlockData> got = mem.submitGroup(live)->wait();
+    EXPECT_EQ(got[0], stamp(15 * 8 + 0));
+    EXPECT_EQ(got[1], stamp(15 * 8 + 2));
+}
+
 TEST(ShardFailure, SyncFacadeRethrowsShardFailed)
 {
     ShardedSecureMemory mem(halfDeadOptions(9));

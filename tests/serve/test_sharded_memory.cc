@@ -4,12 +4,16 @@
  * through the sync facade and the future API, the prior contents
  * every write future resolves with, cross-shard
  * byte-granular ops that straddle shard boundaries, backpressure
- * bounds, shutdown with in-flight requests, and the aggregated
- * serve.* metrics snapshot.
+ * bounds, shutdown with in-flight requests, the aggregated
+ * serve.* metrics snapshot, and group completions: submission-order
+ * results, the per-request deadline, and a timed-out group that
+ * still completes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <optional>
@@ -289,6 +293,144 @@ TEST(ShardedMemory, SingleShardDegeneratesToPlainSystem)
     mem.writeBlock(9, d);
     EXPECT_EQ(mem.readBlock(9)[7], 42);
     EXPECT_EQ(mem.metrics().counter("serve.s0.accesses"), 2u);
+}
+
+BlockData
+tagged(Addr block, std::uint8_t version)
+{
+    BlockData d{};
+    std::memcpy(d.data(), &block, sizeof block);
+    d[63] = version;
+    return d;
+}
+
+TEST(ShardedMemory, GroupResultsComeInSubmissionOrder)
+{
+    // A group far larger than a batch and a queue: its requests
+    // reach the workers over many batches and backpressure stalls,
+    // yet every result lands at its own index, exactly once.
+    ShardedSecureMemory mem(smallOptions(4));
+    constexpr Addr kBlocks = 40;
+    std::vector<BlockRequest> writes;
+    for (Addr a = 0; a < kBlocks; ++a)
+        writes.push_back({a, true, tagged(a, 1)});
+    for (const BlockData &prior : mem.submitGroup(writes)->wait())
+        EXPECT_EQ(prior, BlockData{});
+
+    // Reads in a shuffled order, then a read/write/read ladder on one
+    // block: per-shard FIFO inside the group.
+    std::vector<Addr> order;
+    for (Addr a = 0; a < kBlocks; ++a)
+        order.push_back((a * 17) % kBlocks);
+    std::vector<BlockRequest> mixed;
+    for (Addr a : order)
+        mixed.push_back({a, false, std::nullopt});
+    mixed.push_back({7, true, tagged(7, 2)});
+    mixed.push_back({7, false, std::nullopt});
+    mixed.push_back({7, true, std::nullopt}); // Cover write.
+    const std::vector<BlockData> got = mem.submitGroup(mixed)->wait();
+    ASSERT_EQ(got.size(), mixed.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(got[i], tagged(order[i], 1)) << "index " << i;
+    EXPECT_EQ(got[kBlocks], tagged(7, 1));
+    EXPECT_EQ(got[kBlocks + 1], tagged(7, 2));
+    EXPECT_EQ(got[kBlocks + 2], tagged(7, 2));
+    EXPECT_EQ(mem.metrics().counter("serve.requests"),
+              kBlocks + mixed.size());
+}
+
+TEST(ShardedMemory, ByteSpansReadEdgesOnceThenWriteEveryBlock)
+{
+    // A span write reads only its partial edge blocks, then writes
+    // every block it touches; a span read reads each block once.
+    ShardedSecureMemory mem(smallOptions(4));
+    struct Span
+    {
+        Addr addr;
+        std::size_t len;
+        std::uint64_t requests; ///< Write's edge reads + writes + read.
+    };
+    const std::vector<Span> spans = {
+        {64 * 3, 64 * 5, 5 + 5},          // aligned: no edge reads
+        {64 * 10 + 7, 64 * 5, 2 + 6 + 6}, // both edges partial
+        {64 * 20 + 5, 10, 1 + 1 + 1},     // inside one block
+        {64 * 30, 64 + 9, 1 + 2 + 2},     // partial last edge only
+        {64 * 40 + 60, 4, 1 + 1 + 1},     // ends on a block boundary
+    };
+    std::uint64_t expected = 0;
+    for (const Span &sp : spans) {
+        std::vector<std::uint8_t> in(sp.len), out(sp.len);
+        for (std::size_t i = 0; i < sp.len; ++i)
+            in[i] = static_cast<std::uint8_t>(sp.addr + 3 * i + 1);
+        mem.write(sp.addr, in.data(), sp.len);
+        mem.read(sp.addr, out.data(), sp.len);
+        EXPECT_EQ(in, out) << "span at " << sp.addr;
+        expected += sp.requests;
+        EXPECT_EQ(mem.metrics().counter("serve.requests"), expected)
+            << "span at " << sp.addr;
+    }
+    // Bytes outside every span stayed zero.
+    std::uint8_t before = 0xff, after = 0xff;
+    mem.read(64 * 10 + 6, &before, 1);
+    mem.read(64 * 30 + 64 + 9, &after, 1);
+    EXPECT_EQ(before, 0);
+    EXPECT_EQ(after, 0);
+}
+
+TEST(ShardedMemory, TimedOutGroupStillCompletes)
+{
+    // Held workers: the wait times out and names the shard of the
+    // group's first request.  The waiter then lets go of the group,
+    // and the released workers still complete every request.
+    ShardedSecureMemory mem(smallOptions(2));
+    mem.holdWorkers(true);
+    std::vector<BlockRequest> reqs;
+    for (Addr a = 1; a <= 6; ++a)
+        reqs.push_back({a, true, tagged(a, 3)});
+    auto group = mem.submitGroup(reqs);
+    try {
+        (void)group->wait(std::chrono::milliseconds(1));
+        ADD_FAILURE() << "a held group must time out";
+    } catch (const RequestTimeoutError &e) {
+        EXPECT_EQ(e.shard(), mem.shardOf(1));
+        EXPECT_EQ(e.shard(), 1u);
+    }
+    group.reset();
+    mem.holdWorkers(false);
+    mem.drain();
+    EXPECT_EQ(mem.metrics().counter("serve.requests"), reqs.size());
+    for (Addr a = 1; a <= 6; ++a)
+        EXPECT_EQ(mem.readBlock(a), tagged(a, 3));
+}
+
+TEST(ShardedMemory, GroupDeadlineRunsFromLastProgress)
+{
+    // The deadline bounds each request, not the group: a group that
+    // takes several deadlines in all, but completes a request every
+    // few microseconds, never times out.
+    ShardedSecureMemory::Options opt = smallOptions(1);
+    opt.queueCapacity = 1 << 16; // Submission never waits on the worker.
+    ShardedSecureMemory mem(opt);
+    const std::chrono::milliseconds deadline(100);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<BlockRequest> probe(64, BlockRequest{3, false, std::nullopt});
+    mem.submitGroup(probe)->wait();
+    const double per_request =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      t0)
+            .count() /
+        static_cast<double>(probe.size());
+
+    const std::size_t n = static_cast<std::size_t>(
+        std::min(3 * 0.1 / per_request, double(opt.queueCapacity)));
+    std::vector<BlockRequest> reqs(n, BlockRequest{3, false, std::nullopt});
+    const auto t1 = std::chrono::steady_clock::now();
+    EXPECT_NO_THROW(mem.submitGroup(reqs)->wait(deadline));
+    if (n < opt.queueCapacity) {
+        EXPECT_GT(std::chrono::steady_clock::now() - t1, deadline)
+            << n << " requests finished within one deadline";
+    }
 }
 
 } // namespace
