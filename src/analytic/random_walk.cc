@@ -9,9 +9,70 @@
 namespace secdimm::analytic
 {
 
+namespace
+{
+
+/** x * log(y), taking 0 * log(0) as 0. */
+double
+xlogy(double x, double y)
+{
+    return x == 0.0 ? 0.0 : x * std::log(y);
+}
+
+/**
+ * The free walk in closed form, O(steps).  Of the walk's @p steps
+ * steps, M ~ Binomial(steps, w) move (w = pUp + pDown); the moves
+ * form a simple walk going up with probability a = pUp / w.  That walk
+ * first reaches @p bound at move m with probability
+ * (bound / m) * P(S_m = bound) -- the hitting-time form of the
+ * reflection principle, which holds for the biased walk too -- so
+ * P(overflow) = sum_i P(M = i) * P(first passage at a move <= i).
+ */
+double
+freeWalkOverflow(std::uint64_t steps, unsigned bound,
+                 const WalkParams &params)
+{
+    SD_ASSERT(bound >= 1);
+    SD_ASSERT(params.pUp + params.pDown <= 1.0 + 1e-12);
+    const double w = std::min(1.0, params.pUp + params.pDown);
+    if (params.pUp <= 0.0 || steps < bound)
+        return 0.0;
+    const double a = params.pUp / w;
+    const double b = 1.0 - a;
+    const double n = static_cast<double>(steps);
+    const double lg_n = std::lgamma(n + 1.0);
+    double passed = 0.0; // P(first passage at a move <= i).
+    double total = 0.0;
+    for (std::uint64_t i = bound; i <= steps; ++i) {
+        const double m = static_cast<double>(i);
+        const double lg_m = std::lgamma(m + 1.0);
+        if ((i - bound) % 2 == 0) {
+            const double up = (m + bound) / 2;
+            const double down = (m - bound) / 2;
+            passed += std::exp(std::log(bound / m) + lg_m -
+                               std::lgamma(up + 1.0) -
+                               std::lgamma(down + 1.0) + xlogy(up, a) +
+                               xlogy(down, b));
+        }
+        total += passed * std::exp(lg_n - lg_m - std::lgamma(n - m + 1.0) +
+                                   xlogy(m, w) + xlogy(n - m, 1.0 - w));
+    }
+    return total;
+}
+
+} // namespace
+
 double
 overflowProbability(std::uint64_t steps, unsigned bound,
                     const WalkParams &params)
+{
+    return params.reflectAtZero ? overflowRecursion(steps, bound, params)
+                                : freeWalkOverflow(steps, bound, params);
+}
+
+double
+overflowRecursion(std::uint64_t steps, unsigned bound,
+                  const WalkParams &params)
 {
     SD_ASSERT(bound >= 1);
     const double p_stay = 1.0 - params.pUp - params.pDown;

@@ -39,13 +39,24 @@ struct WalkParams
  * Probability that the walk has REACHED position >= @p bound at least
  * once within @p steps steps (absorbing barrier at @p bound) -- the
  * "chance of piling up more than k blocks" curves of Figure 13a.
+ * The free walk is summed in closed form in O(steps); the reflecting
+ * walk runs overflowRecursion().
  */
 double overflowProbability(std::uint64_t steps, unsigned bound,
                            const WalkParams &params = WalkParams{});
 
 /**
- * Simulate the walk with pseudo-random trials (validation of the
- * dynamic-programming recursion; tests compare the two).
+ * The paper's F(s, k) dynamic-programming recursion for the same
+ * probability, O(steps * (bound + depth)).  For the free walk it
+ * truncates the negative range 4.5 sigma deep, so it agrees with the
+ * closed form only up to that truncation (tests cross-check the two).
+ */
+double overflowRecursion(std::uint64_t steps, unsigned bound,
+                         const WalkParams &params = WalkParams{});
+
+/**
+ * Simulate the walk with pseudo-random trials (validation of
+ * overflowProbability; tests compare the two).
  */
 double simulateOverflowProbability(std::uint64_t steps, unsigned bound,
                                    unsigned trials, std::uint64_t seed,

@@ -44,6 +44,34 @@ TEST(RandomWalk, Figure13aAnchorPoints)
     EXPECT_NEAR(overflowProbability(800000, 1024), 0.10, 0.05);
 }
 
+TEST(RandomWalk, ClosedFormMatchesRecursion)
+{
+    // The free walk's closed form against the F(s, k) recursion, on
+    // cases small enough that the recursion's truncation of the
+    // negative range is far below the tolerance.
+    struct Case
+    {
+        std::uint64_t steps;
+        unsigned bound;
+        double pUp, pDown;
+    };
+    const Case cases[] = {
+        {0, 1, 0.25, 0.25},   {5, 6, 0.25, 0.25},  {1, 1, 0.25, 0.25},
+        {60, 3, 0.25, 0.25},  {200, 8, 0.25, 0.25}, {150, 5, 0.5, 0.5},
+        {300, 10, 0.3, 0.2},  {300, 4, 0.25, 0.5},  {100, 6, 0.4, 0.1},
+        {120, 7, 0.6, 0.0},   {90, 2, 0.05, 0.05},  {80, 3, 0.0, 0.5},
+    };
+    for (const Case &c : cases) {
+        WalkParams p;
+        p.pUp = c.pUp;
+        p.pDown = c.pDown;
+        EXPECT_NEAR(overflowProbability(c.steps, c.bound, p),
+                    overflowRecursion(c.steps, c.bound, p), 1e-9)
+            << "steps=" << c.steps << " bound=" << c.bound
+            << " up=" << c.pUp << " down=" << c.pDown;
+    }
+}
+
 TEST(RandomWalk, SimulationMatchesRecursion)
 {
     const std::uint64_t steps = 20000;
