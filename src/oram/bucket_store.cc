@@ -4,6 +4,7 @@
 
 #include "fault/fault_injector.hh"
 #include "util/logging.hh"
+#include "util/memory_hints.hh"
 
 namespace secdimm::oram
 {
@@ -74,11 +75,20 @@ BucketStore::readBuckets(const std::uint64_t *seqs, std::size_t n,
 {
     if (n == 0)
         return;
+    // Issue every bucket's loads before the first is copied, so their
+    // cache misses overlap.  A prefetch is a hint: no observer event,
+    // injector roll or counter moves.
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t seq = seqs[i];
+        SD_ASSERT(seq < counters_.size());
+        util::prefetchRange(image(seq), img_);
+        __builtin_prefetch(&counters_[seq]);
+        __builtin_prefetch(&macs_[seq]);
+    }
     items_.resize(n);
     tags_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t seq = seqs[i];
-        SD_ASSERT(seq < counters_.size());
         if (observer_)
             observer_(TraceEventKind::StoreRead, seq);
         std::uint8_t *slot = images + img_ * i;

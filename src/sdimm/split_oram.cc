@@ -295,15 +295,31 @@ void
 SplitOram::readPath(LeafId leaf)
 {
     const unsigned z = params_.tree.bucketBlocks;
+    const unsigned L = params_.tree.levels;
+
+    // Issue the loads of every uncached bucket's slice images, MACs
+    // and counters before the level loop verifies and decodes any of
+    // them, so the path's cache misses overlap.  A prefetch is a hint:
+    // no observer event, injector roll or counter moves.
+    for (unsigned level = params_.tree.cachedLevels; level <= L; ++level) {
+        const std::uint64_t seq =
+            layout_.bucketSeq(oram::pathBucket(leaf, level, L));
+        for (const Slice &sl : slices_) {
+            util::prefetchRange(sl.arena.data() + imageOff(seq),
+                                imageBytes_);
+            __builtin_prefetch(&sl.mac[seq]);
+            __builtin_prefetch(&sl.counter[seq]);
+        }
+    }
+
     auto &items = scratch_.items;
     auto &expected = scratch_.tags;
     auto &fetched = scratch_.fetched;
     items.clear();
     expected.clear();
     fetched.clear();
-    for (unsigned level = 0; level <= params_.tree.levels; ++level) {
-        const oram::BucketPos pos =
-            oram::pathBucket(leaf, level, params_.tree.levels);
+    for (unsigned level = 0; level <= L; ++level) {
+        const oram::BucketPos pos = oram::pathBucket(leaf, level, L);
         if (level < params_.tree.cachedLevels) {
             // Cached bucket: its blocks are already at the CPU.
             const CachedSlot *bucket = cachedBucket(pos);

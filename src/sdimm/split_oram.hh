@@ -18,15 +18,24 @@
  * sits at seq * imageBytes and is its metadata share (ceil(16Z/S)
  * bytes) followed by its Z data shares (blockBytes/S bytes each).
  * The slice's piece stash follows the bucket images: stashCapacity
- * data shares, sized once.  The CPU tracks every stashed block, piece-
- * or CPU-resident, in one oram::BasicStash of ShadowEntry records with
- * the same capacity (an overflow panics, as PathOram's stash does)
- * and evicts it by the stash's greedy rule.  The replicated counters
- * and the slice MACs are flat per-bucket arrays beside the arena.  A slice MAC binds the identity
- * (bucket seq, slice), the bucket counter, and the whole slice image
- * -- metadata share and every data share -- and is computed over the
- * image where it lies: one Pmmac::tagBatch per path write and one
- * Pmmac::verifyBatch per path read.
+ * data shares, sized once.  The arena and the per-bucket arrays
+ * below are allocated, advised onto transparent huge pages
+ * (util::HugePageVector) and only then filled, so a large tree's
+ * random bucket reads do not also miss the TLB; a host that refuses
+ * the advice keeps base pages and identical behaviour.  The CPU
+ * tracks every stashed block, piece- or CPU-resident, in one
+ * oram::BasicStash of ShadowEntry records with the same capacity (an
+ * overflow panics, as PathOram's stash does) and evicts it by the
+ * stash's greedy rule.  The replicated counters and the slice MACs
+ * are flat per-bucket arrays beside the arena.
+ * A slice MAC binds the identity (bucket seq, slice), the bucket
+ * counter, and the whole slice image -- metadata share and every
+ * data share -- and is computed over the image where it lies: one
+ * Pmmac::tagBatch per path write and one Pmmac::verifyBatch per path
+ * read.  A path read first prefetches every uncached bucket's slice
+ * images, MACs and counters, then verifies and decodes level by
+ * level.  The prefetch is a hint outside the observer: it fires no
+ * event, rolls no fault and moves no counter.
  *
  * ORAM cache: the top OramParams::cachedLevels levels never reach the
  * SDIMMs.  The CPU holds both slices of each of their buckets as
@@ -60,6 +69,7 @@
 #include "oram/oram_params.hh"
 #include "oram/stash.hh"
 #include "oram/tree_layout.hh"
+#include "util/memory_hints.hh"
 #include "util/metrics.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
@@ -254,9 +264,9 @@ class SplitOram final : public oram::OramEngine
     /** One SDIMM's arena (bucket images, then piece stash) + arrays. */
     struct Slice
     {
-        std::vector<std::uint8_t> arena;
-        std::vector<std::uint64_t> counter; ///< [bucket], replicated.
-        std::vector<crypto::Tag64> mac;     ///< [bucket] slice MAC.
+        util::HugePageVector<std::uint8_t> arena;
+        util::HugePageVector<std::uint64_t> counter; ///< [bucket].
+        util::HugePageVector<crypto::Tag64> mac; ///< [bucket] slice MAC.
     };
 
     /** One slot of a cached bucket, held in plaintext at the CPU. */
