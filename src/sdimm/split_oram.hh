@@ -18,24 +18,24 @@
  * sits at seq * imageBytes and is its metadata share (ceil(16Z/S)
  * bytes) followed by its Z data shares (blockBytes/S bytes each).
  * The slice's piece stash follows the bucket images: stashCapacity
- * data shares, sized once.  The arena and the per-bucket arrays
- * below are allocated, advised onto transparent huge pages
+ * data shares, sized once.  The replicated counters and the slice
+ * MACs are flat per-bucket arrays beside the arena.  The arena and
+ * both arrays are allocated, advised onto transparent huge pages
  * (util::HugePageVector) and only then filled, so a large tree's
  * random bucket reads do not also miss the TLB; a host that refuses
  * the advice keeps base pages and identical behaviour.  The CPU
  * tracks every stashed block, piece- or CPU-resident, in one
  * oram::BasicStash of ShadowEntry records with the same capacity (an
  * overflow panics, as PathOram's stash does) and evicts it by the
- * stash's greedy rule.  The replicated counters and the slice MACs
- * are flat per-bucket arrays beside the arena.
- * A slice MAC binds the identity (bucket seq, slice), the bucket
- * counter, and the whole slice image -- metadata share and every
- * data share -- and is computed over the image where it lies: one
- * Pmmac::tagBatch per path write and one Pmmac::verifyBatch per path
- * read.  A path read first prefetches every uncached bucket's slice
- * images, MACs and counters, then verifies and decodes level by
- * level.  The prefetch is a hint outside the observer: it fires no
- * event, rolls no fault and moves no counter.
+ * stash's greedy rule.  A slice MAC binds the identity (bucket seq,
+ * slice), the bucket counter, and the whole slice image -- metadata
+ * share and every data share -- and is computed over the image where
+ * it lies: one Pmmac::tagBatch per path write and one
+ * Pmmac::verifyBatch per path read.  A path read first prefetches
+ * every uncached bucket's slice images, MACs and counters, then
+ * verifies and decodes level by level.  The prefetch is a hint
+ * outside the observer: it fires no event, rolls no fault and moves
+ * no counter.
  *
  * ORAM cache: the top OramParams::cachedLevels levels never reach the
  * SDIMMs.  The CPU holds both slices of each of their buckets as
