@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string>
 
 #include "core/simulator.hh"
 
@@ -58,7 +59,7 @@ TEST(Simulator, DeterministicForSeed)
     EXPECT_DOUBLE_EQ(a.energy.totalNj(), b.energy.totalNj());
 }
 
-/** The timing-model counters the pinned runs below compare. */
+/** The timing-model figures the pinned runs below compare. */
 struct PinnedCounters
 {
     const char *label;
@@ -66,7 +67,24 @@ struct PinnedCounters
     std::uint64_t accessOrams;
     std::uint64_t offDimmLines;
     std::uint64_t probes;
+    double energyNj;
+    std::uint64_t recoveryCycles;
+    double oramsPerMiss;
+    /** FNV-1a of metrics.toJson(): every counter, gauge and histogram
+     *  the report fills, so a dropped or renamed metric shows. */
+    std::uint64_t metricsDigest;
 };
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
 
 SimResult
 pinnedRun(const SystemConfig &cfg)
@@ -86,22 +104,36 @@ expectPinned(const SimResult &r, const PinnedCounters &want)
     EXPECT_EQ(r.metrics.counter("core.off_dimm_lines"), want.offDimmLines)
         << want.label;
     EXPECT_EQ(r.metrics.counter("core.probes"), want.probes) << want.label;
+    EXPECT_EQ(r.metrics.gauge("core.energy.total_nj"), want.energyNj)
+        << want.label;
+    EXPECT_EQ(r.recoveryCycles, want.recoveryCycles) << want.label;
+    EXPECT_EQ(r.avgOramsPerMiss, want.oramsPerMiss) << want.label;
+    EXPECT_EQ(fnv1a(r.metrics.toJson()), want.metricsDigest) << want.label;
 }
 
 TEST(Simulator, TimingModelPinned)
 {
-    // Exact simulated counters for fixed seeds.  A refactor of the
-    // timing layer must leave every figure bit-identical; a change
-    // here is a change to the model and to EXPERIMENTS.md.
+    // Exact simulated counters, energy and a digest of the whole
+    // metrics report for fixed seeds.  A refactor of the timing layer
+    // must leave every figure bit-identical; a change here is a change
+    // to the model and to EXPERIMENTS.md.
     const PinnedCounters designs[] = {
-        {"NonSecure", 12918, 0, 80, 0},
-        {"PathORAM", 30703, 80, 8800, 0},
-        {"Freecursive", 115707, 334, 36740, 0},
-        {"INDEP-2", 97226, 375, 1816, 8762},
-        {"SPLIT-2", 94648, 334, 5386, 0},
-        {"INDEP-4", 72294, 377, 2745, 5585},
-        {"SPLIT-4", 67603, 334, 5386, 0},
-        {"INDEP-SPLIT", 59784, 375, 6715, 0},
+        {"NonSecure", 12918, 0, 80, 0, 86878.906875000015, 0, 0.0,
+         0x63de3c3379a9186eULL},
+        {"PathORAM", 30703, 80, 8800, 0, 406966.41562500002, 0, 1.0,
+         0x82b667c729d6b850ULL},
+        {"Freecursive", 115707, 334, 36740, 0, 1746672.0975000001, 0, 4.175,
+         0x4a3e643d61284258ULL},
+        {"INDEP-2", 97226, 375, 1816, 8762, 1061855.6685000001, 0, 4.175,
+         0x8bc07031c285b9c3ULL},
+        {"SPLIT-2", 94648, 334, 5386, 0, 1275086.7862500001, 0, 4.175,
+         0x068d09b944e96527ULL},
+        {"INDEP-4", 72294, 377, 2745, 5585, 1243168.4262500005, 0, 4.175,
+         0xe7acf7d20f10bf70ULL},
+        {"SPLIT-4", 67603, 334, 5386, 0, 1719590.0154999997, 0, 4.175,
+         0xf2c983c478f02570ULL},
+        {"INDEP-SPLIT", 59784, 375, 6715, 0, 1357159.05, 0, 4.175,
+         0xf0b9ea8b5df92066ULL},
     };
     const DesignPoint points[] = {
         DesignPoint::NonSecure, DesignPoint::PathOram,
@@ -118,17 +150,20 @@ TEST(Simulator, TimingModelPinned)
     SystemConfig indep_full = tinyConfig(DesignPoint::Indep2);
     indep_full.lowPower = false;
     expectPinned(pinnedRun(indep_full),
-                 {"INDEP-2 lowPower=0", 103275, 377, 1816, 9062});
+                 {"INDEP-2 lowPower=0", 103275, 377, 1816, 9062,
+                  1275052.3235000002, 0, 4.175, 0x4b8973234ee5ad5eULL});
     SystemConfig split_full = tinyConfig(DesignPoint::Split2);
     split_full.lowPower = false;
     expectPinned(pinnedRun(split_full),
-                 {"SPLIT-2 lowPower=0", 95121, 334, 5386, 0});
+                 {"SPLIT-2 lowPower=0", 95121, 334, 5386, 0, 1320298.48875, 0,
+                  4.175, 0x87c341ab3bd20335ULL});
 
     SystemConfig dying = tinyConfig(DesignPoint::Indep2);
     dying.faultPlan = fault::FaultPlan::hardDeath(1, 50, 7);
     const SimResult died = pinnedRun(dying);
     EXPECT_EQ(died.metrics.counter("fault.quarantined_sdimms"), 1u);
-    expectPinned(died, {"INDEP-2 hardDeath", 273321, 368, 24600, 16453});
+    expectPinned(died, {"INDEP-2 hardDeath", 273321, 368, 24600, 16453,
+                  2339942.1875, 139264, 4.175, 0x0a65547c7dd24ad3ULL});
 }
 
 TEST(Simulator, OramMuchSlowerThanNonSecure)
