@@ -52,6 +52,7 @@
 #include <cstring>
 #include <future>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -437,30 +438,36 @@ main(int argc, char **argv)
                 row->name, static_cast<unsigned long long>(accesses));
 
     SimResult r;
-    if (kv_spec.has_value()) {
-        // Application-shaped traffic through the timing simulator.
-        // The records pass the Table II cache hierarchy first, so a
-        // key population whose slots fit inside the 2 MB LLC never
-        // reaches the ORAM at all; scale the population until the
-        // working set spills (the shapes -- zipf skew, hot fractions,
-        // scan runs -- are population-relative, so they survive).
-        const std::uint64_t slot_bytes = 4 * 64;
-        const std::uint64_t spill_keys = (8ULL << 20) / slot_bytes;
-        const std::uint64_t total = kvTotalKeys(*kv_spec);
-        if (total < spill_keys) {
-            kvScaleKeys(*kv_spec,
-                        (spill_keys + total - 1) / total);
-            std::printf("(key population scaled %llu -> %llu so the "
-                        "working set spills the 2 MB LLC)\n",
-                        static_cast<unsigned long long>(total),
-                        static_cast<unsigned long long>(
-                            kvTotalKeys(*kv_spec)));
+    try {
+        if (kv_spec.has_value()) {
+            // Application-shaped traffic through the timing simulator.
+            // The records pass the Table II cache hierarchy first, so a
+            // key population whose slots fit inside the 2 MB LLC never
+            // reaches the ORAM at all; scale the population until the
+            // working set spills (the shapes -- zipf skew, hot fractions,
+            // scan runs -- are population-relative, so they survive).
+            const std::uint64_t slot_bytes = 4 * 64;
+            const std::uint64_t spill_keys = (8ULL << 20) / slot_bytes;
+            const std::uint64_t total = kvTotalKeys(*kv_spec);
+            if (total < spill_keys) {
+                kvScaleKeys(*kv_spec,
+                            (spill_keys + total - 1) / total);
+                std::printf("(key population scaled %llu -> %llu so the "
+                            "working set spills the 2 MB LLC)\n",
+                            static_cast<unsigned long long>(total),
+                            static_cast<unsigned long long>(
+                                kvTotalKeys(*kv_spec)));
+            }
+            app::KvBlockStream gen(*kv_spec, workload_seed,
+                                   /*footprint_bytes=*/1 << 26);
+            r = runWorkloadFromSource(cfg, gen, lens, 1);
+        } else {
+            r = runWorkload(cfg, *profile, lens, 1);
         }
-        app::KvBlockStream gen(*kv_spec, workload_seed,
-                               /*footprint_bytes=*/1 << 26);
-        r = runWorkloadFromSource(cfg, gen, lens, 1);
-    } else {
-        r = runWorkload(cfg, *profile, lens, 1);
+    } catch (const std::invalid_argument &e) {
+        // e.g. a fault plan on a design whose timing model has none.
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
     }
 
     std::printf("\ncycles (memory clock):    %llu\n",

@@ -2,11 +2,6 @@
 
 #include <cstdlib>
 
-#include "fault/fault_injector.hh"
-#include "oram/freecursive_backend.hh"
-#include "oram/nonsecure_backend.hh"
-#include "sdimm/independent_backend.hh"
-#include "sdimm/split_backend.hh"
 #include "verify/channel_observer.hh"
 
 namespace secdimm::core
@@ -14,113 +9,6 @@ namespace secdimm::core
 
 namespace
 {
-
-/** Energy of CPU-channel protocol traffic (no DRAM banks involved). */
-double
-linkEnergyNj(const SystemConfig &cfg, std::uint64_t lines)
-{
-    dram::PowerModel pm(cfg.timing, cfg.cpuGeom, /*on_dimm_io=*/false);
-    return pm.ioEnergyPerBurstNj() * static_cast<double>(lines);
-}
-
-/** Collect design-specific metrics into @p result. */
-void
-collectBackendMetrics(const SystemConfig &cfg, MemoryBackend &backend,
-                      Tick end, SimResult &result)
-{
-    util::MetricsRegistry &m = result.metrics;
-
-    if (auto *ns = dynamic_cast<oram::NonSecureBackend *>(&backend)) {
-        ns->dramSystem().finalizeStats(end);
-        dram::PowerModel pm(cfg.timing, cfg.cpuGeom, false);
-        for (unsigned c = 0; c < ns->dramSystem().channelCount(); ++c) {
-            const auto &ch = ns->dramSystem().channel(c);
-            result.energy += pm.compute(ch.stats(), ch.rankStates());
-            ch.exportMetrics(m, "dram." + ch.name());
-        }
-        const auto agg = ns->dramSystem().aggregateStats();
-        result.offDimmLines = agg.reads + agg.writes;
-        return;
-    }
-
-    if (auto *fc = dynamic_cast<oram::FreecursiveBackend *>(&backend)) {
-        fc->dramSystem().finalizeStats(end);
-        dram::PowerModel pm(cfg.timing, cfg.cpuGeom, false);
-        for (unsigned c = 0; c < fc->dramSystem().channelCount(); ++c) {
-            const auto &ch = fc->dramSystem().channel(c);
-            result.energy += pm.compute(ch.stats(), ch.rankStates());
-            ch.exportMetrics(m, "dram." + ch.name());
-        }
-        result.offDimmLines = fc->traffic().channelLines;
-        result.accessOrams = fc->traffic().accessOrams;
-        result.avgOramsPerMiss =
-            fc->recursion().stats().avgOramsPerRequest();
-        m.setCounter("oram.access_orams", fc->traffic().accessOrams);
-        m.setCounter("oram.channel_lines", fc->traffic().channelLines);
-        m.setCounter("oram.requests", fc->traffic().requests);
-        fc->recursion().exportMetrics(m, "oram.recursion");
-        return;
-    }
-
-    if (auto *ind = dynamic_cast<sdimm::IndependentBackend *>(&backend)) {
-        dram::PowerModel pm(cfg.timing, cfg.sdimmGeom,
-                            /*on_dimm_io=*/true);
-        for (unsigned i = 0; i < cfg.numSdimms(); ++i) {
-            auto &ch = ind->executor(i).channel();
-            ch.finalizeStats(end);
-            result.energy += pm.compute(ch.stats(), ch.rankStates());
-            result.accessOrams += ind->executor(i).opsExecuted();
-            ch.exportMetrics(m, "dram." + ch.name());
-            ind->executor(i).exportMetrics(
-                m, "sdimm.s" + std::to_string(i));
-        }
-        result.offDimmLines = ind->offDimmLines();
-        result.energy.ioNj +=
-            linkEnergyNj(cfg, ind->offDimmLines());
-        for (unsigned b = 0; b < ind->busCount(); ++b) {
-            result.probes += ind->bus(b).stats().probes;
-            ind->bus(b).exportMetrics(m,
-                                      "sdimm.bus" + std::to_string(b));
-        }
-        result.avgOramsPerMiss =
-            ind->recursion().stats().avgOramsPerRequest();
-        m.setCounter("sdimm.drain_ops", ind->drainOps());
-        ind->recursion().exportMetrics(m, "oram.recursion");
-        if (const fault::FaultInjector *inj = ind->faultInjector()) {
-            inj->exportMetrics(m, "fault");
-            result.recoveryCycles = inj->recoveryCycles();
-        }
-        return;
-    }
-
-    if (auto *sp = dynamic_cast<sdimm::SplitBackend *>(&backend)) {
-        dram::PowerModel pm(cfg.timing, cfg.sdimmGeom,
-                            /*on_dimm_io=*/true);
-        for (unsigned g = 0; g < sp->groupCount(); ++g) {
-            auto &grp = sp->group(g);
-            result.accessOrams += grp.opsExecuted();
-            grp.exportMetrics(m, "sdimm.g" + std::to_string(g));
-            for (unsigned s = 0; s < grp.sliceCount(); ++s) {
-                auto &ch = grp.sliceChannel(s);
-                ch.finalizeStats(end);
-                result.energy +=
-                    pm.compute(ch.stats(), ch.rankStates());
-                ch.exportMetrics(m, "dram." + ch.name());
-            }
-        }
-        result.offDimmLines = sp->offDimmLines();
-        result.energy.ioNj += linkEnergyNj(cfg, sp->offDimmLines());
-        for (unsigned b = 0; b < sp->busCount(); ++b) {
-            result.probes += sp->bus(b).stats().probes;
-            sp->bus(b).exportMetrics(m,
-                                     "sdimm.bus" + std::to_string(b));
-        }
-        result.avgOramsPerMiss =
-            sp->recursion().stats().avgOramsPerRequest();
-        sp->recursion().exportMetrics(m, "oram.recursion");
-        return;
-    }
-}
 
 /** Export the run-level counters every figure is built from. */
 void
@@ -167,7 +55,7 @@ runWorkloadFromSource(const SystemConfig &config,
 {
     auto backend = buildBackend(config, seed);
     if (observer != nullptr)
-        verify::attachToBackend(*backend, *observer);
+        observer->attach(*backend);
 
     trace::CacheModel llc(2ULL << 20, 8); // Table II: 2MB, 8-way.
     trace::CoreParams core_params;
@@ -176,7 +64,7 @@ runWorkloadFromSource(const SystemConfig &config,
     SimResult result;
     result.core = core.run(source, lengths.warmupRecords,
                            lengths.measureRecords);
-    collectBackendMetrics(config, *backend, result.core.cycles, result);
+    backend->closeRun(result.core.cycles, result);
     exportCoreMetrics(result);
     return result;
 }

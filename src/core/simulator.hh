@@ -13,10 +13,9 @@
 #include <string>
 
 #include "core/system_config.hh"
-#include "dram/power_model.hh"
 #include "trace/core_model.hh"
+#include "trace/memory_backend.hh"
 #include "trace/workload.hh"
-#include "util/metrics.hh"
 
 namespace secdimm::verify
 {
@@ -26,26 +25,14 @@ class ChannelObserver;
 namespace secdimm::core
 {
 
-/** Everything one simulation run produces. */
-struct SimResult
+/**
+ * Everything one simulation run produces: the backend's report
+ * (MemoryBackend::closeRun) plus the core's counters, which are also
+ * exported as core.* metrics.
+ */
+struct SimResult : BackendReport
 {
     trace::CoreRunResult core;
-    dram::EnergyBreakdown energy;   ///< Whole memory system.
-    std::uint64_t offDimmLines = 0; ///< Bursts on CPU channels.
-    std::uint64_t accessOrams = 0;  ///< Path ops executed anywhere.
-    double avgOramsPerMiss = 0.0;   ///< Recursion cost (PLB quality).
-    std::uint64_t probes = 0;       ///< PROBE polls (SDIMM designs).
-
-    /** Cycles lost to fault handling: retries, watchdog backoff
-     *  waits, and evacuation traffic (0 when no fault plan armed). */
-    std::uint64_t recoveryCycles = 0;
-
-    /**
-     * Every layer's counters for this run, namespaced core.* /
-     * dram.* / oram.* / sdimm.* (docs/METRICS.md).  Benches serialize
-     * this into their BENCH_*.json snapshots.
-     */
-    util::MetricsRegistry metrics;
 
     double
     cyclesPerMiss() const
@@ -67,9 +54,10 @@ struct SimLengths
  * Run @p profile on @p config.  Deterministic for a given seed.
  *
  * If @p observer is non-null it is attached to the backend's
- * externally visible interfaces (verify::attachToBackend) before the
- * first access, so the recorded trace covers the whole run; the
- * observer must outlive the call.
+ * externally visible channels (verify::ChannelObserver::attach, through
+ * MemoryBackend::attachObserver) before the first access, so the
+ * recorded trace covers the whole run; the observer must outlive the
+ * call.
  */
 SimResult runWorkload(const SystemConfig &config,
                       const trace::WorkloadProfile &profile,

@@ -1,5 +1,7 @@
 #include "core/system_config.hh"
 
+#include <stdexcept>
+
 #include "oram/freecursive_backend.hh"
 #include "oram/nonsecure_backend.hh"
 #include "sdimm/independent_backend.hh"
@@ -134,6 +136,18 @@ sdimmConfig(const SystemConfig &cfg, unsigned partitions)
 std::unique_ptr<MemoryBackend>
 buildBackend(const SystemConfig &cfg, std::uint64_t seed)
 {
+    // Only the Independent designs model faults in the timing layer
+    // (docs/FAULTS.md); any other design would drop the plan and
+    // report a clean run.
+    const bool models_faults = cfg.design == DesignPoint::Indep2 ||
+                               cfg.design == DesignPoint::Indep4;
+    if (cfg.faultPlan.enabled() && !models_faults) {
+        throw std::invalid_argument(
+            std::string("fault plan given for ") + designName(cfg.design) +
+            ", but the timing model injects faults only into INDEP-2 "
+            "and INDEP-4");
+    }
+
     switch (cfg.design) {
       case DesignPoint::NonSecure:
         return std::make_unique<oram::NonSecureBackend>(cfg.timing,

@@ -55,8 +55,9 @@ struct SystemConfig
     bool lowPower = true;      ///< Section III-E for SDIMM designs.
     double drainProb = 0.1;    ///< See SdimmTimingConfig::drainProb.
 
-    /** Fault campaign forwarded to the backend (Independent designs
-     *  model it; an empty plan changes nothing anywhere). */
+    /** Fault campaign forwarded to the backend (only the Independent
+     *  designs model it, and buildBackend refuses it elsewhere; an
+     *  empty plan changes nothing anywhere). */
     fault::FaultPlan faultPlan;
     fault::DegradationPolicy degradationPolicy =
         fault::DegradationPolicy::Degraded;
@@ -80,7 +81,12 @@ struct SystemConfig
 SystemConfig makeConfig(DesignPoint design, unsigned tree_levels = 24,
                         unsigned cached_levels = 7);
 
-/** Construct the timing backend for a configuration. */
+/**
+ * Construct the timing backend for a configuration: the one place
+ * that lists the timing designs.  Throws std::invalid_argument, naming
+ * the design, for a non-empty fault plan on a design whose timing
+ * model does not inject faults (all but INDEP-2 and INDEP-4).
+ */
 std::unique_ptr<MemoryBackend> buildBackend(const SystemConfig &config,
                                             std::uint64_t seed);
 

@@ -95,11 +95,26 @@ DramSystem::idle() const
                        [](const auto &ch) { return ch->idle(); });
 }
 
-void
-DramSystem::finalizeStats(Tick end)
+unsigned
+DramSystem::attachObserver(const TimedTraceEventFn &fn)
 {
+    for (auto &ch : channels_) {
+        ch->setCasObserver([fn](const DramRequest &req, Tick data_end) {
+            fn(req.write ? TraceEventKind::Write : TraceEventKind::Read,
+               req.addr, data_end);
+        });
+    }
+    return channelCount();
+}
+
+void
+DramSystem::closeRun(Tick end, EnergyBreakdown &energy,
+                     util::MetricsRegistry &m)
+{
+    const PowerModel pm(channels_[0]->timing(), channels_[0]->geometry(),
+                        /*on_dimm_io=*/false);
     for (auto &ch : channels_)
-        ch->finalizeStats(end);
+        closeChannel(*ch, pm, end, energy, m);
 }
 
 ChannelStats

@@ -86,4 +86,13 @@ PowerModel::compute(const ChannelStats &stats,
     return e;
 }
 
+void
+closeChannel(DramChannel &ch, const PowerModel &pm, Tick end,
+             EnergyBreakdown &energy, util::MetricsRegistry &m)
+{
+    ch.finalizeStats(end);
+    energy += pm.compute(ch.stats(), ch.rankStates());
+    ch.exportMetrics(m, "dram." + ch.name());
+}
+
 } // namespace secdimm::dram

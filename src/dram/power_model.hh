@@ -21,6 +21,7 @@
 #include "dram/channel.hh"
 #include "dram/rank.hh"
 #include "dram/timing.hh"
+#include "util/metrics.hh"
 
 namespace secdimm::dram
 {
@@ -99,6 +100,14 @@ class PowerModel
     DramCurrents cur_;
     IoEnergyParams io_;
 };
+
+/**
+ * Close a run on @p ch at tick @p end: finalize its stats, add its
+ * energy under @p pm to @p energy and export its counters as
+ * "dram.<channel name>".
+ */
+void closeChannel(DramChannel &ch, const PowerModel &pm, Tick end,
+                  EnergyBreakdown &energy, util::MetricsRegistry &m);
 
 } // namespace secdimm::dram
 

@@ -241,4 +241,24 @@ FreecursiveBackend::idle() const
            sys_.idle();
 }
 
+unsigned
+FreecursiveBackend::attachObserver(const TimedTraceEventFn &fn)
+{
+    return sys_.attachObserver(fn);
+}
+
+void
+FreecursiveBackend::closeRun(Tick end, BackendReport &report)
+{
+    sys_.closeRun(end, report.energy, report.metrics);
+    report.offDimmLines = traffic_.channelLines;
+    report.accessOrams = traffic_.accessOrams;
+    report.avgOramsPerMiss = recursion_.stats().avgOramsPerRequest();
+    util::MetricsRegistry &m = report.metrics;
+    m.setCounter("oram.access_orams", traffic_.accessOrams);
+    m.setCounter("oram.channel_lines", traffic_.channelLines);
+    m.setCounter("oram.requests", traffic_.requests);
+    recursion_.exportMetrics(m, "oram.recursion");
+}
+
 } // namespace secdimm::oram

@@ -53,6 +53,8 @@ class FreecursiveBackend : public MemoryBackend
     Tick nextEventAt() const override;
     void advanceTo(Tick now) override;
     bool idle() const override;
+    unsigned attachObserver(const TimedTraceEventFn &fn) override;
+    void closeRun(Tick end, BackendReport &report) override;
 
     /**
      * Co-resident non-secure traffic (Section III-A advantage 3: VMs

@@ -60,4 +60,18 @@ NonSecureBackend::idle() const
     return sys_.idle();
 }
 
+unsigned
+NonSecureBackend::attachObserver(const TimedTraceEventFn &fn)
+{
+    return sys_.attachObserver(fn);
+}
+
+void
+NonSecureBackend::closeRun(Tick end, BackendReport &report)
+{
+    sys_.closeRun(end, report.energy, report.metrics);
+    const dram::ChannelStats agg = sys_.aggregateStats();
+    report.offDimmLines = agg.reads + agg.writes;
+}
+
 } // namespace secdimm::oram

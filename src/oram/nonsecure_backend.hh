@@ -32,6 +32,8 @@ class NonSecureBackend : public MemoryBackend
     Tick nextEventAt() const override;
     void advanceTo(Tick now) override;
     bool idle() const override;
+    unsigned attachObserver(const TimedTraceEventFn &fn) override;
+    void closeRun(Tick end, BackendReport &report) override;
 
     dram::DramSystem &dramSystem() { return sys_; }
     const dram::DramSystem &dramSystem() const { return sys_; }

@@ -9,22 +9,16 @@ namespace secdimm::sdimm
 
 IndependentBackend::IndependentBackend(const SdimmTimingConfig &config,
                                        std::uint64_t seed)
-    : config_(config), recursion_(config.recursion), rng_(seed)
+    : SdimmBackend(config, seed, "sdimm.s")
 {
     SD_ASSERT(config_.numSdimms >= 1);
-    SD_ASSERT(config_.cpuChannels >= 1);
     for (unsigned i = 0; i < config_.numSdimms; ++i) {
         executors_.push_back(std::make_unique<PathExecutor>(
             "sdimm" + std::to_string(i), config_.perSdimm,
             config_.timing, config_.sdimmGeom, config_.lowPower,
             seed * 7919 + i));
-        executors_.back()->setOpDoneCallback(
-            [this](std::uint64_t tag, Tick avail) {
-                onOpDone(tag, avail);
-            });
+        addUnit(*executors_.back());
     }
-    for (unsigned c = 0; c < config_.cpuChannels; ++c)
-        buses_.push_back(std::make_unique<LinkBus>(config_.timing));
     if (config_.faultPlan.enabled()) {
         injector_ =
             std::make_unique<fault::FaultInjector>(config_.faultPlan);
@@ -68,7 +62,7 @@ IndependentBackend::sweepPermanentFaults(Tick now)
         deadHandled_[i] = true;
         // Watchdog: PROBE the silent SDIMM on its bus, waiting the
         // capped exponential backoff between polls.
-        LinkBus &bus = *buses_[busOf(i)];
+        LinkBus &bus = busOf(i);
         Tick t = now;
         for (unsigned p = 0; p < plan.watchdogMaxProbes; ++p) {
             bus.shortCommand(t, true);
@@ -99,8 +93,8 @@ IndependentBackend::sweepPermanentFaults(Tick now)
         for (unsigned k = 0; k < config_.numSdimms; ++k) {
             if (quarantined_[k])
                 continue;
-            done = std::max(
-                done, buses_[busOf(k)]->transferBytes(t, slots * (8 + 81)));
+            done = std::max(done,
+                            busOf(k).transferBytes(t, slots * (8 + 81)));
         }
         injector_->recordEvacuation(slots, slots * config_.numSdimms);
         t = done;
@@ -108,36 +102,6 @@ IndependentBackend::sweepPermanentFaults(Tick now)
         now = t;
     }
     return now;
-}
-
-void
-IndependentBackend::setCompletionCallback(CompletionFn fn)
-{
-    onComplete_ = std::move(fn);
-}
-
-bool
-IndependentBackend::canAccept() const
-{
-    return jobs_.size() < jobCapacity_;
-}
-
-unsigned
-IndependentBackend::busOf(unsigned sdimm) const
-{
-    return sdimm % config_.cpuChannels;
-}
-
-void
-IndependentBackend::access(std::uint64_t id, Addr byte_addr, bool write,
-                           Tick now)
-{
-    (void)write;
-    SD_ASSERT(canAccept());
-    const std::uint64_t block = byte_addr / blockBytes;
-    const unsigned ops = recursion_.opsForAccess(block);
-    jobs_.emplace(id, Job{id, ops});
-    startOp(id, now);
 }
 
 void
@@ -158,27 +122,15 @@ IndependentBackend::startOp(std::uint64_t job_id, Tick ready_at)
     }
 
     // ACCESS long command: header + one (possibly dummy) block.
-    LinkBus &bus = *buses_[busOf(sdimm)];
-    const Tick issued = bus.transferBytes(ready_at, 8 + 89);
-
-    const std::uint64_t tag = nextTag_++;
-    ops_.emplace(tag, OpRef{job_id, sdimm, issued, /*drain=*/false});
-    executors_[sdimm]->submitOp(tag, issued + config_.perSdimm.encLatency);
+    const Tick issued = busOf(sdimm).transferBytes(ready_at, 8 + 89);
+    submitOp(OpRef{job_id, sdimm, issued, /*drain=*/false},
+             issued + config_.perSdimm.encLatency);
 }
 
-void
-IndependentBackend::onOpDone(std::uint64_t tag, Tick avail)
+Tick
+IndependentBackend::finishOp(const OpRef &ref, Tick avail)
 {
-    auto it = ops_.find(tag);
-    SD_ASSERT(it != ops_.end());
-    const OpRef ref = it->second;
-    ops_.erase(it);
-
-    if (ref.drain) {
-        return; // Drain ops have no CPU-visible result.
-    }
-
-    LinkBus &bus = *buses_[busOf(ref.sdimm)];
+    LinkBus &bus = busOf(ref.unit);
 
     // PROBE polling: the CPU polls every probeInterval cycles from op
     // issue; the positive probe lands at the first poll tick >= avail.
@@ -197,67 +149,29 @@ IndependentBackend::onOpDone(std::uint64_t tag, Tick avail)
     // APPEND to every SDIMM (one real, rest dummies).
     Tick appends_done = fetched;
     for (unsigned i = 0; i < config_.numSdimms; ++i) {
-        appends_done =
-            std::max(appends_done,
-                     buses_[busOf(i)]->transferBytes(fetched, 8 + 81));
+        appends_done = std::max(appends_done,
+                                busOf(i).transferBytes(fetched, 8 + 81));
     }
 
     // Occasional extra drain accessORAM at the APPEND destination
     // (Section IV-C overflow avoidance).
     if (rng_.nextBool(config_.drainProb)) {
-        const unsigned dst = drawSdimm();
-        const std::uint64_t drain_tag = nextTag_++;
-        ops_.emplace(drain_tag, OpRef{0, dst, appends_done, true});
-        executors_[dst]->submitOp(drain_tag, appends_done);
+        submitOp(OpRef{0, drawSdimm(), appends_done, /*drain=*/true},
+                 appends_done);
         ++drainOps_;
     }
-
-    auto jit = jobs_.find(ref.jobId);
-    SD_ASSERT(jit != jobs_.end());
-    Job &job = jit->second;
-    SD_ASSERT(job.opsLeft > 0);
-    --job.opsLeft;
-    if (job.opsLeft == 0) {
-        if (onComplete_)
-            onComplete_(job.id, done);
-        jobs_.erase(jit);
-    } else {
-        startOp(ref.jobId, done);
-    }
-}
-
-Tick
-IndependentBackend::nextEventAt() const
-{
-    Tick best = tickNever;
-    for (const auto &e : executors_)
-        best = std::min(best, e->nextEventAt());
-    return best;
+    return done;
 }
 
 void
-IndependentBackend::advanceTo(Tick now)
+IndependentBackend::closeRun(Tick end, BackendReport &report)
 {
-    for (auto &e : executors_)
-        e->advanceTo(now);
-}
-
-bool
-IndependentBackend::idle() const
-{
-    if (!jobs_.empty())
-        return false;
-    return std::all_of(executors_.begin(), executors_.end(),
-                       [](const auto &e) { return e->idle(); });
-}
-
-std::uint64_t
-IndependentBackend::offDimmLines() const
-{
-    double lines = 0;
-    for (const auto &b : buses_)
-        lines += b->stats().lineEquivalents();
-    return static_cast<std::uint64_t>(lines + 0.5);
+    SdimmBackend::closeRun(end, report);
+    report.metrics.setCounter("sdimm.drain_ops", drainOps_);
+    if (injector_) {
+        injector_->exportMetrics(report.metrics, "fault");
+        report.recoveryCycles = injector_->recoveryCycles();
+    }
 }
 
 } // namespace secdimm::sdimm

@@ -1,123 +1,43 @@
 /**
  * @file
  * Timing model of the Independent SDIMM protocol (Section III-C).
- * The CPU-side frontend (PLB + PosMap) turns each LLC miss into 1..n+1
- * accessORAM ops; each op is shipped to a (random-leaf-determined)
- * SDIMM with an ACCESS long command, executed entirely inside that
- * SDIMM by its PathExecutor, polled with PROBEs, fetched with
- * FETCH_RESULT, and finished with one APPEND to every SDIMM.  Only
- * those few bursts touch the CPU channel; the 2(Z+1)L path lines stay
- * on the DIMM.
+ * Each accessORAM the CPU side (SdimmBackend) ships goes to a
+ * (random-leaf-determined) SDIMM with an ACCESS long command, runs
+ * entirely inside that SDIMM on its PathExecutor, is polled with
+ * PROBEs, fetched with FETCH_RESULT, and finished with one APPEND to
+ * every SDIMM.  Only those few bursts touch the CPU channel; the
+ * 2(Z+1)L path lines stay on the DIMM.
  */
 
 #ifndef SECUREDIMM_SDIMM_INDEPENDENT_BACKEND_HH
 #define SECUREDIMM_SDIMM_INDEPENDENT_BACKEND_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault_injector.hh"
-#include "oram/recursion.hh"
-#include "sdimm/link_bus.hh"
 #include "sdimm/path_executor.hh"
-#include "trace/memory_backend.hh"
+#include "sdimm/sdimm_backend.hh"
 
 namespace secdimm::sdimm
 {
 
-/** Shared configuration of the SDIMM timing backends. */
-struct SdimmTimingConfig
-{
-    oram::OramParams perSdimm;   ///< Local tree of each SDIMM.
-    oram::RecursionParams recursion;
-    unsigned numSdimms = 2;
-    unsigned cpuChannels = 1;    ///< LinkBus count (SDIMMs round-robin).
-    dram::TimingParams timing;   ///< Shared DDR timing.
-    dram::Geometry sdimmGeom;    ///< Internal geometry of one SDIMM.
-    bool lowPower = true;        ///< Section III-E layout/power-down.
-    Cycles probeInterval = 32;   ///< PROBE polling cadence.
-
-    /**
-     * Transfer-queue drain probability p (Section IV-C).  With the
-     * 8 KB buffer (128 entries), p = 0.1 gives rho = 0.71 and an
-     * overflow probability ~1e-19 (see analytic::mm1k) at a 10%
-     * accessORAM overhead.
-     */
-    double drainProb = 0.1;
-
-    /**
-     * Fault campaign for the timing layer.  Permanent faults are the
-     * interesting part here: a dead SDIMM costs watchdog backoff
-     * waits plus a bulk evacuation transfer on every surviving bus,
-     * and a DegradedLatency unit taxes each of its ops -- all of
-     * which lands in SimResult.recoveryCycles.  An empty plan leaves
-     * the backend bit-identical to the pre-fault model.
-     */
-    fault::FaultPlan faultPlan;
-    fault::DegradationPolicy policy = fault::DegradationPolicy::Degraded;
-
-    SdimmTimingConfig()
-    {
-        sdimmGeom.channels = 1;
-        sdimmGeom.ranksPerChannel = 4; // Quad-rank SDIMM (Sec III-E).
-    }
-};
-
 /** Independent-protocol MemoryBackend. */
-class IndependentBackend : public MemoryBackend
+class IndependentBackend final : public SdimmBackend
 {
   public:
     IndependentBackend(const SdimmTimingConfig &config,
                        std::uint64_t seed = 1);
 
-    void setCompletionCallback(CompletionFn fn) override;
-    bool canAccept() const override;
-    void access(std::uint64_t id, Addr byte_addr, bool write,
-                Tick now) override;
-    Tick nextEventAt() const override;
-    void advanceTo(Tick now) override;
-    bool idle() const override;
+    /** Adds sdimm.drain_ops and, with a plan armed, fault.*. */
+    void closeRun(Tick end, BackendReport &report) override;
 
-    const SdimmTimingConfig &config() const { return config_; }
     PathExecutor &executor(unsigned i) { return *executors_[i]; }
-    const PathExecutor &executor(unsigned i) const
-    {
-        return *executors_[i];
-    }
-    LinkBus &bus(unsigned channel) { return *buses_[channel]; }
-    const LinkBus &bus(unsigned channel) const { return *buses_[channel]; }
-    unsigned busCount() const
-    {
-        return static_cast<unsigned>(buses_.size());
-    }
-
-    const oram::RecursionEngine &recursion() const { return recursion_; }
     std::uint64_t drainOps() const { return drainOps_; }
 
-    /** Armed injector, or nullptr when the plan is empty. */
-    const fault::FaultInjector *faultInjector() const
-    {
-        return injector_.get();
-    }
-    bool isQuarantined(unsigned sdimm) const
-    {
-        return sdimm < quarantined_.size() && quarantined_[sdimm];
-    }
-
-    /** Sum of off-DIMM (CPU channel) data lines. */
-    std::uint64_t offDimmLines() const;
-
   private:
-    struct Job
-    {
-        std::uint64_t id;
-        unsigned opsLeft;
-    };
-
-    void startOp(std::uint64_t job_id, Tick ready_at);
-    void onOpDone(std::uint64_t tag, Tick avail);
-    unsigned busOf(unsigned sdimm) const;
+    void startOp(std::uint64_t job_id, Tick ready_at) override;
+    Tick finishOp(const OpRef &ref, Tick avail) override;
 
     /**
      * Watchdog + quarantine + evacuation charge for SDIMMs that died
@@ -128,33 +48,19 @@ class IndependentBackend : public MemoryBackend
     /** Uniform SDIMM draw avoiding quarantined units (public info). */
     unsigned drawSdimm();
 
+    bool isQuarantined(unsigned sdimm) const
+    {
+        return sdimm < quarantined_.size() && quarantined_[sdimm];
+    }
     unsigned quarantinedCount() const;
 
-    SdimmTimingConfig config_;
-    oram::RecursionEngine recursion_;
-    Rng rng_;
-    CompletionFn onComplete_;
+    /** Armed injector, or nullptr when the plan is empty. */
     std::unique_ptr<fault::FaultInjector> injector_;
     std::vector<bool> deadHandled_; ///< Watchdog already ran here.
     std::vector<bool> quarantined_;
 
     std::vector<std::unique_ptr<PathExecutor>> executors_;
-    std::vector<std::unique_ptr<LinkBus>> buses_;
-
-    std::unordered_map<std::uint64_t, Job> jobs_;
-    /** Executor op tag -> (job id, source sdimm). */
-    struct OpRef
-    {
-        std::uint64_t jobId;
-        unsigned sdimm;
-        Tick issuedAt;
-        bool drain;
-    };
-    std::unordered_map<std::uint64_t, OpRef> ops_;
-    std::uint64_t nextTag_ = 1;
     std::uint64_t drainOps_ = 0;
-
-    static constexpr std::size_t jobCapacity_ = 16;
 };
 
 } // namespace secdimm::sdimm

@@ -127,6 +127,13 @@ PathExecutor::advanceTo(Tick now)
     stream_.pump();
 }
 
+void
+PathExecutor::closeChannels(Tick end, const dram::PowerModel &pm,
+                            BackendReport &report)
+{
+    dram::closeChannel(*channel_, pm, end, report.energy, report.metrics);
+}
+
 bool
 PathExecutor::idle() const
 {

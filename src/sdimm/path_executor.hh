@@ -11,7 +11,6 @@
 #define SECUREDIMM_SDIMM_PATH_EXECUTOR_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,7 +21,7 @@
 #include "oram/path_stream.hh"
 #include "oram/tree_layout.hh"
 #include "sdimm/low_power.hh"
-#include "trace/memory_backend.hh"
+#include "sdimm/sdimm_backend.hh"
 #include "util/rng.hh"
 
 namespace secdimm::fault
@@ -34,12 +33,9 @@ namespace secdimm::sdimm
 {
 
 /** Serial accessORAM executor over one internal DDR channel. */
-class PathExecutor
+class PathExecutor final : public SdimmUnit
 {
   public:
-    /** Fired when an op's result is available at the buffer. */
-    using OpDoneFn = std::function<void(std::uint64_t tag, Tick avail)>;
-
     /**
      * @param low_power  use the Section III-E rank-major layout with
      *                   idle-rank power-down
@@ -49,26 +45,14 @@ class PathExecutor
                  const dram::Geometry &geom, bool low_power,
                  std::uint64_t seed);
 
-    void setOpDoneCallback(OpDoneFn fn) { onOpDone_ = std::move(fn); }
+    /** The op-done tick is when the result is at the buffer. */
+    void submitOp(std::uint64_t tag, Tick ready_at) override;
 
-    /** Queue one accessORAM; it may start at or after @p ready_at. */
-    void submitOp(std::uint64_t tag, Tick ready_at);
-
-    std::uint64_t opsExecuted() const { return opsExecuted_; }
-
-    /** Export ops-executed + queue-depth under @p prefix; the
-     *  internal DRAM channel is exported separately ("dram.*"). */
-    void
-    exportMetrics(util::MetricsRegistry &m,
-                  const std::string &prefix) const
-    {
-        m.setCounter(prefix + ".ops_executed", opsExecuted_);
-        m.histogram(prefix + ".queue_depth").merge(queueDepth_);
-    }
-
-    Tick nextEventAt() const;
-    void advanceTo(Tick now);
-    bool idle() const;
+    Tick nextEventAt() const override;
+    void advanceTo(Tick now) override;
+    bool idle() const override;
+    void closeChannels(Tick end, const dram::PowerModel &pm,
+                       BackendReport &report) override;
 
     dram::DramChannel &channel() { return *channel_; }
     const dram::DramChannel &channel() const { return *channel_; }
@@ -97,7 +81,6 @@ class PathExecutor
     std::unique_ptr<dram::DramChannel> channel_;
     oram::PathStream stream_;
     Rng rng_;
-    OpDoneFn onOpDone_;
 
     std::deque<ExecOp> ops_;
     bool opInFlight_ = false;
@@ -105,8 +88,6 @@ class PathExecutor
     /** The in-flight op's path lines, read and then written back. */
     std::vector<Addr> pathMeta_;
     std::vector<Addr> pathData_;
-    std::uint64_t opsExecuted_ = 0;
-    util::LogHistogram queueDepth_;
     fault::FaultInjector *injector_ = nullptr;
 };
 

@@ -9,58 +9,23 @@ namespace secdimm::sdimm
 
 SplitBackend::SplitBackend(const SdimmTimingConfig &config,
                            unsigned groups, std::uint64_t seed)
-    : config_(config),
-      slicesPerGroup_(config.numSdimms / groups),
-      recursion_(config.recursion),
-      rng_(seed)
+    : SdimmBackend(config, seed, "sdimm.g"),
+      slicesPerGroup_(config.numSdimms / groups)
 {
     SD_ASSERT(groups >= 1);
     SD_ASSERT(config_.numSdimms % groups == 0);
     SD_ASSERT(slicesPerGroup_ >= 1);
 
-    for (unsigned c = 0; c < config_.cpuChannels; ++c)
-        buses_.push_back(std::make_unique<LinkBus>(config_.timing));
-
     for (unsigned g = 0; g < groups; ++g) {
         std::vector<LinkBus *> group_buses;
-        for (unsigned j = 0; j < slicesPerGroup_; ++j) {
-            const unsigned global_slice = g * slicesPerGroup_ + j;
-            group_buses.push_back(
-                buses_[global_slice % config_.cpuChannels].get());
-        }
+        for (unsigned j = 0; j < slicesPerGroup_; ++j)
+            group_buses.push_back(&busOf(g * slicesPerGroup_ + j));
         groups_.push_back(std::make_unique<SplitGroupEngine>(
             "group" + std::to_string(g), config_.perSdimm,
             slicesPerGroup_, group_buses, config_.timing,
             config_.sdimmGeom, config_.lowPower, seed * 6151 + g));
-        groups_.back()->setOpDoneCallback(
-            [this](std::uint64_t tag, Tick result) {
-                onOpDone(tag, result);
-            });
+        addUnit(*groups_.back());
     }
-}
-
-void
-SplitBackend::setCompletionCallback(CompletionFn fn)
-{
-    onComplete_ = std::move(fn);
-}
-
-bool
-SplitBackend::canAccept() const
-{
-    return jobs_.size() < jobCapacity_;
-}
-
-void
-SplitBackend::access(std::uint64_t id, Addr byte_addr, bool write,
-                     Tick now)
-{
-    (void)write;
-    SD_ASSERT(canAccept());
-    const std::uint64_t block = byte_addr / blockBytes;
-    const unsigned ops = recursion_.opsForAccess(block);
-    jobs_.emplace(id, Job{id, ops});
-    startOp(id, now);
 }
 
 void
@@ -69,89 +34,29 @@ SplitBackend::startOp(std::uint64_t job_id, Tick ready_at)
     // Random leaf -> uniformly random group (Independent dimension).
     const unsigned group =
         static_cast<unsigned>(rng_.nextBelow(groups_.size()));
-    const std::uint64_t tag = nextTag_++;
-    ops_.emplace(tag, OpRef{job_id, group, /*drain=*/false});
-    groups_[group]->submitOp(tag, ready_at);
+    submitOp(OpRef{job_id, group, ready_at, /*drain=*/false}, ready_at);
 }
 
-void
-SplitBackend::onOpDone(std::uint64_t tag, Tick result)
+Tick
+SplitBackend::finishOp(const OpRef & /*ref*/, Tick result)
 {
-    auto it = ops_.find(tag);
-    SD_ASSERT(it != ops_.end());
-    const OpRef ref = it->second;
-    ops_.erase(it);
-
-    if (ref.drain)
-        return;
-
-    Tick done = result + config_.perSdimm.encLatency;
-
     if (groups_.size() > 1) {
         // Independent dimension: obfuscating APPEND (one block burst)
         // to every group, and the occasional extra drain op.
         Tick appends_done = result;
         for (unsigned g = 0; g < groups_.size(); ++g) {
-            LinkBus &b =
-                *buses_[(g * slicesPerGroup_) % config_.cpuChannels];
-            appends_done =
-                std::max(appends_done, b.transferLines(result, 1));
+            appends_done = std::max(
+                appends_done,
+                busOf(g * slicesPerGroup_).transferLines(result, 1));
         }
         if (rng_.nextBool(config_.drainProb)) {
-            const unsigned dst =
+            const auto dst =
                 static_cast<unsigned>(rng_.nextBelow(groups_.size()));
-            const std::uint64_t drain_tag = nextTag_++;
-            ops_.emplace(drain_tag, OpRef{0, dst, true});
-            groups_[dst]->submitOp(drain_tag, appends_done);
+            submitOp(OpRef{0, dst, appends_done, /*drain=*/true},
+                     appends_done);
         }
     }
-
-    auto jit = jobs_.find(ref.jobId);
-    SD_ASSERT(jit != jobs_.end());
-    Job &job = jit->second;
-    SD_ASSERT(job.opsLeft > 0);
-    --job.opsLeft;
-    if (job.opsLeft == 0) {
-        if (onComplete_)
-            onComplete_(job.id, done);
-        jobs_.erase(jit);
-    } else {
-        startOp(ref.jobId, done);
-    }
-}
-
-Tick
-SplitBackend::nextEventAt() const
-{
-    Tick best = tickNever;
-    for (const auto &g : groups_)
-        best = std::min(best, g->nextEventAt());
-    return best;
-}
-
-void
-SplitBackend::advanceTo(Tick now)
-{
-    for (auto &g : groups_)
-        g->advanceTo(now);
-}
-
-bool
-SplitBackend::idle() const
-{
-    if (!jobs_.empty())
-        return false;
-    return std::all_of(groups_.begin(), groups_.end(),
-                       [](const auto &g) { return g->idle(); });
-}
-
-std::uint64_t
-SplitBackend::offDimmLines() const
-{
-    double lines = 0;
-    for (const auto &b : buses_)
-        lines += b->stats().lineEquivalents();
-    return static_cast<std::uint64_t>(lines + 0.5);
+    return result + config_.perSdimm.encLatency;
 }
 
 } // namespace secdimm::sdimm

@@ -5,26 +5,25 @@
  * partitions, each of which is a Split group over
  * numSdimms/groups slices.  groups == 1 is pure Split; groups ==
  * numSdimms would degenerate to Independent (use IndependentBackend
- * for that).
+ * for that).  The CPU side is SdimmBackend's; this backend adds the
+ * group draw and, across groups, one APPEND line per group and its
+ * drain op.
  */
 
 #ifndef SECUREDIMM_SDIMM_SPLIT_BACKEND_HH
 #define SECUREDIMM_SDIMM_SPLIT_BACKEND_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "oram/recursion.hh"
-#include "sdimm/independent_backend.hh"
+#include "sdimm/sdimm_backend.hh"
 #include "sdimm/split_engine.hh"
-#include "trace/memory_backend.hh"
 
 namespace secdimm::sdimm
 {
 
 /** Split / Indep-Split MemoryBackend. */
-class SplitBackend : public MemoryBackend
+class SplitBackend final : public SdimmBackend
 {
   public:
     /**
@@ -36,63 +35,14 @@ class SplitBackend : public MemoryBackend
     SplitBackend(const SdimmTimingConfig &config, unsigned groups,
                  std::uint64_t seed = 1);
 
-    void setCompletionCallback(CompletionFn fn) override;
-    bool canAccept() const override;
-    void access(std::uint64_t id, Addr byte_addr, bool write,
-                Tick now) override;
-    Tick nextEventAt() const override;
-    void advanceTo(Tick now) override;
-    bool idle() const override;
-
-    unsigned groupCount() const
-    {
-        return static_cast<unsigned>(groups_.size());
-    }
     SplitGroupEngine &group(unsigned g) { return *groups_[g]; }
-    const SplitGroupEngine &group(unsigned g) const
-    {
-        return *groups_[g];
-    }
-    LinkBus &bus(unsigned c) { return *buses_[c]; }
-    const LinkBus &bus(unsigned c) const { return *buses_[c]; }
-    unsigned busCount() const
-    {
-        return static_cast<unsigned>(buses_.size());
-    }
-    const oram::RecursionEngine &recursion() const { return recursion_; }
-
-    std::uint64_t offDimmLines() const;
 
   private:
-    struct Job
-    {
-        std::uint64_t id;
-        unsigned opsLeft;
-    };
+    void startOp(std::uint64_t job_id, Tick ready_at) override;
+    Tick finishOp(const OpRef &ref, Tick result) override;
 
-    void startOp(std::uint64_t job_id, Tick ready_at);
-    void onOpDone(std::uint64_t tag, Tick result);
-
-    SdimmTimingConfig config_;
     unsigned slicesPerGroup_;
-    oram::RecursionEngine recursion_;
-    Rng rng_;
-    CompletionFn onComplete_;
-
-    std::vector<std::unique_ptr<LinkBus>> buses_;
     std::vector<std::unique_ptr<SplitGroupEngine>> groups_;
-
-    std::unordered_map<std::uint64_t, Job> jobs_;
-    struct OpRef
-    {
-        std::uint64_t jobId;
-        unsigned group;
-        bool drain;
-    };
-    std::unordered_map<std::uint64_t, OpRef> ops_;
-    std::uint64_t nextTag_ = 1;
-
-    static constexpr std::size_t jobCapacity_ = 16;
 };
 
 } // namespace secdimm::sdimm

@@ -230,4 +230,14 @@ SplitGroupEngine::idle() const
     return true;
 }
 
+void
+SplitGroupEngine::closeChannels(Tick end, const dram::PowerModel &pm,
+                                BackendReport &report)
+{
+    for (auto &sl : slices_) {
+        dram::closeChannel(*sl.channel, pm, end, report.energy,
+                           report.metrics);
+    }
+}
+
 } // namespace secdimm::sdimm

@@ -13,7 +13,6 @@
 #define SECUREDIMM_SDIMM_SPLIT_ENGINE_HH
 
 #include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +24,7 @@
 #include "oram/tree_layout.hh"
 #include "sdimm/link_bus.hh"
 #include "sdimm/low_power.hh"
+#include "sdimm/sdimm_backend.hh"
 #include "util/bit_utils.hh"
 #include "util/rng.hh"
 
@@ -32,12 +32,9 @@ namespace secdimm::sdimm
 {
 
 /** One Split group (all S slices of one tree). */
-class SplitGroupEngine
+class SplitGroupEngine final : public SdimmUnit
 {
   public:
-    /** Fired when the requested block reaches the CPU. */
-    using OpDoneFn = std::function<void(std::uint64_t tag, Tick result)>;
-
     /**
      * @param tree   the group's (full) tree parameters
      * @param buses  one LinkBus per slice (slices may share buses)
@@ -49,13 +46,14 @@ class SplitGroupEngine
                      const dram::Geometry &geom, bool low_power,
                      std::uint64_t seed);
 
-    void setOpDoneCallback(OpDoneFn fn) { onOpDone_ = std::move(fn); }
+    /** The op-done tick is when the requested block reaches the CPU. */
+    void submitOp(std::uint64_t tag, Tick ready_at) override;
 
-    void submitOp(std::uint64_t tag, Tick ready_at);
-
-    Tick nextEventAt() const;
-    void advanceTo(Tick now);
-    bool idle() const;
+    Tick nextEventAt() const override;
+    void advanceTo(Tick now) override;
+    bool idle() const override;
+    void closeChannels(Tick end, const dram::PowerModel &pm,
+                       BackendReport &report) override;
 
     unsigned sliceCount() const
     {
@@ -69,24 +67,12 @@ class SplitGroupEngine
     {
         return *slices_[i].channel;
     }
-    std::uint64_t opsExecuted() const { return opsExecuted_; }
-
     /** 64-byte lines each slice's bucket share occupies. */
     unsigned dataLinesPerBucket() const { return dataLines_; }
     unsigned linesPerBucketSlice() const { return dataLines_ + 1; }
 
     /** RECEIVE_LIST size per slice, in bytes. */
     std::uint64_t listBytesPerSlice() const;
-
-    /** Export ops-executed + queue-depth under @p prefix; slice
-     *  DRAM channels are exported separately ("dram.*"). */
-    void
-    exportMetrics(util::MetricsRegistry &m,
-                  const std::string &prefix) const
-    {
-        m.setCounter(prefix + ".ops_executed", opsExecuted_);
-        m.histogram(prefix + ".queue_depth").merge(queueDepth_);
-    }
 
   private:
     struct Slice
@@ -113,7 +99,6 @@ class SplitGroupEngine
     std::optional<oram::TreeLayout> layout_;
     std::optional<LowPowerLayout> lowPowerLayout_;
     Rng rng_;
-    OpDoneFn onOpDone_;
 
     std::vector<Slice> slices_;
     std::deque<PendingOp> ops_;
@@ -126,8 +111,6 @@ class SplitGroupEngine
      *  slice), read and then written back. */
     std::vector<Addr> pathMeta_;
     std::vector<Addr> pathData_;
-    std::uint64_t opsExecuted_ = 0;
-    util::LogHistogram queueDepth_;
 };
 
 } // namespace secdimm::sdimm

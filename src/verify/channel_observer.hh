@@ -18,20 +18,8 @@
 #include <vector>
 
 #include "oram/oram_engine.hh"
+#include "trace/memory_backend.hh"
 #include "util/types.hh"
-
-namespace secdimm
-{
-class MemoryBackend;
-namespace dram
-{
-class DramChannel;
-}
-namespace sdimm
-{
-class LinkBus;
-}
-} // namespace secdimm
 
 namespace secdimm::verify
 {
@@ -74,11 +62,13 @@ class ChannelObserver
     const std::vector<TraceEvent> &events() const { return events_; }
     void clear() { events_.clear(); }
 
-    /** Observe DRAM CAS activity on one channel. */
-    void attach(dram::DramChannel &channel);
-
-    /** Observe SDIMM link-bus transactions. */
-    void attach(sdimm::LinkBus &bus);
+    /**
+     * Observe a timing backend's externally visible channels (see
+     * MemoryBackend::attachObserver): DRAM CAS activity on the CPU
+     * channels, or SDIMM link-bus transactions.  Returns the
+     * backend's attach-point count.
+     */
+    unsigned attach(MemoryBackend &backend);
 
     /**
      * Observe a functional protocol's visible channel, e.g. a Path
@@ -90,17 +80,6 @@ class ChannelObserver
   private:
     std::vector<TraceEvent> events_;
 };
-
-/**
- * Attach @p observer to every externally visible channel of
- * @p backend: the CPU DRAM channels of the NonSecure and Freecursive
- * backends, or the CPU link buses of the Independent and Split
- * backends (an SDIMM's internal channels are NOT visible to a
- * channel-snooping adversary -- that is the point of the design).
- * Returns the number of attach points (0 for an unknown backend type).
- */
-unsigned attachToBackend(MemoryBackend &backend,
-                         ChannelObserver &observer);
 
 } // namespace secdimm::verify
 

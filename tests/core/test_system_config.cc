@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/system_config.hh"
 
 namespace secdimm::core
@@ -52,6 +55,34 @@ TEST(SystemConfig, BackendsConstructForEveryDesign)
         ASSERT_NE(backend, nullptr) << designName(d);
         EXPECT_TRUE(backend->idle()) << designName(d);
         EXPECT_TRUE(backend->canAccept()) << designName(d);
+    }
+}
+
+TEST(SystemConfig, FaultPlanRefusedWhereTheTimingModelWouldDropIt)
+{
+    // Only the Independent timing backends inject faults; anywhere
+    // else a plan would vanish and the run would read clean.
+    for (DesignPoint d :
+         {DesignPoint::NonSecure, DesignPoint::PathOram,
+          DesignPoint::Freecursive, DesignPoint::Indep2,
+          DesignPoint::Split2, DesignPoint::Indep4,
+          DesignPoint::Split4, DesignPoint::IndepSplit}) {
+        SystemConfig cfg = makeConfig(d, 14, 4);
+        cfg.cpuGeom.rowsPerBank = 4096;
+        cfg.sdimmGeom.rowsPerBank = 4096;
+        cfg.faultPlan = fault::FaultPlan::hardDeath(1, 50, 7);
+        if (d == DesignPoint::Indep2 || d == DesignPoint::Indep4) {
+            EXPECT_NE(buildBackend(cfg, 1), nullptr) << designName(d);
+            continue;
+        }
+        try {
+            buildBackend(cfg, 1);
+            ADD_FAILURE() << designName(d) << " accepted a fault plan";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(designName(d)),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 

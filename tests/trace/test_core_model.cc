@@ -46,6 +46,8 @@ class FixedLatencyBackend : public MemoryBackend
     }
 
     bool idle() const override { return pending_.empty(); }
+    unsigned attachObserver(const TimedTraceEventFn &) override { return 0; }
+    void closeRun(Tick, BackendReport &) override {}
 
     std::uint64_t accesses() const { return accesses_; }
 

@@ -58,7 +58,8 @@ makeSequence(std::uint64_t structure_seed, std::uint64_t base_block,
 }
 
 // ---------------------------------------------------------------------
-// Timing layer: DRAM channels / link buses, via attachToBackend().
+// Timing layer: DRAM channels / link buses, via
+// ChannelObserver::attach(MemoryBackend &).
 // ---------------------------------------------------------------------
 
 struct OblCase
@@ -80,7 +81,11 @@ class TimingObliviousness : public ::testing::TestWithParam<OblCase>
         cfg.sdimmGeom.rowsPerBank = 4096;
         auto backend = core::buildBackend(cfg, backend_seed);
         ChannelObserver obs;
-        EXPECT_GT(attachToBackend(*backend, obs), 0u);
+        // Every CPU channel is attached: the DRAM channels, or one
+        // link bus per CPU channel for the SDIMM designs.
+        const unsigned channels =
+            cfg.numSdimms() == 0 ? cfg.cpuGeom.channels : cfg.cpuChannels;
+        EXPECT_EQ(obs.attach(*backend), channels);
         driveBackend(*backend, seq);
         return obs.events();
     }
@@ -94,6 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
         OblCase{core::DesignPoint::Freecursive, true},
         OblCase{core::DesignPoint::Indep2, true},
         OblCase{core::DesignPoint::Split2, true},
+        OblCase{core::DesignPoint::Indep4, true},
+        OblCase{core::DesignPoint::Split4, true},
         OblCase{core::DesignPoint::IndepSplit, true}),
     [](const ::testing::TestParamInfo<OblCase> &info) {
         std::string n = core::designName(info.param.design);
