@@ -1,7 +1,10 @@
 /**
  * @file
- * Fundamental scalar types and block-sized value types shared by every
- * module in the Secure DIMM reproduction.
+ * Fundamental scalar types, block-sized value types and the vocabulary
+ * of externally visible channel events (what an adversary on a channel
+ * sees, reported by the functional engines and the timing backends to
+ * verify::ChannelObserver) shared by every module in the Secure DIMM
+ * reproduction.
  */
 
 #ifndef SECUREDIMM_UTIL_TYPES_HH
@@ -10,6 +13,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 
 namespace secdimm
 {
@@ -47,6 +51,31 @@ zeroBlock()
 {
     return BlockData{};
 }
+
+/** What an event on an observed channel was. */
+enum class TraceEventKind : std::uint8_t
+{
+    Read,       ///< DRAM read burst (CAS address) or a path's leaf.
+    Write,      ///< DRAM write burst.
+    ShortCmd,   ///< Link-bus short command; SDIMM protocols put
+                ///< (command type << 8) | unit in the address.
+    Probe,      ///< Link-bus PROBE poll.
+    Transfer,   ///< Link-bus data transfer (payload size visible).
+    StoreRead,  ///< BucketStore bucket read (bucket seq visible).
+    StoreWrite, ///< BucketStore bucket write.
+};
+
+/**
+ * Receives one externally visible event: its kind and the
+ * address-like quantity the channel exposes.  An empty function
+ * means nobody is watching, and the component records nothing.
+ */
+using TraceEventFn = std::function<void(TraceEventKind, std::uint64_t)>;
+
+/** A TraceEventFn of the timing layer: also the event's completion
+ *  tick on the channel. */
+using TimedTraceEventFn =
+    std::function<void(TraceEventKind, std::uint64_t, Tick)>;
 
 } // namespace secdimm
 
