@@ -474,7 +474,7 @@ ObliviousKVStore::runOpsLeaky(std::vector<PlannedOp> &ops)
     // Everything a real (non-oblivious) hash-table-over-blocks server
     // would do: static slots, hit-length reads, nothing on a miss.
     // Sequential and fully serialized -- this mode exists only as the
-    // FAIL control for the trace/schedule checkers.
+    // FAIL control for the calibrated obliviousness gate.
     std::lock_guard<std::mutex> lk(mu_);
     kv_.incCounter("kv.batches");
     kv_.histogram("kv.batch_size").sample(ops.size());

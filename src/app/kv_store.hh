@@ -27,8 +27,9 @@
  * complete ORAM that hides the local address and the access kind.
  * The deliberately leaky baseline (KvIndexMode::LeakyBaseline) pins
  * keys to static slots and skips dummy work; it exists as the
- * positive control that makes deepCompareTraces / compareSchedules
- * FAIL (tests/app, tools/sdimm_leakmeter).
+ * positive control that fails the calibrated gate
+ * (verify::compareCalibrated, tests/app) and measures a hit/miss
+ * leak (tools/sdimm_leakmeter --kv).
  */
 
 #ifndef SECUREDIMM_APP_KV_STORE_HH

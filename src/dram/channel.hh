@@ -69,8 +69,8 @@ class DramChannel
     /**
      * Fired once per issued CAS with the request and its data-burst
      * completion tick: the externally visible (command, address, time)
-     * tuple an adversary probing this channel observes.  Used by the
-     * verify::ChannelObserver trace checker.
+     * tuple an adversary probing this channel observes.  Used by
+     * verify::ChannelObserver.
      */
     using CasObserverFn =
         std::function<void(const DramRequest &, Tick data_end)>;

@@ -98,11 +98,13 @@ DramSystem::idle() const
 unsigned
 DramSystem::attachObserver(const TimedTraceEventFn &fn)
 {
-    for (auto &ch : channels_) {
-        ch->setCasObserver([fn](const DramRequest &req, Tick data_end) {
-            fn(req.write ? TraceEventKind::Write : TraceEventKind::Read,
-               req.addr, data_end);
-        });
+    for (unsigned c = 0; c < channels_.size(); ++c) {
+        channels_[c]->setCasObserver(
+            [fn, c](const DramRequest &req, Tick data_end) {
+                fn(c, req.write ? TraceEventKind::Write
+                                : TraceEventKind::Read,
+                   req.addr, data_end);
+            });
     }
     return channelCount();
 }

@@ -58,8 +58,9 @@ class DramSystem
 
     /**
      * Report every CAS on every channel to @p fn (non-empty) as a
-     * Read or Write of its channel-local block, stamped with its
-     * data-burst end.  Returns the channel count.
+     * Read or Write of its channel-local block on attach point
+     * <channel index>, stamped with its data-burst end.  Returns the
+     * channel count.
      */
     unsigned attachObserver(const TimedTraceEventFn &fn);
 

@@ -196,59 +196,79 @@ FaultInjector::markPermanentDetected(unsigned unit)
     }
 }
 
+bool
+FaultInjector::UnitTracker::note(double sample, double alpha,
+                                 double threshold, double min_total,
+                                 unsigned hysteresis)
+{
+    const double a = std::clamp(alpha, 0.0, 1.0);
+    ewma = a * sample + (1.0 - a) * ewma;
+    total += sample;
+    if (threshold <= 0.0 || done)
+        return false;
+    if (ewma > threshold && total >= min_total) {
+        ++aboveStreak;
+        if (!candidate && aboveStreak >= hysteresis) {
+            candidate = true;
+            return true;
+        }
+    } else {
+        // Hysteresis: a dip below the bar resets the streak, so a
+        // transient spike never retires a healthy unit and honest
+        // transients never convict a noisy-but-honest one.
+        aboveStreak = 0;
+        candidate = false;
+    }
+    return false;
+}
+
+const FaultInjector::UnitTracker &
+FaultInjector::trackerOf(const std::map<unsigned, UnitTracker> &trackers,
+                         unsigned unit)
+{
+    static const UnitTracker idle;
+    const auto it = trackers.find(unit);
+    return it == trackers.end() ? idle : it->second;
+}
+
 void
 FaultInjector::noteUnitTax(unsigned unit, std::uint64_t cycles)
 {
-    RetireState &r = retire_[unit];
-    const double a = std::clamp(plan_.retireEwmaAlpha, 0.0, 1.0);
-    r.ewma = a * static_cast<double>(cycles) + (1.0 - a) * r.ewma;
-    if (plan_.retireTaxThresholdCycles == 0 || r.retired)
-        return;
-    if (r.ewma > static_cast<double>(plan_.retireTaxThresholdCycles)) {
-        ++r.aboveStreak;
-        if (!r.candidate &&
-            r.aboveStreak >= plan_.retireHysteresisAccesses) {
-            r.candidate = true;
-            ++retireCandidates_;
-        }
-    } else {
-        // Hysteresis: a dip below threshold resets the streak, so a
-        // transient spike never retires a healthy unit.
-        r.aboveStreak = 0;
-        r.candidate = false;
-    }
+    // Retirement has no evidence floor.
+    if (retire_[unit].note(static_cast<double>(cycles),
+                           plan_.retireEwmaAlpha,
+                           static_cast<double>(
+                               plan_.retireTaxThresholdCycles),
+                           0.0, plan_.retireHysteresisAccesses))
+        ++retireCandidates_;
 }
 
 bool
 FaultInjector::retirementDue(unsigned unit) const
 {
-    const auto it = retire_.find(unit);
-    return it != retire_.end() && it->second.candidate &&
-           !it->second.retired;
+    return trackerOf(retire_, unit).due();
 }
 
 void
 FaultInjector::markRetired(unsigned unit)
 {
-    RetireState &r = retire_[unit];
-    if (r.retired)
+    UnitTracker &r = retire_[unit];
+    if (r.done)
         return;
-    r.retired = true;
+    r.done = true;
     ++retiredUnits_;
 }
 
 bool
 FaultInjector::unitRetired(unsigned unit) const
 {
-    const auto it = retire_.find(unit);
-    return it != retire_.end() && it->second.retired;
+    return trackerOf(retire_, unit).done;
 }
 
 double
 FaultInjector::unitTaxEwma(unsigned unit) const
 {
-    const auto it = retire_.find(unit);
-    return it == retire_.end() ? 0.0 : it->second.ewma;
+    return trackerOf(retire_, unit).ewma;
 }
 
 const ByzantineFault *
@@ -350,44 +370,26 @@ FaultInjector::takeLostWrite(std::uint64_t addr)
 void
 FaultInjector::noteMistrust(unsigned unit, double failures)
 {
-    MistrustState &s = mistrust_[unit];
-    const double a = std::clamp(plan_.mistrustEwmaAlpha, 0.0, 1.0);
-    s.ewma = a * failures + (1.0 - a) * s.ewma;
-    s.totalBlame += failures;
-    if (!mistrustArmed() || s.convicted)
-        return;
-    if (s.ewma > plan_.mistrustConvictThreshold &&
-        s.totalBlame >= static_cast<double>(plan_.mistrustMinEvidence)) {
-        ++s.aboveStreak;
-        if (!s.candidate &&
-            s.aboveStreak >= plan_.mistrustHysteresisAccesses) {
-            s.candidate = true;
-            ++mistrustCandidates_;
-        }
-    } else {
-        // Hysteresis: honest transients decay the score back under
-        // the bar before the streak completes, so a noisy-but-honest
-        // unit is never convicted.
-        s.aboveStreak = 0;
-        s.candidate = false;
-    }
+    if (mistrust_[unit].note(failures, plan_.mistrustEwmaAlpha,
+                             plan_.mistrustConvictThreshold,
+                             static_cast<double>(plan_.mistrustMinEvidence),
+                             plan_.mistrustHysteresisAccesses))
+        ++mistrustCandidates_;
 }
 
 bool
 FaultInjector::convictionDue(unsigned unit) const
 {
-    const auto it = mistrust_.find(unit);
-    return it != mistrust_.end() && it->second.candidate &&
-           !it->second.convicted;
+    return trackerOf(mistrust_, unit).due();
 }
 
 void
 FaultInjector::markConvicted(unsigned unit)
 {
-    MistrustState &s = mistrust_[unit];
-    if (s.convicted)
+    UnitTracker &s = mistrust_[unit];
+    if (s.done)
         return;
-    s.convicted = true;
+    s.done = true;
     ++convictedUnits_;
     // One ByzantineConvict episode: injected+detected here, paired by
     // the caller with exactly one recovered or unrecovered record.
@@ -398,15 +400,13 @@ FaultInjector::markConvicted(unsigned unit)
 bool
 FaultInjector::unitConvicted(unsigned unit) const
 {
-    const auto it = mistrust_.find(unit);
-    return it != mistrust_.end() && it->second.convicted;
+    return trackerOf(mistrust_, unit).done;
 }
 
 double
 FaultInjector::mistrustScore(unsigned unit) const
 {
-    const auto it = mistrust_.find(unit);
-    return it == mistrust_.end() ? 0.0 : it->second.ewma;
+    return trackerOf(mistrust_, unit).ewma;
 }
 
 bool

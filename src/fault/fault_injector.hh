@@ -10,8 +10,9 @@
  * on addresses, block contents, or any other secret.  Fault positions
  * are then a pure function of (plan.seed, opportunity index), so the
  * recovery schedule they trigger is data-independent by construction;
- * tests/verify/test_fault_obliviousness.cc checks the resulting
- * traces against the PR 2 indistinguishability checker.
+ * tests/verify/test_fault_obliviousness.cc runs the resulting traces
+ * through the calibrated gate (verify::compareCalibrated), with the
+ * plan re-seeded per run and the address region as the secret.
  *
  * One injector instance is shared (raw pointer, not owned) by every
  * component of one system instance.  All hooks are nullable: a
@@ -284,28 +285,33 @@ class FaultInjector
         bool correlated = false;
     };
 
-    /** Per-unit latency-tax EWMA + hysteresis for retirement. */
-    struct RetireState {
+    /** Per-unit EWMA + hysteresis of one per-access quantity:
+     *  latency cycles for retirement, attributed integrity failures
+     *  for conviction; done once the protocol acted on it. */
+    struct UnitTracker {
         double ewma = 0.0;
+        /** Lifetime sum: the evidence floor reads this, so a couple
+         *  of unluckily adjacent transients can never convict no
+         *  matter how the EWMA streak lands. */
+        double total = 0.0;
         unsigned aboveStreak = 0;
         bool candidate = false;
-        bool retired = false;
+        bool done = false;
+
+        /** Feed one access's @p sample.  While @p threshold > 0 and
+         *  not done, the unit becomes a candidate after @p hysteresis
+         *  CONSECUTIVE samples with the EWMA above @p threshold and
+         *  the total at least @p min_total; true when this one did. */
+        bool note(double sample, double alpha, double threshold,
+                  double min_total, unsigned hysteresis);
+
+        bool due() const { return candidate && !done; }
     };
 
-    /** Per-unit mistrust EWMA + hysteresis for byzantine conviction
-     *  (same shape as RetireState; the tracked quantity is attributed
-     *  integrity failures per access instead of latency cycles). */
-    struct MistrustState {
-        double ewma = 0.0;
-        /** Lifetime attributed failures: the evidence floor
-         *  (plan.mistrustMinEvidence) reads this, so a couple of
-         *  unluckily adjacent transients can never convict no matter
-         *  how the EWMA streak lands. */
-        double totalBlame = 0.0;
-        unsigned aboveStreak = 0;
-        bool candidate = false;
-        bool convicted = false;
-    };
+    /** @p unit's tracker in @p trackers, or an idle one. */
+    static const UnitTracker &
+    trackerOf(const std::map<unsigned, UnitTracker> &trackers,
+              unsigned unit);
 
     /** Active byzantine script of @p kind on @p unit, or nullptr. */
     const ByzantineFault *activeByzantine(unsigned unit,
@@ -317,8 +323,8 @@ class FaultInjector
      *  must not shift the transient-fault stream positions. */
     Rng byzRng_;
     std::vector<PermanentState> permanent_;
-    std::map<unsigned, RetireState> retire_;
-    std::map<unsigned, MistrustState> mistrust_;
+    std::map<unsigned, UnitTracker> retire_;
+    std::map<unsigned, UnitTracker> mistrust_;
     /** Pending dropped-write ground truth: addr -> (culprit unit,
      *  drop count).  See noteLostWrite(). */
     std::map<std::uint64_t, std::pair<unsigned, unsigned>> lostWrites_;

@@ -25,7 +25,7 @@ BucketStore::BucketStore(std::uint64_t num_buckets, unsigned z,
     if (!write_dummies)
         return;
     // Initialize every bucket to an all-dummy image so the tree is
-    // well-formed (and indistinguishable) from the first access.
+    // well-formed (and every bucket alike) from the first access.
     Bucket empty(z_);
     for (std::uint64_t seq = 0; seq < num_buckets; ++seq)
         writeBucket(seq, empty);

@@ -55,7 +55,7 @@ void
 FreecursiveBackend::access(std::uint64_t id, Addr byte_addr, bool write,
                            Tick now)
 {
-    (void)write; // Reads and writes are indistinguishable in ORAM.
+    (void)write; // Reads and writes look the same in ORAM.
     SD_ASSERT(canAccept());
     const std::uint64_t block = byte_addr / blockBytes;
     const unsigned ops = recursion_.opsForAccess(block);

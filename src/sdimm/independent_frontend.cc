@@ -325,7 +325,7 @@ IndependentFrontend::broadcastAppend(const oram::StashEntry *block)
          * Whenever the quarantine set changed mid-sweep -- a public,
          * fault-triggered event -- re-run the slot: an unplaced block
          * lands on its redrawn survivor, and a placed one rides the
-         * re-run as all-dummy padding, indistinguishable on the wire.
+         * re-run as all-dummy padding, alike on the wire.
          */
         redo = !failedStop_ && quarantinedCount() != quarantinedBefore;
     }

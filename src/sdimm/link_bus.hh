@@ -46,13 +46,6 @@ class LinkBus
 {
   public:
     /**
-     * Bus-trace observer: each transaction as seen from the bus pins,
-     * everything an adversary snooping the CPU channel learns about
-     * SDIMM protocol traffic -- a Transfer with its payload size, or a
-     * ShortCmd / Probe (address 0) -- at its completion tick.
-     */
-    using ObserverFn = TimedTraceEventFn;
-    /**
      * @param timing DDR timing (tBURST defines line occupancy).
      * @param short_cmd_cycles bus occupancy of a short command.
      */
@@ -79,7 +72,7 @@ class LinkBus
         stats_.dataBytes += bytes;
         ++stats_.transfers;
         if (observer_)
-            observer_(TraceEventKind::Transfer, bytes, busFreeAt_);
+            observer_(point_, TraceEventKind::Transfer, bytes, busFreeAt_);
         return busFreeAt_;
     }
 
@@ -100,7 +93,8 @@ class LinkBus
         if (is_probe)
             ++stats_.probes;
         if (observer_)
-            observer_(is_probe ? TraceEventKind::Probe
+            observer_(point_,
+                      is_probe ? TraceEventKind::Probe
                                : TraceEventKind::ShortCmd,
                       0, busFreeAt_);
         return busFreeAt_;
@@ -109,8 +103,20 @@ class LinkBus
     Tick busFreeAt() const { return busFreeAt_; }
     const LinkStats &stats() const { return stats_; }
 
-    /** Register the bus-trace observer; empty fn detaches. */
-    void setObserver(ObserverFn fn) { observer_ = std::move(fn); }
+    /**
+     * Register the bus-trace observer; empty fn detaches.  It sees
+     * each transaction as seen from the bus pins, everything an
+     * adversary snooping the CPU channel learns about SDIMM protocol
+     * traffic -- a Transfer with its payload size, or a ShortCmd /
+     * Probe (address 0) -- at its completion tick, reported as attach
+     * point @p point.
+     */
+    void
+    setObserver(TimedTraceEventFn fn, unsigned point)
+    {
+        observer_ = std::move(fn);
+        point_ = point;
+    }
 
     /** Export traffic counters under @p prefix (docs/METRICS.md). */
     void
@@ -131,7 +137,8 @@ class LinkBus
     std::uint64_t bytesPerCycle_;
     Tick busFreeAt_ = 0;
     LinkStats stats_;
-    ObserverFn observer_;
+    TimedTraceEventFn observer_;
+    unsigned point_ = 0;
 };
 
 } // namespace secdimm::sdimm

@@ -43,7 +43,7 @@ void
 SdimmBackend::access(std::uint64_t id, Addr byte_addr, bool write,
                      Tick now)
 {
-    (void)write; // Reads and writes are indistinguishable in ORAM.
+    (void)write; // Reads and writes look the same in ORAM.
     SD_ASSERT(canAccept());
     const std::uint64_t block = byte_addr / blockBytes;
     opsLeft_.emplace(id, recursion_.opsForAccess(block));
@@ -107,8 +107,8 @@ SdimmBackend::idle() const
 unsigned
 SdimmBackend::attachObserver(const TimedTraceEventFn &fn)
 {
-    for (auto &b : buses_)
-        b->setObserver(fn);
+    for (unsigned b = 0; b < buses_.size(); ++b)
+        buses_[b]->setObserver(fn, b);
     return busCount();
 }
 

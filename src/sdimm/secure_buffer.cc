@@ -217,8 +217,8 @@ SecureBuffer::handleAppend(const SealedMessage &msg)
     if (injector_ && injector_->rollByzantineLostWrite(index_)) {
         /*
          * Byzantine lost write: ACK the APPEND but drop the real
-         * payload on the floor.  The wire conversation is
-         * indistinguishable from an honest one; only the CPU-side
+         * payload on the floor.  The wire conversation looks the
+         * same as an honest one; only the CPU-side
          * read-back audit (modeling PMMAC freshness counters) can
          * discover the stale chain later.
          */

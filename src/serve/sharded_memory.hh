@@ -364,9 +364,10 @@ class ShardedSecureMemory
      * Observer hook for the INTERLEAVED schedule: every request a
      * worker completes is recorded as (shard, is-write) in global
      * completion order, which is exactly what an adversary watching
-     * the service frontend sees of the multi-threaded execution.  The
-     * concurrency-sound checker (verify::compareSchedules) compares
-     * two such recordings.  Install before submitting traffic and
+     * the service frontend sees of the multi-threaded execution; the
+     * calibrated gate (verify::compareCalibrated) scores its schedule
+     * statistics over such recordings.  Install before submitting
+     * traffic and
      * keep the recorder alive until shutdown(); nullptr detaches.
      */
     void

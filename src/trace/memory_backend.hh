@@ -82,10 +82,10 @@ class MemoryBackend
     /**
      * Report every event on the externally visible channels -- the
      * CPU DRAM channels, or the CPU link buses of the SDIMM designs --
-     * to @p fn (non-empty).  An SDIMM's internal channels are NOT
-     * visible to a channel-snooping adversary (that is the point of
-     * the design) and are not attached.  Returns the attach-point
-     * count.
+     * to @p fn (non-empty), tagged with the attach point it rode on,
+     * 0 to count - 1.  An SDIMM's internal channels are NOT visible
+     * to a channel-snooping adversary (that is the point of the
+     * design) and are not attached.  Returns the attach-point count.
      */
     virtual unsigned attachObserver(const TimedTraceEventFn &fn) = 0;
 

@@ -72,10 +72,11 @@ enum class TraceEventKind : std::uint8_t
  */
 using TraceEventFn = std::function<void(TraceEventKind, std::uint64_t)>;
 
-/** A TraceEventFn of the timing layer: also the event's completion
- *  tick on the channel. */
+/** A TraceEventFn of the timing layer: also the attach point the
+ *  event rode on (a CPU DRAM channel or link bus, numbered from 0)
+ *  and its completion tick there. */
 using TimedTraceEventFn =
-    std::function<void(TraceEventKind, std::uint64_t, Tick)>;
+    std::function<void(unsigned, TraceEventKind, std::uint64_t, Tick)>;
 
 } // namespace secdimm
 

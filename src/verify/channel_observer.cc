@@ -22,9 +22,8 @@ unsigned
 ChannelObserver::attach(MemoryBackend &backend)
 {
     return backend.attachObserver(
-        [this](TraceEventKind kind, std::uint64_t addr, Tick at) {
-            record(kind, addr, at);
-        });
+        [this](unsigned point, TraceEventKind kind, std::uint64_t addr,
+               Tick at) { record(kind, addr, at, point); });
 }
 
 unsigned

@@ -5,10 +5,9 @@
  * activity (NonSecure / Freecursive backends), SDIMM link-bus
  * transactions (Independent / Split backends), and, for the
  * functional layer, whatever each oram::OramEngine reports (bucket
- * sequences, leaves, SDIMM command streams).  The
- * trace-indistinguishability checker (trace_checker.hh) compares two
- * such traces; nothing here may peek at plaintext, stash contents, or
- * any other secret state.
+ * sequences, leaves, SDIMM command streams).  The pair statistics of
+ * trace_stats.hh compare such traces; nothing here may peek at
+ * plaintext, stash contents, or any other secret state.
  */
 
 #ifndef SECUREDIMM_VERIFY_CHANNEL_OBSERVER_HH
@@ -33,13 +32,16 @@ const char *traceEventKindName(TraceEventKind kind);
  * One externally visible event.  @p addr carries whatever address-like
  * quantity the channel exposes: the DRAM block address, the transfer
  * byte count, the bucket sequence number, a path's leaf, or an SDIMM
- * command's (type << 8) | unit.
+ * command's (type << 8) | unit.  @p point is the attach point that
+ * carried it: a timing backend's CPU DRAM channel or link bus; 0 for
+ * a functional engine, whose events share one stream.
  */
 struct TraceEvent
 {
     TraceEventKind kind = TraceEventKind::Read;
     std::uint64_t addr = 0;
     Tick at = 0;
+    unsigned point = 0;
 
     bool operator==(const TraceEvent &) const = default;
 };
@@ -54,9 +56,10 @@ class ChannelObserver
 {
   public:
     void
-    record(TraceEventKind kind, std::uint64_t addr, Tick at)
+    record(TraceEventKind kind, std::uint64_t addr, Tick at,
+           unsigned point = 0)
     {
-        events_.push_back(TraceEvent{kind, addr, at});
+        events_.push_back(TraceEvent{kind, addr, at, point});
     }
 
     const std::vector<TraceEvent> &events() const { return events_; }
@@ -65,8 +68,9 @@ class ChannelObserver
     /**
      * Observe a timing backend's externally visible channels (see
      * MemoryBackend::attachObserver): DRAM CAS activity on the CPU
-     * channels, or SDIMM link-bus transactions.  Returns the
-     * backend's attach-point count.
+     * channels, or SDIMM link-bus transactions, each event tagged
+     * with its attach point.  Returns the backend's attach-point
+     * count.
      */
     unsigned attach(MemoryBackend &backend);
 

@@ -389,7 +389,7 @@ injectTimingLeak(std::vector<TraceEvent> events, std::uint64_t hot_lo,
 }
 
 /* ------------------------------------------------------------------ */
-/* Concurrency-sound checking                                          */
+/* The serve frontend's schedule                                       */
 /* ------------------------------------------------------------------ */
 
 std::vector<TraceEvent>
@@ -403,98 +403,6 @@ scheduleToTrace(const std::vector<ScheduleEvent> &schedule)
                                e.shard, e.seq});
     }
     return t;
-}
-
-std::string
-ScheduleComparison::summary() const
-{
-    std::ostringstream os;
-    os << (pass ? "SCHEDULE-PASS" : "SCHEDULE-FAIL") << " ["
-       << marginal.summary() << "] [" << ordering.summary()
-       << "] [SHARD-KIND-" << (perShardPass ? "PASS" : "FAIL")
-       << ": max_delta=" << maxPerShardKindDelta << "@shard"
-       << worstShard << " band=" << perShardBand << "]";
-    return os.str();
-}
-
-namespace
-{
-
-/** ACF profiles of a schedule's per-shard 0/1 write-indicator
- *  subsequences, with the subsequence lengths. */
-struct KindProfiles
-{
-    std::vector<std::vector<double>> acf;
-    std::vector<std::size_t> len;
-};
-
-KindProfiles
-kindProfiles(const std::vector<ScheduleEvent> &schedule, unsigned shards,
-             unsigned max_lag)
-{
-    std::vector<std::vector<double>> series(shards);
-    for (const ScheduleEvent &e : schedule) {
-        if (e.shard < shards)
-            series[e.shard].push_back(e.write ? 1.0 : 0.0);
-    }
-    KindProfiles p;
-    for (const std::vector<double> &s : series) {
-        p.acf.push_back(acfProfile(s, max_lag));
-        p.len.push_back(s.size());
-    }
-    return p;
-}
-
-} // namespace
-
-ScheduleComparison
-compareSchedules(const std::vector<ScheduleEvent> &a,
-                 const std::vector<ScheduleEvent> &b,
-                 const DeepCheckOptions &opts)
-{
-    ScheduleComparison cmp;
-    const std::vector<TraceEvent> ta = scheduleToTrace(a);
-    const std::vector<TraceEvent> tb = scheduleToTrace(b);
-    cmp.marginal = compareTraces(ta, tb, opts.marginal);
-    cmp.ordering = compareAutocorrelation(ta, tb, opts.timing);
-
-    // Shard-local ordering: compare the ACF profile of each shard's
-    // FIFO-order write-indicator sequence between the two runs.
-    unsigned shards = 0;
-    for (const ScheduleEvent &e : a)
-        shards = std::max(shards, e.shard + 1);
-    for (const ScheduleEvent &e : b)
-        shards = std::max(shards, e.shard + 1);
-    const unsigned lags = opts.timing.maxLag;
-    const KindProfiles pa = kindProfiles(a, shards, lags);
-    const KindProfiles pb = kindProfiles(b, shards, lags);
-    cmp.perShardPass = true;
-    for (unsigned s = 0; s < shards; ++s) {
-        const std::size_t na = pa.len[s];
-        const std::size_t nb = pb.len[s];
-        if (na < 2 || nb < 2)
-            continue; // The marginal check owns occupancy mismatches.
-        const double band =
-            std::max(opts.timing.acfBandFloor,
-                     opts.timing.acfBandScale *
-                         std::sqrt(1.0 / static_cast<double>(na) +
-                                   1.0 / static_cast<double>(nb)));
-        for (unsigned k = 0; k < lags; ++k) {
-            const double delta = std::abs(pa.acf[s][k] - pb.acf[s][k]);
-            if (delta > cmp.maxPerShardKindDelta) {
-                cmp.maxPerShardKindDelta = delta;
-                cmp.worstShard = s;
-                cmp.perShardBand = band;
-            }
-            if (delta > band)
-                cmp.perShardPass = false;
-        }
-        if (cmp.perShardBand == 0.0)
-            cmp.perShardBand = band;
-    }
-    cmp.pass = cmp.marginal.indistinguishable && cmp.ordering.pass &&
-               cmp.perShardPass;
-    return cmp;
 }
 
 /* ------------------------------------------------------------------ */
@@ -513,6 +421,30 @@ const char *const scheduleStatNames[] = {"occupancy_tv", "kind_tv",
                                          "count_delta", "acf",
                                          "shard_kind_acf"};
 
+/** ACF profiles of a schedule's per-shard 0/1 write-indicator
+ *  subsequences, with the subsequence lengths. */
+struct KindProfiles
+{
+    std::vector<std::vector<double>> acf;
+    std::vector<std::size_t> len;
+};
+
+KindProfiles
+kindProfiles(const std::vector<ScheduleEvent> &schedule, unsigned shards)
+{
+    std::vector<std::vector<double>> series(shards);
+    for (const ScheduleEvent &e : schedule) {
+        if (e.shard < shards)
+            series[e.shard].push_back(e.write ? 1.0 : 0.0);
+    }
+    KindProfiles p;
+    for (const std::vector<double> &s : series) {
+        p.acf.push_back(acfProfile(s));
+        p.len.push_back(s.size());
+    }
+    return p;
+}
+
 /** Shard @p s's trace of @p o; empty where the run observed none. */
 const std::vector<TraceEvent> &
 shardTrace(const Observation &o, std::size_t s)
@@ -522,9 +454,8 @@ shardTrace(const Observation &o, std::size_t s)
 }
 
 /**
- * What the pair statistics need of one run, computed once: the ACF
- * profiles compareAutocorrelation and compareSchedules would compute
- * afresh for every pair the run is in.
+ * What the pair statistics need of one run, computed once instead of
+ * for every pair the run is in: its ACF profiles.
  */
 struct RunProfile
 {
@@ -536,31 +467,21 @@ struct RunProfile
 };
 
 RunProfile
-profileRun(const Observation &o, std::size_t shards, unsigned max_lag)
+profileRun(const Observation &o, std::size_t shards)
 {
     RunProfile p;
     for (std::size_t s = 0; s < shards; ++s) {
         const std::vector<TraceEvent> &t = shardTrace(o, s);
-        p.addrAcf.push_back(acfProfile(addressSeries(t), max_lag));
-        p.gapAcf.push_back(acfProfile(gapSeries(t), max_lag));
+        p.addrAcf.push_back(acfProfile(addressSeries(t)));
+        p.gapAcf.push_back(acfProfile(gapSeries(t)));
     }
     p.schedule = scheduleToTrace(o.schedule);
-    p.scheduleAcf = acfProfile(addressSeries(p.schedule), max_lag);
+    p.scheduleAcf = acfProfile(addressSeries(p.schedule));
     unsigned sched_shards = 0;
     for (const ScheduleEvent &e : o.schedule)
         sched_shards = std::max(sched_shards, e.shard + 1);
-    p.kinds = kindProfiles(o.schedule, sched_shards, max_lag);
+    p.kinds = kindProfiles(o.schedule, sched_shards);
     return p;
-}
-
-/** max_k |a[k] - b[k]|, the delta the ACF comparisons report. */
-double
-maxAcfDelta(const std::vector<double> &a, const std::vector<double> &b)
-{
-    double m = 0.0;
-    for (std::size_t k = 0; k < a.size(); ++k)
-        m = std::max(m, std::abs(a[k] - b[k]));
-    return m;
 }
 
 /** Write the statistics of one pair of runs to @p out. */
@@ -793,10 +714,9 @@ compareCalibrated(const ObservationRun &run)
     const unsigned m = static_cast<unsigned>(cmp.statistics.size());
     SD_ASSERT(m > 0);
 
-    const unsigned lags = TimingCheckOptions{}.maxLag;
     std::vector<RunProfile> profiles;
     for (const Observation &o : runs)
-        profiles.push_back(profileRun(o, shards, lags));
+        profiles.push_back(profileRun(o, shards));
     std::vector<double> d(static_cast<std::size_t>(n) * n * m, 0.0);
     for (unsigned i = 0; i < n; ++i) {
         for (unsigned j = i + 1; j < n; ++j) {

@@ -1,9 +1,6 @@
 /**
  * @file
- * Quantitative leak measurement.  Where the trace checker renders a
- * binary indistinguishable/distinguishable verdict, this module
- * MEASURES how much a visible channel tells the adversary, in bits
- * per access:
+ * Quantitative leak measurement and the one obliviousness verdict:
  *
  *  - a plug-in mutual-information estimator over discrete symbol
  *    pairs, bias-corrected against shuffled pairings and reported
@@ -17,19 +14,17 @@
  *    nonzero (its CI excludes 0); flat-PosMap designs measure ~0;
  *
  *  - deliberately-leaky trace transforms (ordering and timing) used
- *    as positive controls: they preserve every marginal the v1
- *    checker tests while encoding a secret in event order or event
- *    rhythm, so only the second-order statistics (timing_stats.hh)
- *    catch them;
+ *    as positive controls: they keep every marginal statistic of
+ *    trace_stats.hh while encoding a secret in event order or event
+ *    rhythm, so only the second-order statistics catch them;
  *
- *  - a thread-safe ScheduleRecorder + schedule comparison for
- *    concurrency-sound checking of the multi-threaded serve frontend
- *    (the recorder is the observer hook ShardedSecureMemory exposes);
+ *  - a thread-safe ScheduleRecorder, the observer hook of the
+ *    multi-threaded serve frontend;
  *
  *  - the calibrated gate (compareCalibrated): many re-seeded runs of
- *    two secrets, every pair statistic above tested by an exact
- *    permutation test over the run labels, so its false-alarm rate is
- *    fixed whatever the sample size or the scheduler.
+ *    two secrets, every pair statistic of trace_stats.hh tested by an
+ *    exact permutation test over the run labels, so its false-alarm
+ *    rate is fixed whatever the sample size or the scheduler.
  *
  * The sdimm_leakmeter CLI (tools/) drives these over every secure
  * DesignPoint and emits a JSON report; docs/VERIFICATION.md explains
@@ -46,8 +41,7 @@
 #include <vector>
 
 #include "util/types.hh"
-#include "verify/timing_stats.hh"
-#include "verify/trace_checker.hh"
+#include "verify/trace_stats.hh"
 
 namespace secdimm::verify
 {
@@ -202,8 +196,9 @@ LeakReport measureObservedLocalityLeak(
  * address, keeping every tick in place -- the schedule a
  * batch-scheduler that orders requests by (secret) address would
  * emit.  Marginal address/kind/count statistics are EXACTLY
- * preserved (same multiset, same timestamps), so compareTraces
- * passes; compareAutocorrelation fails on the address series.
+ * preserved (same multiset, same timestamps), so every compareTraces
+ * distance to the untouched trace reads 0; the address series' ACF
+ * moves.
  */
 std::vector<TraceEvent>
 injectOrderingLeak(std::vector<TraceEvent> events, std::size_t window = 8);
@@ -212,15 +207,15 @@ injectOrderingLeak(std::vector<TraceEvent> events, std::size_t window = 8);
  * Timing leak: delay everything after an event whose address falls in
  * [hot_lo, hot_hi) by @p extra_ticks -- a controller that takes a
  * (secret-dependent) slow path.  The event sequence is untouched, so
- * the v1 checker (which ignores timestamps entirely) passes;
- * gapPermutationTest and compareGapProfiles fail.
+ * compareTraces (which ignores timestamps entirely) reads 0; the gap
+ * series' ACF and compareGapProfiles move.
  */
 std::vector<TraceEvent>
 injectTimingLeak(std::vector<TraceEvent> events, std::uint64_t hot_lo,
                  std::uint64_t hot_hi, Tick extra_ticks);
 
 /* ------------------------------------------------------------------ */
-/* Concurrency-sound checking                                          */
+/* The serve frontend's schedule                                       */
 /* ------------------------------------------------------------------ */
 
 /** One processed request, as the shard workers interleaved them. */
@@ -279,51 +274,15 @@ class ScheduleRecorder
 std::vector<TraceEvent>
 scheduleToTrace(const std::vector<ScheduleEvent> &schedule);
 
-/** Verdict over a pair of interleaved schedules. */
-struct ScheduleComparison
-{
-    /** Marginal shard-occupancy + kind-mix comparison (v1 semantics). */
-    TraceComparison marginal;
-    /** Ordering comparison over the global shard-id sequence. */
-    AcfComparison ordering;
-    /**
-     * The concurrency-sound core: per shard, the ACF profile of that
-     * shard's read/write indicator SUBSEQUENCE.  Per-shard order is
-     * exactly the shard's FIFO service order.  With one submitting
-     * thread it is fixed by the submission order and untouched by
-     * how the OS interleaves the shard workers; with several client
-     * threads it follows how their submissions raced.  Either way a
-     * secret-keyed within-shard reordering (writes first, sorted
-     * batches) moves it far more than scheduler noise does.
-     */
-    double maxPerShardKindDelta = 0.0;
-    unsigned worstShard = 0;
-    double perShardBand = 0.0;
-    bool perShardPass = false;
-    bool pass = false;
-
-    std::string summary() const;
-};
-
-/**
- * Compare two interleaved schedules recorded under workloads that
- * differ only in their secret: which shards served, in what mix, in
- * what global order, and in what per-shard order must all be
- * statistically alike.
- */
-ScheduleComparison
-compareSchedules(const std::vector<ScheduleEvent> &a,
-                 const std::vector<ScheduleEvent> &b,
-                 const DeepCheckOptions &opts = {});
-
 /* ------------------------------------------------------------------ */
 /* The calibrated run-level gate                                       */
 /* ------------------------------------------------------------------ */
 
 /**
- * What the adversary sees of one run of a sharded service: each
- * shard's channel trace and the completion-order schedule.  A caller
- * that does not observe one of the two leaves it empty.
+ * What the adversary sees of one run: one trace per observed channel
+ * (each shard of a sharded service, or each attach point of a timing
+ * backend, in a fixed order) and the completion-order schedule.  A
+ * caller that does not observe one of the two leaves it empty.
  */
 struct Observation
 {
@@ -336,9 +295,14 @@ inline constexpr unsigned calibratedDraws = 12;
 
 /**
  * False-alarm rate of one calibrated comparison (alpha), split
- * Bonferroni-style over its statistics.  A full ctest run makes
- * fewer than ten comparisons whose runs are not seeded end to end,
- * so it fails on an honest design with probability below 1e-3.
+ * Bonferroni-style over its statistics.  A comparison whose runs are
+ * seeded end to end returns one fixed verdict (a pass is a pass on
+ * every ctest run); the others draw afresh each time.  A full ctest
+ * run makes eight of those, all over the serve frontend's completion
+ * schedule (the five designs of ConcurrentObliviousness.
+ * AllSecureDesignsUnderRandomSchedules and the three
+ * KvOblivious.*Invisible), so it fails on an honest design with
+ * probability below 8e-4.
  */
 inline constexpr double calibratedAlpha = 1e-4;
 
@@ -383,11 +347,12 @@ using ObservationRun =
 /**
  * The calibrated gate.  Runs R draws of each secret, alternating
  * A B A B ... so that host drift hits both secrets alike, and scores
- * every pair of runs with the numbers the pair functions produce:
- * per shard the compareTraces distances, the compareAutocorrelation
- * deltas and the compareGapProfiles delta; over the schedule the
- * compareSchedules occupancy, kind and count distances, global ACF
- * delta and per-shard kind ACF delta.  For each statistic
+ * every pair of runs with the pair statistics of trace_stats.hh: per
+ * trace the compareTraces distances, the address and gap ACF deltas
+ * (maxAcfDelta of acfProfile) and the compareGapProfiles delta; over
+ * the schedule the occupancy, kind and count distances, the global
+ * shard-sequence ACF delta and, per shard, the ACF delta of its
+ * read/write subsequence (its FIFO service order).  For each statistic
  * T = mean(cross-secret pairs) - mean(same-secret pairs) is tested
  * against every relabeling of the 2R runs into two halves: with no
  * leak the runs are exchangeable, so each p is exact whatever the

@@ -2,13 +2,13 @@
  * @file
  * The obliviousness deliverable of the KV layer: the externally
  * visible channel (per-shard bucket-store traces) and the interleaved
- * completion schedule must be indistinguishable across differing key
+ * completion schedule must look alike across differing key
  * sets, value contents, hit/miss ratios, and even op types -- every
  * operation is blocksPerSlot reads of one slot followed by
  * blocksPerSlot writes of the same slot, block j on shard j mod N.
  * The deliberately leaky baseline
  * index (static slots, hit-length reads, no dummy work) is the
- * positive control: the same checkers must FAIL it.
+ * positive control: the same gate must FAIL it.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "app/kv_store.hh"
 #include "verify/channel_observer.hh"
 #include "verify/leak_meter.hh"
-#include "verify/trace_checker.hh"
 
 namespace secdimm::app
 {
@@ -308,23 +307,13 @@ TEST(KvOblivious, LeakyBaselineFailsTheSameChecks)
 
     // Hit-length reads vs nothing: wildly different event counts.
     EXPECT_GT(a.schedule.size(), 2 * b.schedule.size());
-    const verify::ScheduleComparison sc =
-        verify::compareSchedules(a.schedule, b.schedule);
-    EXPECT_FALSE(sc.pass) << sc.summary();
-
-    bool any_shard_fails = false;
-    for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
-        const verify::DeepComparison d = verify::deepCompareTraces(
-            a.shardTraces[s], b.shardTraces[s]);
-        any_shard_fails = any_shard_fails || !d.pass;
-    }
-    EXPECT_TRUE(any_shard_fails)
-        << "leaky baseline must fail at least one per-shard check";
 
     const verify::CalibratedComparison c =
         calibratedGate(opt_a, resident, "value", hits, opt_b, resident,
                        "value", mostly_misses);
     EXPECT_FALSE(c.pass) << c.summary();
+    EXPECT_FALSE(c.passes("schedule.")) << c.summary();
+    EXPECT_FALSE(c.passes("shard")) << c.summary();
 }
 
 } // namespace

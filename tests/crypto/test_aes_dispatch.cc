@@ -24,7 +24,6 @@
 #include "crypto/pmmac.hh"
 #include "util/rng.hh"
 #include "verify/channel_observer.hh"
-#include "verify/trace_checker.hh"
 
 namespace secdimm::crypto
 {
@@ -442,11 +441,10 @@ TEST(AesDispatch, SystemBehaviorIdenticalAcrossBackends)
 }
 
 /**
- * The trace checker's obliviousness verdict must not depend on which
- * AES backend ran: the externally visible event stream is a function
+ * What the obliviousness gate sees must not depend on which AES
+ * backend ran: the externally visible event stream is a function
  * of the access pattern alone, so forcing different backends over the
- * same seeded workload must yield the exact same trace (and hence an
- * indistinguishable compareTraces verdict).
+ * same seeded workload must yield the exact same trace.
  */
 TEST(AesDispatch, TraceCheckerVerdictImplIndependent)
 {
@@ -489,8 +487,6 @@ TEST(AesDispatch, TraceCheckerVerdictImplIndependent)
             ASSERT_EQ(other[e].addr, ref[e].addr)
                 << aesImplName(impls[i]) << " event " << e;
         }
-        const auto cmp = verify::compareTraces(ref, other);
-        EXPECT_TRUE(cmp.indistinguishable) << cmp.summary();
     }
 }
 

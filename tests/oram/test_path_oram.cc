@@ -156,8 +156,8 @@ TEST(PathOram, PathInvariantHolds)
 
 TEST(PathOram, LeafTraceLooksUniform)
 {
-    // Obliviousness: the observed leaf sequence should be
-    // indistinguishable for two very different access patterns.
+    // Obliviousness: the observed leaf sequence should look the
+    // same for two very different access patterns.
     // Check uniformity of touched leaves via a chi-square-ish bound.
     auto uniformity = [](bool sequential) {
         auto oram = makeOram(8, 7);

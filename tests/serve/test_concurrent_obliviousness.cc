@@ -4,8 +4,8 @@
  * adversary sees every shard's channel trace and the completion-order
  * schedule (verify::ScheduleRecorder via
  * ShardedSecureMemory::setScheduleRecorder); under randomized
- * submission orders and engine seeds, both must be indistinguishable
- * between two workloads that differ only in WHICH blocks they touch.
+ * submission orders and engine seeds, neither may betray which of
+ * two workloads that differ only in WHICH blocks they touch ran.
  * verify::compareCalibrated judges that against the variation honest
  * runs of one secret show, and catches a frontend that reorders each
  * shard's queue writes-first, which the marginal view cannot.
@@ -27,7 +27,6 @@
 #include "util/rng.hh"
 #include "verify/channel_observer.hh"
 #include "verify/leak_meter.hh"
-#include "verify/trace_checker.hh"
 
 namespace secdimm::serve
 {
@@ -165,8 +164,8 @@ TEST(ConcurrentObliviousness, AllSecureDesignsUnderRandomSchedules)
 {
     // Every draw re-randomizes the submission order and the engine
     // seed; every shard's trace and the interleaved completion
-    // schedule must stay indistinguishable between the two
-    // half-region workloads, judged against the spread of honest runs.
+    // schedule must hide which of the two half-region workloads ran,
+    // judged against the spread of honest runs.
     for (Protocol proto :
          {Protocol::PathOram, Protocol::Freecursive,
           Protocol::Independent, Protocol::Split,
@@ -196,21 +195,26 @@ TEST(ConcurrentObliviousness, AllSecureDesignsUnderRandomSchedules)
 
 TEST(ConcurrentObliviousness, PerShardTracesSurviveDeepChecks)
 {
-    // The v2 statistics themselves (ordering ACF; gap stats are
-    // vacuous on untimed store traces) must also pass shard-by-shard.
+    // The per-shard traces alone, four shards and twice the requests:
+    // each shard serves its requests in submission order, so these
+    // runs are seeded end to end (the schedule, which is not, is
+    // left out).  Gap statistics are vacuous on untimed store traces.
     const ShardedSecureMemory::Options opt =
         serveOptions(Protocol::PathOram, 4);
     const Addr offset = alignedHalf(opt);
     const std::vector<Op> ops = workloadSkeleton(202, 1200, offset);
-    const verify::Observation a =
-        runWorkload(opt, ops, 0, shuffledOrder(ops.size(), 11));
-    const verify::Observation b =
-        runWorkload(opt, ops, offset, shuffledOrder(ops.size(), 12));
-    for (std::size_t s = 0; s < a.shardTraces.size(); ++s) {
-        const verify::DeepComparison d = verify::deepCompareTraces(
-            a.shardTraces[s], b.shardTraces[s]);
-        EXPECT_TRUE(d.pass) << "shard " << s << ": " << d.summary();
-    }
+    const auto run = [&](unsigned secret, std::uint64_t draw) {
+        ShardedSecureMemory::Options o = opt;
+        o.shard.seed += draw;
+        verify::Observation r =
+            runWorkload(o, ops, secret ? offset : 0,
+                        shuffledOrder(ops.size(), 11 + draw));
+        r.schedule.clear();
+        return r;
+    };
+    EXPECT_EQ(run(1, 5).shardTraces, run(1, 5).shardTraces);
+    const verify::CalibratedComparison c = verify::compareCalibrated(run);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
@@ -231,23 +235,6 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
         workloadSkeleton(303, 600, offset, 0.5);
 
     const ShardedSecureMemory probe(opt);
-    const std::vector<std::size_t> honest_order =
-        shuffledOrder(ops.size(), 21);
-    const std::vector<std::size_t> leaky_order =
-        writesFirstOrder(probe, ops, honest_order);
-    const verify::Observation leaky =
-        runWorkload(opt, ops, 0, leaky_order);
-    const verify::Observation honest =
-        runWorkload(opt, ops, offset, honest_order);
-
-    const verify::ScheduleComparison sc =
-        verify::compareSchedules(leaky.schedule, honest.schedule);
-    EXPECT_TRUE(sc.marginal.indistinguishable)
-        << "control must preserve the marginal view: "
-        << sc.marginal.summary();
-    EXPECT_FALSE(sc.pass) << sc.summary();
-    EXPECT_FALSE(sc.perShardPass) << sc.summary();
-
     // The calibrated gate over R shuffles of each side: writes-first
     // orders against honest ones.
     const verify::CalibratedComparison c = verify::compareCalibrated(
@@ -263,6 +250,11 @@ TEST(ConcurrentObliviousness, WithinShardKindSortingIsCaught)
         });
     EXPECT_FALSE(c.pass) << c.summary();
     EXPECT_FALSE(c.passes("schedule.shard_kind_acf")) << c.summary();
+    // The control keeps the marginal view: every run serves the same
+    // (shard, kind) multiset.
+    for (const char *stat : {"schedule.occupancy_tv", "schedule.kind_tv",
+                             "schedule.count_delta"})
+        EXPECT_TRUE(c.passes(stat)) << stat << ": " << c.summary();
 }
 
 TEST(ConcurrentObliviousness, RecorderDetachStopsRecording)

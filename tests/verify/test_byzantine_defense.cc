@@ -26,7 +26,7 @@
 #include "serve/sharded_memory.hh"
 #include "util/rng.hh"
 #include "verify/channel_observer.hh"
-#include "verify/trace_checker.hh"
+#include "verify/leak_meter.hh"
 
 namespace secdimm::verify
 {
@@ -331,29 +331,31 @@ TEST(ByzantineDefense, ConvictingLastSurvivorFailsStopInstead)
 
 TEST(ByzantineDefense, PostConvictionTracesDeepCompare)
 {
-    // Two runs with different SECRET address streams under the same
-    // public byzantine plan: traces spanning detection, conviction,
-    // and the eviction storm must stay statistically
-    // indistinguishable (marginals, lag-k ACF, gap profiles).
-    const auto run = [](std::uint64_t secret) {
+    // Runs whose SECRET is the address stream (seed 101 or 202) under
+    // a public byzantine plan: traces spanning detection, conviction,
+    // and the eviction storm go through the calibrated gate
+    // (marginals, lag-k ACF, gap profiles), each run with its own
+    // engine and plan seed.
+    const auto run = [](unsigned secret, std::uint64_t draw) {
+        const std::uint64_t seed = 17 + draw;
         fault::FaultInjector inj(
-            fault::FaultPlan::byzantineCorruptor(1, 300, 17));
-        sdimm::IndependentOram o(indepParams(4), 17);
+            fault::FaultPlan::byzantineCorruptor(1, 300, seed));
+        sdimm::IndependentOram o(indepParams(4), seed);
         o.setFaultInjector(&inj, fault::DegradationPolicy::Degraded);
         ChannelObserver obs;
         obs.attach(o);
-        Rng rng(secret);
+        Rng rng(secret ? 202 : 101);
         for (std::size_t i = 0; i < 1200; ++i)
             o.access(rng.nextBelow(o.capacityBlocks()),
                      oram::OramOp::Read, nullptr);
-        std::vector<TraceEvent> t = obs.events();
-        for (std::size_t i = 0; i < t.size(); ++i)
-            t[i].at = 10 * i;
-        return t;
+        EXPECT_TRUE(inj.unitConvicted(1));
+        Observation out;
+        out.shardTraces.push_back(obs.events());
+        for (std::size_t i = 0; i < out.shardTraces[0].size(); ++i)
+            out.shardTraces[0][i].at = 10 * i;
+        return out;
     };
-    const auto a = run(101);
-    const auto b = run(202);
-    const DeepComparison cmp = deepCompareTraces(a, b);
+    const CalibratedComparison cmp = compareCalibrated(run);
     EXPECT_TRUE(cmp.pass) << cmp.summary();
 }
 

@@ -1,19 +1,18 @@
 /**
  * @file
- * Retries must not leak: a fault-laden run (injected wire faults and
- * DRAM bit flips, each triggering detect-and-retry) is compared
- * against a fault-free run of the SAME workload structure over a
- * DIFFERENT address region, through the PR 2 trace checker.  Because
- * every injector roll happens unconditionally per opportunity
- * (message sent / bucket read), the retransmission schedule is a pure
- * function of (plan.seed, opportunity index) -- so the extra events it
- * adds are address-independent noise and the pair must stay
- * statistically indistinguishable for every secure design point.
+ * Retries must not leak: fault-laden runs (injected wire faults and
+ * DRAM bit flips, each triggering detect-and-retry) of the SAME
+ * workload structure over two DIFFERENT address regions go through
+ * the calibrated gate (verify::compareCalibrated), the fault plan and
+ * the engine re-seeded for every run.  Because every injector roll
+ * happens unconditionally per opportunity (message sent / bucket
+ * read), the retransmission schedule is a pure function of
+ * (plan.seed, opportunity index) -- so the extra events it adds are
+ * address-independent noise and the region must stay hidden for
+ * every secure design point.
  */
 
 #include <gtest/gtest.h>
-
-#include <optional>
 
 #include "crypto/aes128.hh"
 #include "fault/fault_injector.hh"
@@ -23,7 +22,7 @@
 #include "sdimm/split_oram.hh"
 #include "util/rng.hh"
 #include "verify/channel_observer.hh"
-#include "verify/trace_checker.hh"
+#include "verify/leak_meter.hh"
 
 namespace secdimm::verify
 {
@@ -81,9 +80,24 @@ ladenPlan(std::uint64_t seed)
     return plan;
 }
 
+/**
+ * The calibrated gate over @p trace(seed, base block): the secret is
+ * the region, block 0 or @p base_b on, and every run draws its own
+ * engine and fault-plan seed.
+ */
+template <typename Trace>
+CalibratedComparison
+regionGate(std::uint64_t base_b, Trace &&trace)
+{
+    return compareCalibrated([&](unsigned secret, std::uint64_t draw) {
+        Observation o;
+        o.shardTraces.push_back(trace(100 + draw, secret ? base_b : 0));
+        return o;
+    });
+}
+
 std::vector<TraceEvent>
-pathOramStoreTrace(std::uint64_t oram_seed, std::uint64_t base_block,
-                   bool with_faults)
+pathOramStoreTrace(std::uint64_t oram_seed, std::uint64_t base_block)
 {
     oram::OramParams p;
     p.levels = 8;
@@ -91,34 +105,26 @@ pathOramStoreTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     oram::PathOram o(p, crypto::makeKey(0xaa, oram_seed),
                      crypto::makeKey(0xbb, oram_seed * 3 + 1),
                      oram_seed);
-    std::optional<fault::FaultInjector> inj;
-    if (with_faults) {
-        inj.emplace(ladenPlan(oram_seed));
-        o.setFaultInjector(&*inj);
-    }
+    fault::FaultInjector inj(ladenPlan(oram_seed));
+    o.setFaultInjector(&inj);
     ChannelObserver obs;
     obs.attach(o);
     driveFunctional(o, 42, base_block, 256, oram_seed, 512);
-    if (with_faults) {
-        EXPECT_GT(inj->injectedTotal(), 0u);
-        EXPECT_EQ(inj->unrecoveredTotal(), 0u);
-    }
+    EXPECT_GT(inj.injectedTotal(), 0u);
+    EXPECT_EQ(inj.unrecoveredTotal(), 0u);
     return obs.events();
 }
 
 TEST(FaultObliviousness, PathOramRetriesDoNotLeakRegion)
 {
-    // Fault-laden over region A vs fault-free over disjoint region B:
-    // the extra (retried) bucket reads must not betray the region.
-    const TraceComparison c =
-        compareTraces(pathOramStoreTrace(11, 0, true),
-                      pathOramStoreTrace(77, 256, false));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    // Region A vs disjoint region B, both fault-laden: the extra
+    // (retried) bucket reads must not betray the region.
+    const CalibratedComparison c = regionGate(256, pathOramStoreTrace);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 std::vector<TraceEvent>
-independentBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
-                    bool with_faults)
+independentBusTrace(std::uint64_t oram_seed, std::uint64_t base_block)
 {
     sdimm::IndependentOram::Params ip;
     ip.perSdimm.levels = 6;
@@ -127,17 +133,11 @@ independentBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     sdimm::IndependentOram o(ip, oram_seed);
     ChannelObserver obs;
     obs.attach(o);
-    std::optional<fault::FaultInjector> inj;
-    if (with_faults) {
-        inj.emplace(ladenPlan(oram_seed));
-        o.setFaultInjector(&*inj,
-                           fault::DegradationPolicy::RetryThenStop);
-    }
+    fault::FaultInjector inj(ladenPlan(oram_seed));
+    o.setFaultInjector(&inj, fault::DegradationPolicy::RetryThenStop);
     driveFunctional(o, 42, base_block, 128, oram_seed, 384);
-    if (with_faults) {
-        EXPECT_GT(inj->injectedTotal(), 0u);
-        EXPECT_FALSE(o.failedStop());
-    }
+    EXPECT_GT(inj.injectedTotal(), 0u);
+    EXPECT_FALSE(o.failedStop());
     // The visible trace is the (command type, target SDIMM) stream --
     // retransmissions included, exactly as a bus analyst would see it.
     return obs.events();
@@ -145,10 +145,8 @@ independentBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
 
 TEST(FaultObliviousness, IndependentRetriesDoNotLeakRegion)
 {
-    const TraceComparison c =
-        compareTraces(independentBusTrace(11, 0, true),
-                      independentBusTrace(77, 128, false));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    const CalibratedComparison c = regionGate(128, independentBusTrace);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 TEST(FaultObliviousness, IndependentFaultScheduleIsDataIndependent)
@@ -203,17 +201,20 @@ postQuarantineTrace(std::uint64_t oram_seed, std::uint64_t base_block,
 TEST(FaultObliviousness, PostQuarantineTraceMatchesSurvivorOnlyRun)
 {
     // A bus analyst watching the channel AFTER the fail-over must not
-    // be able to tell a system that lost an SDIMM mid-run from one
-    // that booted without it (disjoint regions, different seeds).
-    const TraceComparison c =
-        compareTraces(postQuarantineTrace(11, 0, true),
-                      postQuarantineTrace(77, 128, false));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    // be able to tell a system that lost an SDIMM mid-run (over one
+    // region) from one that booted without it (over the other).
+    const CalibratedComparison c =
+        compareCalibrated([](unsigned secret, std::uint64_t draw) {
+            Observation o;
+            o.shardTraces.push_back(postQuarantineTrace(
+                100 + draw, secret ? 128 : 0, secret == 0));
+            return o;
+        });
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 std::vector<TraceEvent>
-indepSplitBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
-                   bool with_faults)
+indepSplitBusTrace(std::uint64_t oram_seed, std::uint64_t base_block)
 {
     sdimm::IndepSplitOram::Params gp;
     gp.perGroupTree.levels = 6;
@@ -223,31 +224,22 @@ indepSplitBusTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     sdimm::IndepSplitOram o(gp, oram_seed);
     ChannelObserver obs;
     obs.attach(o);
-    std::optional<fault::FaultInjector> inj;
-    if (with_faults) {
-        inj.emplace(ladenPlan(oram_seed));
-        o.setFaultInjector(&*inj,
-                           fault::DegradationPolicy::RetryThenStop);
-    }
+    fault::FaultInjector inj(ladenPlan(oram_seed));
+    o.setFaultInjector(&inj, fault::DegradationPolicy::RetryThenStop);
     driveFunctional(o, 42, base_block, 128, oram_seed, 384);
-    if (with_faults) {
-        EXPECT_GT(inj->injectedTotal(), 0u);
-        EXPECT_FALSE(o.failedStop());
-    }
+    EXPECT_GT(inj.injectedTotal(), 0u);
+    EXPECT_FALSE(o.failedStop());
     return obs.events();
 }
 
 TEST(FaultObliviousness, IndepSplitRetriesDoNotLeakRegion)
 {
-    const TraceComparison c =
-        compareTraces(indepSplitBusTrace(11, 0, true),
-                      indepSplitBusTrace(77, 128, false));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    const CalibratedComparison c = regionGate(128, indepSplitBusTrace);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 std::vector<TraceEvent>
-splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block,
-               bool with_faults)
+splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block)
 {
     sdimm::SplitOram::Params sp;
     sp.tree.levels = 6;
@@ -256,27 +248,21 @@ splitLeafTrace(std::uint64_t oram_seed, std::uint64_t base_block,
     sdimm::SplitOram o(sp, oram_seed);
     ChannelObserver obs;
     obs.attach(o);
-    std::optional<fault::FaultInjector> inj;
-    if (with_faults) {
-        inj.emplace(ladenPlan(oram_seed));
-        o.setFaultInjector(&*inj);
-    }
+    fault::FaultInjector inj(ladenPlan(oram_seed));
+    o.setFaultInjector(&inj);
     driveFunctional(o, 42, base_block, 64, oram_seed, 4096);
-    if (with_faults) {
-        EXPECT_GT(inj->injectedTotal(), 0u);
-        EXPECT_TRUE(o.integrityOk());
-    }
+    EXPECT_GT(inj.injectedTotal(), 0u);
+    EXPECT_TRUE(o.integrityOk());
     // The leaf (path) choice is what the CPU channel reveals per
     // access; retries re-walk the SAME path, so the sequence is
-    // untouched by faults (4096 samples: see test_obliviousness.cc).
+    // untouched by faults.
     return obs.events();
 }
 
 TEST(FaultObliviousness, SplitLeafSequenceUnaffectedByFaults)
 {
-    const TraceComparison c = compareTraces(
-        splitLeafTrace(11, 0, true), splitLeafTrace(77, 64, false));
-    EXPECT_TRUE(c.indistinguishable) << c.summary();
+    const CalibratedComparison c = regionGate(64, splitLeafTrace);
+    EXPECT_TRUE(c.pass) << c.summary();
 }
 
 } // namespace

@@ -261,7 +261,7 @@ TEST(DecodeRegression, NormalAccessOutsideReservedRegion)
         sdimm::decodeBusCommand(false, 0x100, 0x0, 0);
     EXPECT_EQ(r.status, BusDecodeStatus::NormalAccess);
     EXPECT_FALSE(r.command.has_value());
-    // Lenient wrapper: still nullopt, indistinguishable from malformed.
+    // Lenient wrapper: still nullopt, the same as malformed.
     EXPECT_FALSE(sdimm::decodeCommand(false, 0x100, 0x0, 0).has_value());
 }
 

@@ -14,17 +14,19 @@
  *  - nested-recovery evidence (a correlated burst detected INSIDE a
  *    running evacuation), proactive retirement evidence, and the
  *    zero-survivor FailStop with its distinct ledger entry;
- *  - post-chaos indistinguishability: deepCompareTraces over two
- *    secret-differing runs with the SAME (public) fault plan, the
- *    calibrated gate (verify::compareCalibrated) over the schedules of
- *    secret-differing sharded runs, and a zero-MI leak_meter
+ *  - post-chaos obliviousness: the calibrated gate
+ *    (verify::compareCalibrated) over the channel traces of
+ *    single-system runs whose secret is the address stream, the
+ *    (public) chaos plan re-seeded per run, and over the schedules of
+ *    secret-differing sharded runs, plus a zero-MI leak_meter
  *    measurement with chaos armed;
  *  - byzantine campaigns (unit designs): each lying-unit archetype --
  *    persistent corruptor, 25%-duty liar, sub-threshold liar,
  *    lost-write ACKer / group equivocator -- driven against the
  *    mistrust scorer, asserting conviction (or principled restraint),
  *    exact ledger identity, bounded data loss, and post-conviction
- *    deep-trace + zero-MI indistinguishability;
+ *    obliviousness (the calibrated gate over channel traces, zero
+ *    MI);
  *  - KV application campaign: concurrent zipfian clients drive the
  *    oblivious KV store (src/app) while bursts, retirements, and a
  *    byzantine unit rage underneath (no dead shard -- KV slots span
@@ -69,7 +71,6 @@
 #include "util/bit_utils.hh"
 #include "util/rng.hh"
 #include "verify/leak_meter.hh"
-#include "verify/trace_checker.hh"
 
 namespace
 {
@@ -589,6 +590,26 @@ observedMi(const DesignSpec &spec, const core::SecureMemorySystem::Options &o,
         [&](Addr a) { mem.readBlock(a); }, obs);
 }
 
+/**
+ * The calibrated gate over single-system runs @p run(secret seed,
+ * plan seed): the secret is which address stream the workload draws
+ * (seed * 11 + 1 or seed * 13 + 7), and every run re-seeds the public
+ * plan and engines.
+ */
+template <typename Run>
+verify::CalibratedComparison
+deepGate(std::uint64_t seed, Run &&run)
+{
+    return verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            verify::Observation o;
+            o.shardTraces.push_back(run(secret ? seed * 13 + 7
+                                               : seed * 11 + 1,
+                                        seed + 1000 * draw));
+            return o;
+        });
+}
+
 /** One single-system run with the (public) chaos plan armed; the
  *  secret is WHICH addresses the workload touches. */
 std::vector<verify::TraceEvent>
@@ -688,6 +709,7 @@ measureChaosMi(const DesignSpec &spec, const verify::PlbLeakOptions &opts)
 struct PostChaosResult
 {
     bool deepPass = false;
+    std::string deepSummary;
     bool schedPass = false;
     std::string schedSummary;
     verify::LeakReport mi;
@@ -702,12 +724,12 @@ runPostChaos(const DesignSpec &spec, std::uint64_t seed,
              std::size_t mi_requests)
 {
     PostChaosResult r;
-    const std::size_t deep_accesses = 1500;
-    const auto a =
-        deepRun(spec, seed * 11 + 1, seed, deep_accesses);
-    const auto b =
-        deepRun(spec, seed * 13 + 7, seed, deep_accesses);
-    r.deepPass = verify::deepCompareTraces(a, b).pass;
+    const verify::CalibratedComparison deep = deepGate(
+        seed, [&](std::uint64_t secret_seed, std::uint64_t plan_seed) {
+            return deepRun(spec, secret_seed, plan_seed, 1500);
+        });
+    r.deepPass = deep.pass;
+    r.deepSummary = deep.summary();
 
     // Every draw re-seeds the (public) campaign: engines and plans.
     const verify::CalibratedComparison sched = verify::compareCalibrated(
@@ -736,8 +758,8 @@ runPostChaos(const DesignSpec &spec, std::uint64_t seed,
 /* ------------------------------------------------------------------ */
 
 /** One single-system run with a persistent corruptor armed mid-run:
- *  the unit is convicted and obliviously evacuated, and the trace of
- *  two secret-differing runs must still deep-compare. */
+ *  the unit is convicted and obliviously evacuated, and the traces
+ *  of secret-differing runs must still pass the calibrated gate. */
 std::vector<verify::TraceEvent>
 deepRunByz(const DesignSpec &spec, std::uint64_t secret_seed,
            std::uint64_t plan_seed, std::size_t accesses)
@@ -766,6 +788,7 @@ measureByzMi(const DesignSpec &spec, const verify::PlbLeakOptions &opts)
 struct PostByzResult
 {
     bool deepPass = false;
+    std::string deepSummary;
     verify::LeakReport mi;
     bool miOk = false;
     bool pass = false;
@@ -776,10 +799,12 @@ runPostByzantine(const DesignSpec &spec, std::uint64_t seed,
                  std::size_t mi_requests)
 {
     PostByzResult r;
-    const std::size_t deep_accesses = 1500;
-    const auto a = deepRunByz(spec, seed * 11 + 1, seed, deep_accesses);
-    const auto b = deepRunByz(spec, seed * 13 + 7, seed, deep_accesses);
-    r.deepPass = verify::deepCompareTraces(a, b).pass;
+    const verify::CalibratedComparison deep = deepGate(
+        seed, [&](std::uint64_t secret_seed, std::uint64_t plan_seed) {
+            return deepRunByz(spec, secret_seed, plan_seed, 1500);
+        });
+    r.deepPass = deep.pass;
+    r.deepSummary = deep.summary();
 
     verify::PlbLeakOptions mi_opts;
     mi_opts.requests = mi_requests;
@@ -1203,6 +1228,9 @@ main(int argc, char **argv)
                 spec.name, pb.pass ? "PASS" : "FAIL",
                 boolJson(pb.deepPass), boolJson(pb.miOk),
                 pb.mi.mi.summary().c_str());
+            if (!pb.deepPass)
+                std::printf("%-12s post-byzantine %s\n", spec.name,
+                            pb.deepSummary.c_str());
             design_pass = design_pass && pb.pass;
             post_byz_json =
                 ",\n      \"post_byzantine\": {\"deep_pass\": " +
@@ -1217,6 +1245,9 @@ main(int argc, char **argv)
                     spec.name, pc.pass ? "PASS" : "FAIL",
                     boolJson(pc.deepPass), boolJson(pc.schedPass),
                     boolJson(pc.miOk), pc.mi.mi.summary().c_str());
+        if (!pc.deepPass)
+            std::printf("%-12s post-chaos %s\n", spec.name,
+                        pc.deepSummary.c_str());
         if (!pc.schedPass)
             std::printf("%-12s post-chaos %s\n", spec.name,
                         pc.schedSummary.c_str());

@@ -15,8 +15,9 @@
  * CI excludes zero), every flat-PosMap design must NOT (PathOram
  * both with every level in DRAM and as SecureMemorySystem serves it,
  * top levels in the ORAM cache: "path-cached"), and both
- * positive controls must be caught by the v2 statistics while
- * passing the v1 marginal checker.  Exit 0 = expectations hold,
+ * positive controls must fail the calibrated gate
+ * (verify::compareCalibrated) on a second-order statistic while
+ * every marginal statistic passes.  Exit 0 = expectations hold,
  * 1 = violated, 2 = usage error.
  *
  * `--kv` switches to the application-layer experiment instead: the
@@ -26,6 +27,7 @@
  * -- the positive control -- must not; --check gates exactly that.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -38,9 +40,9 @@
 #include "crypto/aes128.hh"
 #include "core/secure_memory_system.hh"
 #include "oram/path_oram.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
 #include "verify/leak_meter.hh"
-#include "verify/trace_checker.hh"
 
 namespace
 {
@@ -77,12 +79,18 @@ measureServedDesign(core::SecureMemorySystem::Protocol protocol,
         [&](Addr a) { mem.readBlock(a); }, obs);
 }
 
-/** One positive-control result: v1 verdict vs v2 verdict. */
+/** One positive control through the calibrated gate. */
 struct ControlResult
 {
     std::string name;
-    bool v1Passes = false; ///< Marginal checker is fooled (expected).
-    bool v2Catches = false; ///< Second-order statistics fire (wanted).
+    /** addr_tv, kind_tv and count_delta pass: the control is
+     *  invisible to every marginal statistic (expected). */
+    bool marginalsPass = false;
+    /** A statistic the control targets fails (wanted). */
+    bool caught = false;
+    std::string worst;
+    double pValue = 1.0;
+    double threshold = 0.0;
 };
 
 /** A Path ORAM bucket trace for the control experiments. */
@@ -108,42 +116,57 @@ controlTrace(std::uint64_t seed, std::size_t accesses)
     return t;
 }
 
+/**
+ * Control @p name: the calibrated gate over control traces drawn
+ * from @p seed and the run's draw, where secret 1 applies @p leak;
+ * it is caught when a statistic named in @p targets fails.
+ */
+template <typename Leak>
+ControlResult
+runControl(const std::string &name, std::uint64_t seed,
+           const std::vector<std::string> &targets, Leak &&leak)
+{
+    const verify::CalibratedComparison c = verify::compareCalibrated(
+        [&](unsigned secret, std::uint64_t draw) {
+            verify::Observation o;
+            std::vector<verify::TraceEvent> t =
+                controlTrace(seed * 1000 + draw, 512);
+            o.shardTraces.push_back(secret ? leak(std::move(t)) : t);
+            return o;
+        });
+    ControlResult r;
+    r.name = name;
+    r.marginalsPass = c.passes("shard0.addr_tv") &&
+                      c.passes("shard0.kind_tv") &&
+                      c.passes("shard0.count_delta");
+    for (const std::string &t : targets)
+        r.caught = r.caught || !c.passes(t);
+    r.worst = c.statistics[c.worst].name;
+    r.pValue = c.statistics[c.worst].pValue;
+    r.threshold = c.threshold;
+    return r;
+}
+
 std::vector<ControlResult>
 runControls(std::uint64_t seed)
 {
-    const std::vector<verify::TraceEvent> base_a =
-        controlTrace(seed, 512);
-    const std::vector<verify::TraceEvent> base_b =
-        controlTrace(seed + 100, 512);
-
-    std::uint64_t addr_hi = 0;
-    for (const verify::TraceEvent &e : base_a)
-        addr_hi = std::max(addr_hi, e.addr);
-
-    std::vector<ControlResult> out;
-    {
-        // Secret-keyed batch scheduler: A sorts its windows, B does
-        // not.
-        ControlResult c;
-        c.name = "ordering";
-        const auto leaky = verify::injectOrderingLeak(base_a, 8);
-        c.v1Passes =
-            verify::compareTraces(leaky, base_b).indistinguishable;
-        c.v2Catches = !verify::deepCompareTraces(leaky, base_b).pass;
-        out.push_back(c);
-    }
-    {
-        // Secret-keyed slow path: A stalls after hot-half addresses.
-        ControlResult c;
-        c.name = "timing";
-        const auto leaky =
-            verify::injectTimingLeak(base_a, 0, addr_hi / 2, 40);
-        c.v1Passes =
-            verify::compareTraces(leaky, base_b).indistinguishable;
-        c.v2Catches = !verify::deepCompareTraces(leaky, base_b).pass;
-        out.push_back(c);
-    }
-    return out;
+    return {
+        // Secret-keyed batch scheduler: one secret sorts its windows.
+        runControl("ordering", seed, {"shard0.acf_addr"},
+                   [](std::vector<verify::TraceEvent> t) {
+                       return verify::injectOrderingLeak(std::move(t), 8);
+                   }),
+        // Secret-keyed slow path: one secret stalls after hot-half
+        // addresses.
+        runControl("timing", seed, {"shard0.acf_gap", "shard0.gap_profile"},
+                   [](std::vector<verify::TraceEvent> t) {
+                       std::uint64_t addr_hi = 0;
+                       for (const verify::TraceEvent &e : t)
+                           addr_hi = std::max(addr_hi, e.addr);
+                       return verify::injectTimingLeak(std::move(t), 0,
+                                                       addr_hi / 2, 40);
+                   }),
+    };
 }
 
 void
@@ -302,9 +325,11 @@ main(int argc, char **argv)
 
     const std::vector<ControlResult> controls = runControls(seed);
     for (const ControlResult &c : controls) {
-        std::printf("control %-9s v1(marginal)=%s v2(second-order)=%s\n",
-                    c.name.c_str(), c.v1Passes ? "PASS" : "FAIL",
-                    c.v2Catches ? "CAUGHT" : "missed");
+        std::printf("control %-9s marginals=%s target=%s worst=%s p=%g "
+                    "threshold=%g\n",
+                    c.name.c_str(), c.marginalsPass ? "PASS" : "FAIL",
+                    c.caught ? "CAUGHT" : "missed", c.worst.c_str(),
+                    c.pValue, c.threshold);
     }
 
     std::string json = "{\n  \"tool\": \"sdimm_leakmeter\",\n"
@@ -320,11 +345,14 @@ main(int argc, char **argv)
     json += "\n  ],\n  \"controls\": [";
     for (std::size_t i = 0; i < controls.size(); ++i) {
         json += i ? ",\n    " : "\n    ";
-        json += std::string("{\"name\": \"") + controls[i].name +
-                "\", \"marginal_checker_passes\": " +
-                (controls[i].v1Passes ? "true" : "false") +
-                ", \"second_order_catches\": " +
-                (controls[i].v2Catches ? "true" : "false") + "}";
+        json += "{\"name\": " + util::jsonQuote(controls[i].name) +
+                ", \"marginals_pass\": " +
+                (controls[i].marginalsPass ? "true" : "false") +
+                ", \"caught\": " + (controls[i].caught ? "true" : "false") +
+                ", \"worst\": " + util::jsonQuote(controls[i].worst) +
+                ", \"p\": " + util::jsonNumber(controls[i].pValue) +
+                ", \"threshold\": " +
+                util::jsonNumber(controls[i].threshold) + "}";
     }
     json += "\n  ]\n}\n";
 
@@ -353,11 +381,11 @@ main(int argc, char **argv)
         }
     }
     for (const ControlResult &c : controls) {
-        if (!c.v1Passes || !c.v2Catches) {
+        if (!c.marginalsPass || !c.caught) {
             std::fprintf(stderr,
-                         "CHECK FAILED: control %s v1Passes=%d "
-                         "v2Catches=%d (want 1/1)\n",
-                         c.name.c_str(), c.v1Passes, c.v2Catches);
+                         "CHECK FAILED: control %s marginalsPass=%d "
+                         "caught=%d (want 1/1)\n",
+                         c.name.c_str(), c.marginalsPass, c.caught);
             ++violations;
         }
     }
